@@ -33,6 +33,7 @@ from ray.data import Dataset
 from raydedup.config import DedupConfig
 from raydedup.hashing import U64, mix64
 from raydedup.stages.sampling import DEFAULT_SAMPLE_SEED
+from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -195,7 +196,7 @@ def curate(
             np.concatenate(
                 [
                     b.column("doc_id").to_numpy(zero_copy_only=False)
-                    for b in ray.get(list(kept_ids.to_arrow_refs()))
+                    for b in ray.get(list(arrow_block_refs(kept_ids)))
                     if b.num_rows
                 ]
                 or [np.empty(0, dtype=I64)]
@@ -285,7 +286,7 @@ def curate(
     statuses = statuses.materialize()
     metrics: dict[str, int] = {}
     counted = statuses.map_batches(count_block, batch_format="pyarrow")
-    for b in ray.get(list(counted.to_arrow_refs())):
+    for b in ray.get(list(arrow_block_refs(counted))):
         # Ray emits schema-less empty blocks for 0-row inputs — skip them
         if b.num_rows == 0 or "status" not in b.schema.names:
             continue

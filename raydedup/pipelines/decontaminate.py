@@ -44,6 +44,7 @@ from ray.data import Dataset
 
 from raydedup.config import DedupConfig
 from raydedup.hashing import U64
+from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -76,9 +77,10 @@ def _eval_key_blocks(eval_docs: Dataset, cfg: DedupConfig) -> list:
         return pa.table({"key": pa.array(flat.view(I64), type=pa.int64())})
 
     return list(
-        eval_docs.select_columns(["text"])
-        .map_batches(keys_batch, batch_format="pyarrow")
-        .to_arrow_refs()
+        arrow_block_refs(
+            eval_docs.select_columns(["text"])
+            .map_batches(keys_batch, batch_format="pyarrow")
+        )
     )
 
 

@@ -47,7 +47,7 @@ from raydedup.stages.cluster import (
 )
 from raydedup.stages.signatures import SignatureKernel
 from raydedup.stages.verify import verify_pairs, verify_pairs_small
-from raydedup.util import to_arrow_table
+from raydedup.util import arrow_block_refs, to_arrow_table
 
 
 @dataclass
@@ -276,7 +276,7 @@ def run_dedup(
     from raydedup.stages.exchange import hash_exchange_apply
 
     _sha_key_task = ray.remote(num_returns=1)(sha_key_table)
-    docs_block_refs = list(docs.to_arrow_refs())
+    docs_block_refs = list(arrow_block_refs(docs))
     keyed_refs = [_sha_key_task.remote(r) for r in docs_block_refs]
     exact_edge_refs = hash_exchange_apply(
         keyed_refs, "sha_key", sha_emit_table, collect=False

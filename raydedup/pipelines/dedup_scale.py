@@ -5,6 +5,8 @@ edges and the component map on the driver — fine up to hundreds of
 millions of docs, impossible at 10^12 (the PAIR LIST outgrows one
 machine). This variant keeps every intermediate as object-store refs:
 
+  signatures -> band postings -> band_key split: one wave of raw tasks
+    over the docs' block refs, submitted without a driver wait
   postings -> exchange (refs) -> pair combine exchange (refs)
   verification: two co-partitioned exchange joins against the docs table
   clustering: edges routed to union-find shard actors FROM TASKS,
@@ -41,11 +43,11 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.config import DedupConfig
-from raydedup.stages.candidates import band_postings
+from raydedup.stages.candidates import POSTINGS_SCHEMA, band_postings, band_postings_table
 from raydedup.stages.cluster_scale import assignments_exchange, cluster_edge_refs
 from raydedup.stages.containment import _emit_fp_pairs, fingerprint_postings_table
-from raydedup.stages.exchange import hash_exchange_apply
-from raydedup.stages.pair_agg import reduce_pair_table
+from raydedup.stages.exchange import _split_table, block_groups, hash_exchange_apply
+from raydedup.util import arrow_block_refs
 
 
 @dataclass
@@ -103,6 +105,46 @@ def _flatten_refs(refs: list) -> list:
 def _member_table(t: pa.Table) -> pa.Table:
     """sha edge table -> exact-dup MEMBER ids (the ``b`` side)."""
     return pa.table({"m": t.column("b")})
+
+
+@ray.remote
+def _signature_postings_split(
+    cfg: DedupConfig, num_buckets: int, exclude: list, *blocks: pa.Table
+) -> list[pa.Table]:
+    """One task of the signature wave: ``doc_id,text`` blocks -> MinHash
+    signatures -> band postings, hash-split on ``band_key`` into
+    ``num_buckets`` tables (one split task's row of split_dataset's wave
+    shape). The kernel runs once per input block, so its working set is
+    a block, whatever the group size. ``exclude`` is ``[]`` or
+    ``[member-array ref]``; nested in a list, the ref reaches the task
+    unresolved and each block's ray.get in _filter_excluded waits on the
+    sha exchange inside the task, not on the driver."""
+    from raydedup.pipelines.dedup import _signature_fn
+
+    exclude_ref = exclude[0] if exclude else None
+    parts = [
+        band_postings_table(_signature_fn(b, cfg, False, exclude_ref), cfg.n_bands)
+        for b in blocks
+        if b.num_rows
+    ]
+    postings = pa.concat_tables(parts) if parts else POSTINGS_SCHEMA.empty_table()
+    return _split_table(postings, "band_key", num_buckets)
+
+
+def _signature_wave(
+    text_refs: list, cfg: DedupConfig, num_buckets: int, exclude_ref=None
+) -> list:
+    """Submit the fused signature -> band postings -> band_key split wave
+    over ``doc_id,text`` block refs, grouped like split_dataset, without
+    waiting on it. Returns the wave (``wave[i][k]``) for
+    candidate_pair_refs's exchange-1 reduce."""
+    exclude = [exclude_ref] if exclude_ref is not None else []
+    return [
+        _signature_postings_split.options(num_returns=num_buckets).remote(
+            cfg, num_buckets, exclude, *g
+        )
+        for g in block_groups(text_refs)
+    ]
 
 
 @ray.remote
@@ -207,6 +249,55 @@ def _auto_shards(n_docs: int) -> int:
     return int(min(8, max(2, n_docs // 25_000 + 1)))
 
 
+def _fingerprint_stats(t: pa.Table) -> pa.Table:
+    """One docs block -> one row (n, min/max doc_id, content digest): the
+    digest is a wrapping uint64 sum over docs of mix64(doc_id ^ sha
+    prefix), so it is independent of row order and block layout."""
+    from raydedup.hashing import mix64
+    from raydedup.pipelines.dedup import sha_key_table
+
+    k = sha_key_table(t)
+    ids = k.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    sha = k.column("sha_key").to_numpy(zero_copy_only=False)
+    n = ids.shape[0]
+    digest = mix64((ids ^ sha).view(np.uint64)).sum(dtype=np.uint64)
+    return pa.table(
+        {
+            "n": pa.array([n], pa.int64()),
+            "lo": pa.array([ids.min() if n else 0], pa.int64()),
+            "hi": pa.array([ids.max() if n else 0], pa.int64()),
+            "digest": pa.array([digest.view(np.int64)], pa.int64()),
+        }
+    )
+
+
+def _docs_fingerprint(docs: Dataset) -> dict:
+    """Count, min/max doc_id and order-free content digest of ``docs``,
+    from one streaming pass over its (doc_id, text_sha256) columns."""
+    stats = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
+        _fingerprint_stats, batch_format="pyarrow"
+    )
+    rows = [r for t in ray.get(arrow_block_refs(stats)) for r in t.to_pylist() if r["n"]]
+    if not rows:
+        return {"n_docs": 0, "min_doc_id": 0, "max_doc_id": 0, "digest": 0}
+    return {
+        "n_docs": sum(r["n"] for r in rows),
+        "min_doc_id": min(r["lo"] for r in rows),
+        "max_doc_id": max(r["hi"] for r in rows),
+        "digest": sum(r["digest"] % 2**64 for r in rows) % 2**64,
+    }
+
+
+def _spill_files(spill_dir: str) -> list[list]:
+    """Sorted (file name, size) of the spilled parquet files."""
+    import glob as _glob
+
+    return [
+        [os.path.basename(p), os.path.getsize(p)]
+        for p in sorted(_glob.glob(os.path.join(spill_dir, "*.parquet")))
+    ]
+
+
 def _spill_docs_to_parquet(docs: Dataset, spill_dir: str) -> Dataset:
     """Streaming phase-1 input cache (VERDICT r4 #3): write the
     (doc_id, text, text_sha256) projection of ``docs`` to parquet under
@@ -216,29 +307,35 @@ def _spill_docs_to_parquet(docs: Dataset, spill_dir: str) -> Dataset:
     over it. Every downstream pass re-reads the pruned columns it needs
     (text ships from disk per consuming stage instead of living in the
     store for the whole run); ``count()`` is parquet-metadata-only. A
-    complete cache (marker file) is reused as-is, which also makes the
-    ad-hoc streaming path restartable at the phase-1 level."""
-    import glob as _glob
-    import shutil
+    complete cache is reused as-is, which also makes the ad-hoc
+    streaming path restartable at the phase-1 level.
 
-    import pyarrow.parquet as _pq
+    The completion marker records a fingerprint: the sorted spilled file
+    names with their sizes, plus the count, min/max ``doc_id`` and an
+    order-free content digest of the input (see _fingerprint_stats). A
+    cache is reused only if its files and THIS input's fingerprint both
+    match — a standing spill dir pointed at another corpus, even one of
+    the same size, or at edited texts under the same ids, is rebuilt
+    instead of silently deduping the old corpus. The input fingerprint
+    costs one streaming pass over its (doc_id, text_sha256) columns on
+    the reuse path; the build path reads it back from the cache."""
+    import json
+    import shutil
 
     import ray.data as rd
 
     marker = os.path.join(spill_dir, "_SPILL_COMPLETE")
     if os.path.exists(marker):
-        # reuse gate (review finding): a complete cache is only served
-        # if its row count matches THIS input — otherwise a standing
-        # spill dir pointed at a new corpus would silently dedup the
-        # old one. The count costs one streaming pass of the input
-        # lineage on the reuse path only; an equal-count content swap
-        # is not caught here (use a fresh dir per corpus — the
-        # checkpointed wrapper's shard-set digest covers that regime).
-        cached = sum(
-            _pq.ParquetFile(p).metadata.num_rows
-            for p in _glob.glob(os.path.join(spill_dir, "*.parquet"))
-        )
-        if cached != docs.count():
+        try:
+            with open(marker) as f:
+                rec = json.load(f)
+        except ValueError:
+            rec = None
+        if (
+            not isinstance(rec, dict)
+            or rec.get("files") != _spill_files(spill_dir)
+            or rec.get("input") != _docs_fingerprint(docs)
+        ):
             os.remove(marker)
     if not os.path.exists(marker):
         tmp = spill_dir.rstrip("/") + ".tmp"
@@ -246,9 +343,13 @@ def _spill_docs_to_parquet(docs: Dataset, spill_dir: str) -> Dataset:
         docs.select_columns(["doc_id", "text", "text_sha256"]).write_parquet(tmp)
         shutil.rmtree(spill_dir, ignore_errors=True)
         os.replace(tmp, spill_dir)
+        files = _spill_files(spill_dir)
+        fp = _docs_fingerprint(
+            rd.read_parquet([os.path.join(spill_dir, n) for n, _ in files])
+        )
         with open(marker, "w") as f:
-            f.write("ok")
-    files = sorted(_glob.glob(os.path.join(spill_dir, "*.parquet")))
+            json.dump({"files": files, "input": fp}, f)
+    files = [os.path.join(spill_dir, n) for n, _ in _spill_files(spill_dir)]
     return rd.read_parquet(files)
 
 
@@ -262,6 +363,18 @@ def run_dedup_scale(
     n_shards: int | None = None,
     stream_spill_dir: str | None = None,
 ) -> DedupScaleResult:
+    """Refs-only dedup of ``docs`` (doc_id, text, text_sha256): every
+    stage is submitted as raw Ray tasks over object-store refs, and the
+    driver waits only on the containment pair count and the final
+    metric counts.
+
+    The signature stage is one wave of raw tasks (signatures, band
+    postings and the band_key split fused per task, grouped like
+    split_dataset), so ``cfg.batch_size`` and ``cfg.signature_concurrency``
+    do not shape it; they apply to the Ray Data signature stage of
+    run_dedup, run_dedup_scale_resumable and the query/index paths.
+    ``stream_spill_dir`` caches the input projection to parquet once
+    (see _spill_docs_to_parquet)."""
     cfg = cfg or DedupConfig()
     t0 = time.perf_counter()
     metrics: dict[str, Any] = {}
@@ -326,8 +439,10 @@ def run_dedup_scale(
 
     uf_shards = [UnionFindShard.remote(i, n_shards) for i in range(n_shards)]
 
-    doc_text = docs.select_columns(["doc_id", "text"])
-    dsplit = split_dataset(doc_text, "doc_id", num_buckets)
+    # one projection pass: the doc_id,text block refs feed both the corpus
+    # text split and the signature wave below
+    text_refs = arrow_block_refs(docs.select_columns(["doc_id", "text"]))
+    dsplit = split_dataset(text_refs, "doc_id", num_buckets)
     _mark("text_split", dsplit)
 
     # --- exact sha edges (refs): same pure-NumPy kernels as run_dedup -----
@@ -342,9 +457,15 @@ def run_dedup_scale(
     _mark("exact", exact_refs)
 
     # --- LSH candidates (refs) -------------------------------------------
-    # fused two-exchange chain (emit wave re-splits on `a` in-task);
-    # per-bucket (a, b, n_collisions) tables, never collected
-    from raydedup.pipelines.dedup import compute_signatures
+    # One wave of raw tasks over the text block refs, grouped like
+    # split_dataset: each task computes signatures, explodes band
+    # postings and splits them on band_key in-task, so exchange 1 of the
+    # fused candidate chain consumes the wave directly. Nothing waits on
+    # it: every stage below is submitted while signatures compute (a
+    # Ray Data map_batches would coalesce small blocks into fewer tasks
+    # than CPUs, and collecting its block refs would block the driver until
+    # the last one ends). Per-bucket (a, b, n_collisions) tables, never
+    # collected.
     from raydedup.stages.candidates import candidate_pair_refs
 
     # opt-in (cfg.sig_skip_exact_members): signature/posting/pair work
@@ -358,11 +479,12 @@ def run_dedup_scale(
         if cfg.sig_skip_exact_members
         else None
     )
-    signatures = compute_signatures(
-        docs, cfg, keep_shingles=False, exclude_ids_ref=sig_exclude_ref
+    cand_refs = candidate_pair_refs(
+        _signature_wave(text_refs, cfg, num_buckets, sig_exclude_ref), cfg, num_buckets
     )
-    postings = band_postings(signatures, cfg)
-    cand_refs = candidate_pair_refs(postings, cfg, num_buckets)
+    # the split and wave tasks hold the text blocks now; without the
+    # driver's refs the store frees them as soon as both waves finish
+    del text_refs
     _mark("sig_candidates", cand_refs)
     # NOTE: counted BEFORE the exact-member drop below (run_dedup counts
     # after its driver-side drop) — the drop happens implicitly at the

@@ -49,6 +49,7 @@ from ray.data import Dataset
 
 from raydedup.hashing import U64, mix64, span_hash_u64
 from raydedup.stages.substring import _flat_utf8
+from raydedup.util import arrow_block_refs
 
 BITS_PER_KEY = 10
 N_HASHES = 7
@@ -123,7 +124,7 @@ def unseen_docs(
     if 0 < n_seen <= broadcast_max_keys:
         n_words = _bloom_n_words(n_seen, bits_per_key)
         metrics["bloom_bits"] = n_words * 64
-        seen_refs = list(seen.select_columns([text_col]).to_arrow_refs())
+        seen_refs = list(arrow_block_refs(seen.select_columns([text_col])))
         cpus = int(ray.cluster_resources().get("CPU", 8))
         group = max(1, len(seen_refs) // max(1, 2 * cpus))
         parts = [
@@ -176,7 +177,7 @@ def unseen_docs(
         np.concatenate(
             [
                 t.column("__key").to_numpy(zero_copy_only=False)
-                for t in ray.get(maybes.to_arrow_refs())
+                for t in ray.get(arrow_block_refs(maybes))
                 if t.num_rows and t.num_columns
             ]
         )

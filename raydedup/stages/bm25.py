@@ -30,6 +30,8 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 I64 = np.int64
 F64 = np.float64
 
@@ -144,7 +146,7 @@ def bm25_search(
             }
         )
 
-    merged = proj.map_batches(score_block, batch_format="pyarrow").to_arrow_refs()
+    merged = arrow_block_refs(proj.map_batches(score_block, batch_format="pyarrow"))
     import ray
 
     tabs = [t for t in ray.get(list(merged)) if t.num_rows]

@@ -40,38 +40,46 @@ from raydedup.config import DedupConfig
 I64 = np.int64
 
 
-def band_postings(signatures: Dataset, cfg: DedupConfig) -> Dataset:
-    """signatures -> (band_key: int64, doc_id: int64, sig: int64) postings,
-    n_bands per doc. ``sig`` is a 64-bit digest of the doc's full band
-    vector: byte-identical texts share it, so pair emission can group a
-    band run by signature identity (cap + star-edge logic)."""
+POSTINGS_SCHEMA = pa.schema(
+    [("band_key", pa.int64()), ("doc_id", pa.int64()), ("sig", pa.int64())]
+)
+
+
+def band_postings_table(batch: pa.Table, n_bands: int) -> pa.Table:
+    """(doc_id, bands) signatures -> (band_key: int64, doc_id: int64,
+    sig: int64) postings, ``n_bands`` per doc. ``sig`` is a 64-bit digest
+    of the doc's full band vector: byte-identical texts share it, so pair
+    emission can group a band run by signature identity (cap + star-edge
+    logic). Module-level so raw Ray tasks can reuse it."""
     from raydedup.hashing import POLY_B, U64 as _U64, mix64
 
-    n_bands = cfg.n_bands
+    n = batch.num_rows
+    if n == 0:
+        return POSTINGS_SCHEMA.empty_table()
+    bands = batch.column("bands")
+    flat = bands.combine_chunks().flatten() if isinstance(bands, pa.ChunkedArray) else bands.flatten()
+    keys_u64 = flat.to_numpy(zero_copy_only=False).astype(_U64, copy=False)
+    keys = keys_u64.view(I64)
+    doc = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(I64, copy=False)
+    # Horner fold of the doc's n_bands keys -> one digest per doc
+    mat = keys_u64.reshape(n, n_bands)
+    digest = np.zeros(n, dtype=_U64)
+    for j in range(n_bands):
+        digest = digest * POLY_B + mat[:, j]
+    digest = mix64(digest).view(I64)
+    return pa.table(
+        {
+            "band_key": pa.array(keys, type=pa.int64()),
+            "doc_id": pa.array(np.repeat(doc, n_bands), type=pa.int64()),
+            "sig": pa.array(np.repeat(digest, n_bands), type=pa.int64()),
+        }
+    )
 
-    def explode(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        bands = batch.column("bands")
-        flat = bands.combine_chunks().flatten() if isinstance(bands, pa.ChunkedArray) else bands.flatten()
-        keys_u64 = flat.to_numpy(zero_copy_only=False).astype(_U64, copy=False)
-        keys = keys_u64.view(I64)
-        doc = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(I64, copy=False)
-        # Horner fold of the doc's n_bands keys -> one digest per doc
-        mat = keys_u64.reshape(n, n_bands) if n else keys_u64.reshape(0, n_bands)
-        digest = np.zeros(n, dtype=_U64)
-        for j in range(n_bands):
-            digest = digest * POLY_B + mat[:, j]
-        digest = mix64(digest).view(I64)
-        return pa.table(
-            {
-                "band_key": pa.array(keys, type=pa.int64()),
-                "doc_id": pa.array(np.repeat(doc, n_bands), type=pa.int64()),
-                "sig": pa.array(np.repeat(digest, n_bands), type=pa.int64()),
-            }
-        )
 
+def band_postings(signatures: Dataset, cfg: DedupConfig) -> Dataset:
+    """signatures Dataset -> band postings (see band_postings_table)."""
     return signatures.select_columns(["doc_id", "bands"]).map_batches(
-        explode, batch_format="pyarrow"
+        band_postings_table, batch_format="pyarrow", fn_kwargs={"n_bands": cfg.n_bands}
     )
 
 
@@ -260,6 +268,10 @@ def candidate_pair_refs(
     (reduce_apply_resplit), so exchange 2's combine wave consumes the
     pieces directly — no intermediate materialize or split wave between
     the two shuffles. Nothing returns to the driver.
+
+    ``postings`` is a Dataset, a list of block refs, or a wave already
+    split on ``band_key`` into ``num_buckets`` buckets (split_dataset's
+    shape, ``wave[i][k]``): exchange 1's reduce then consumes it as is.
     """
     from raydedup.stages.exchange import (
         _reduce_bucket,
@@ -283,7 +295,8 @@ def candidate_pair_refs(
         return out
 
     recover, hot_group = cfg.recover_hot_runs, cfg.hot_run_group
-    split1 = split_dataset(postings, "band_key", num_buckets)
+    presplit = isinstance(postings, list) and bool(postings) and isinstance(postings[0], list)
+    split1 = postings if presplit else split_dataset(postings, "band_key", num_buckets)
     wave = reduce_apply_resplit(
         split1,
         lambda t: emit_pairs_partition(

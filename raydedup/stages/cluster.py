@@ -25,6 +25,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 
 class UnionFind:
     """Path-halving union-by-attachment-to-min union-find over int64 keys."""
@@ -70,10 +72,11 @@ def cluster_pairs_driver(
     ``UnionFind`` remains as the property-test reference.
 
     Streaming bound (review finding): buffered edges are CONTRACTED to
-    spanning (root, member) edges whenever they exceed
-    ``contract_edges``, so peak driver memory is O(distinct nodes +
-    contract_edges) — a near-clique pair explosion no longer buffers
-    the whole edge list the way the old streaming union-find didn't.
+    spanning (member, root) edges whenever they reach
+    max(``contract_edges``, 2 x the last contracted size), so peak
+    driver memory is O(distinct nodes + contract_edges) — a near-clique
+    pair explosion no longer buffers the whole edge list — and a giant
+    component costs O(log n) contractions, not one per batch.
     Components of (spanning edges of prefix) U (new edges) equal
     components of the full union, so the fold is exact."""
     if isinstance(pairs, pd.DataFrame):
@@ -85,15 +88,20 @@ def cluster_pairs_driver(
     ea: list[np.ndarray] = []
     eb: list[np.ndarray] = []
     buffered = 0
+    # once a giant component's spanning edges alone exceed
+    # contract_edges, a fixed trigger would re-contract on every batch
+    # (quadratic); doubling keeps the total contraction work linear
+    last_contracted = 0
     for b in batches:
         av = b["a"].to_numpy(dtype=np.int64, copy=False)
         bv = b["b"].to_numpy(dtype=np.int64, copy=False)
         ea.append(av)
         eb.append(bv)
         buffered += av.shape[0]
-        if buffered >= contract_edges:
+        if buffered >= max(contract_edges, 2 * last_contracted):
             m, r = cluster_edges_arrays(np.concatenate(ea), np.concatenate(eb))
             ea, eb, buffered = [m], [r], m.shape[0]
+            last_contracted = buffered
     if buffered == 0:
         return {}
     members, roots = cluster_edges_arrays(np.concatenate(ea), np.concatenate(eb))
@@ -204,33 +212,34 @@ def cluster_pairs_actors(
     return components
 
 
-def cluster_edges_arrays(
-    a: np.ndarray, b: np.ndarray, max_rounds: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
+def cluster_edges_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized in-memory connected components over an edge list:
-    min-label propagation with pointer jumping (no per-edge Python —
-    the driver union-find loop was a fixed ~0.7 s at 500k docs that
-    does not shrink with cluster size). Returns (members, roots) sorted
-    by member; root = component-min doc id, the same convention as
-    UnionFind (property-tested equivalent)."""
+    hook-and-compress (no per-edge Python — the driver union-find loop
+    was a fixed ~0.7 s at 500k docs that does not shrink with cluster
+    size). Each round hooks the larger root of every edge whose ends
+    still have different roots onto the smaller one, then pointer-jumps
+    every node to its root; settled edges drop out. The loop has no
+    round cap: a capped loop silently splits long components. Returns
+    (members, roots) sorted by member; root = component-min doc id, the
+    same convention as UnionFind (property-tested equivalent)."""
     nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
     n = a.shape[0]
     ea, eb = inv[:n], inv[n:]
-    label = np.arange(nodes.shape[0], dtype=np.int64)
-    for _ in range(max_rounds):
-        m = np.minimum(label[ea], label[eb])
-        new = label.copy()
-        np.minimum.at(new, ea, m)
-        np.minimum.at(new, eb, m)
-        while True:  # pointer jumping: compress chains within the round
-            nn = new[new]
-            if np.array_equal(nn, new):
-                break
-            new = nn
-        if np.array_equal(new, label):
+    # parent[x] <= x always holds, so every tree's root is its min node
+    parent = np.arange(nodes.shape[0], dtype=np.int64)
+    while True:
+        ra, rb = parent[ea], parent[eb]
+        live = ra != rb
+        if not live.any():
             break
-        label = new
-    return nodes, nodes[label]
+        ea, eb, ra, rb = ea[live], eb[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:  # pointer jumping: every node points at its root
+            nxt = parent[parent]
+            if np.array_equal(nxt, parent):
+                break
+            parent = nxt
+    return nodes, nodes[parent]
 
 
 def label_propagation_components(pairs: Dataset, max_rounds: int = 32) -> pd.DataFrame:
@@ -617,7 +626,7 @@ def largest_clusters(
             }
         )
 
-    reps = docs.map_batches(probe, batch_format="pyarrow").to_arrow_refs()
+    reps = arrow_block_refs(docs.map_batches(probe, batch_format="pyarrow"))
     import ray as _ray
 
     rep_parts = [t for t in _ray.get(list(reps)) if t.num_rows and t.num_columns > 1]

@@ -18,6 +18,7 @@ import pyarrow as pa
 import ray
 
 from raydedup.stages.cluster import UnionFindShard
+from raydedup.util import arrow_block_refs
 
 
 @ray.remote
@@ -281,7 +282,7 @@ def connected_components(
     # one execution of the edge lineage; the SAME block refs feed the
     # union-find routing AND the endpoint distinct (re-using refs beats
     # re-running the Dataset twice — each lazy consumer is its own job)
-    edge_refs = list(edges.select_columns(["a", "b"]).to_arrow_refs())
+    edge_refs = list(arrow_block_refs(edges.select_columns(["a", "b"])))
     forest = cluster_edge_refs(edge_refs, n_shards=n_shards, num_buckets=num_buckets)
 
     @ray.remote

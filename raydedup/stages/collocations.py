@@ -41,6 +41,7 @@ from ray.data import Dataset
 
 from raydedup.hashing import rolling_hash_u64
 from raydedup.stages.signatures import _WORD_CACHE, batch_word_hashes, tokenize
+from raydedup.util import arrow_block_refs
 
 logger = logging.getLogger(__name__)
 
@@ -237,7 +238,7 @@ def collocations(
 
     rec_parts = [
         b
-        for b in ray.get(docs.map_batches(recover, batch_format="pyarrow").to_arrow_refs())
+        for b in ray.get(arrow_block_refs(docs.map_batches(recover, batch_format="pyarrow")))
         if b.num_columns and b.num_rows
     ]
     rec = pa.concat_tables(rec_parts)

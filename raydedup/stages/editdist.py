@@ -29,6 +29,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 I64 = np.int64
 
 _OUT_SCHEMA = pa.schema(
@@ -121,9 +123,10 @@ def fuzzy_pairs(
         )
 
     text_blocks = list(
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(keep_texts, batch_format="pyarrow")
-        .to_arrow_refs()
+        arrow_block_refs(
+            docs.select_columns(["doc_id", "text"])
+            .map_batches(keep_texts, batch_format="pyarrow")
+        )
     )
     bids_ref, offs_ref, data_ref = _pack_text_broadcast.remote(*text_blocks)
 

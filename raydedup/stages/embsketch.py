@@ -43,6 +43,7 @@ from raydedup.hashing import mix64
 from raydedup.stages.ann import _batch_matrix
 from raydedup.stages.exchange import hash_exchange_apply
 from raydedup.stages.signatures import hamming64
+from raydedup.util import arrow_block_refs
 
 U64 = np.uint64
 I64 = np.int64
@@ -366,9 +367,10 @@ def label_centroids(
     parts = [
         t
         for t in ray.get(
-            embeddings.select_columns([label_col, vec_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .to_arrow_refs()
+            arrow_block_refs(
+                embeddings.select_columns([label_col, vec_col])
+                .map_batches(partial, batch_format="pyarrow")
+            )
         )
         if t.num_rows and t.num_columns
     ]

@@ -26,6 +26,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 I64 = np.int64
 
 
@@ -198,25 +200,30 @@ def _join_sides(parts, n_left: int) -> tuple[pa.Table, pa.Table]:
     return lt, rt
 
 
+def block_groups(refs: list) -> list[list]:
+    """Group block refs into ``min(len(refs), 2 x CPUs)`` contiguous runs,
+    one per map-side task of an exchange: two tasks per CPU keep the
+    wave full while bounding the object count to O(tasks x buckets)."""
+    import math
+
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    n_tasks = max(1, min(len(refs), 2 * cpus))
+    group = math.ceil(len(refs) / n_tasks)
+    return [refs[i : i + group] for i in range(0, len(refs), group)]
+
+
 def split_dataset(x: Dataset | list, key: str, num_buckets: int | None = None) -> list:
     """Hash-partition a Dataset (or list of block refs) on ``key`` into
     ``num_buckets`` buckets. Returns a list of per-split-task lists of
     bucket ObjectRefs (``splits[i][k]`` = split task i's bucket k) that
     can be fed to multiple reduce rounds WITHOUT re-splitting — reuse
     this when the same table joins on the same key more than once."""
-    import math
-
     if num_buckets is None:
         num_buckets = default_buckets()
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    refs = list(x.to_arrow_refs()) if isinstance(x, Dataset) else list(x)
-    n_split = max(1, min(len(refs), 2 * cpus))
-    group = math.ceil(len(refs) / n_split)
+    refs = arrow_block_refs(x) if isinstance(x, Dataset) else list(x)
     return [
-        _split_blocks.options(num_returns=num_buckets).remote(
-            key, num_buckets, *refs[i : i + group]
-        )
-        for i in range(0, len(refs), group)
+        _split_blocks.options(num_returns=num_buckets).remote(key, num_buckets, *g)
+        for g in block_groups(refs)
     ]
 
 
@@ -270,25 +277,18 @@ def hash_exchange_apply(
     The kernel must be insensitive to row order within its bucket.
     num_buckets bounds reduce-task memory to ~|ds| / num_buckets rows.
     """
-    import math
-
     if num_buckets is None:
         num_buckets = default_buckets()
 
     # NOTE: a streaming variant (split tasks launched per ref bundle via
     # iter_internal_ref_bundles) was measured 30-45% SLOWER end-to-end:
     # the iterator's output backpressure throttles the upstream kernel.
-    # Materialize-then-split keeps the producer at full width.
-    block_refs = list(ds.to_arrow_refs()) if isinstance(ds, Dataset) else list(ds)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_split = max(1, min(len(block_refs), 2 * cpus))
-    group = math.ceil(len(block_refs) / n_split)
-    split_refs = [
-        _split_blocks.options(num_returns=num_buckets).remote(
-            key_col, num_buckets, *block_refs[i : i + group]
-        )
-        for i in range(0, len(block_refs), group)
-    ]
+    # For a Dataset input, split_dataset therefore materializes the
+    # producer at full width and blocks the driver until its last task
+    # ends. A stage that must not block (the scale engine's signature
+    # stage, pipelines/dedup_scale._signature_wave) runs its kernel as
+    # raw tasks that split their own output instead.
+    split_refs = split_dataset(ds, key_col, num_buckets)
     # split_refs[i] is a list of num_buckets ObjectRefs (one per bucket)
     out_refs = []
     for k in range(num_buckets):

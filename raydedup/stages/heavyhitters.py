@@ -38,6 +38,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 I64 = np.int64
 
 _SUMMARY_SCHEMA = pa.schema([("token", pa.large_string()), ("cnt", pa.int64())])
@@ -124,7 +126,7 @@ def heavy_hitters(
         tokens, counts = _group_sum(pa.concat_tables(tables))
         return _compress(tokens, counts, capacity)
 
-    for ref in summaries.to_arrow_refs():
+    for ref in arrow_block_refs(summaries):
         tbl = ray.get(ref)
         if tbl.num_rows == 0:
             continue
@@ -173,7 +175,7 @@ def heavy_hitters(
 
     parts: list[pa.Table] = []
     rows = 0
-    for ref in proj.map_batches(recount, batch_format="pyarrow").to_arrow_refs():
+    for ref in arrow_block_refs(proj.map_batches(recount, batch_format="pyarrow")):
         tbl = ray.get(ref)
         if tbl.num_rows == 0:
             continue

@@ -22,6 +22,8 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 I64 = np.int64
 
 _OUT_SCHEMA = pa.schema(
@@ -78,9 +80,10 @@ def value_histogram(events: Dataset, width_cents: int = 500) -> pa.Table:
         t
         for t in ray.get(
             list(
-                events.select_columns(["event_type", "value"])
-                .map_batches(partial, batch_format="pyarrow")
-                .to_arrow_refs()
+                arrow_block_refs(
+                    events.select_columns(["event_type", "value"])
+                    .map_batches(partial, batch_format="pyarrow")
+                )
             )
         )
         if t.num_rows

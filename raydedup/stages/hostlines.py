@@ -42,6 +42,7 @@ import ray
 from ray.data import Dataset
 
 from raydedup.hashing import hash_strings_u64, mix64
+from raydedup.util import arrow_block_refs
 
 logger = logging.getLogger(__name__)
 
@@ -253,7 +254,7 @@ def host_hot_lines(
             }
         )
 
-    rec = docs.map_batches(recover, batch_format="pyarrow").to_arrow_refs()
+    rec = arrow_block_refs(docs.map_batches(recover, batch_format="pyarrow"))
     tabs = [b for b in ray.get(rec) if b.num_rows]
     rows: dict[int, tuple[str, str]] = {}
     for b in tabs:

@@ -41,6 +41,7 @@ from ray.data import Dataset
 
 from raydedup.config import DedupConfig
 from raydedup.hashing import U64, rolling_hash_u64
+from raydedup.util import arrow_block_refs
 
 @ray.remote
 def _block_pair_ids(t: pa.Table) -> np.ndarray:
@@ -170,7 +171,7 @@ def matched_segments(
     # distributed pair-doc union: per-block unique ids in tasks, counts
     # fetched as scalars — the pair table itself never lands on the
     # driver
-    pair_refs = [r for r in pair_tbl.to_arrow_refs()]
+    pair_refs = [r for r in arrow_block_refs(pair_tbl)]
     if not pair_refs:
         return rd.from_arrow(_SEGMENT_SCHEMA.empty_table())
     id_refs = [_block_pair_ids.remote(r) for r in pair_refs]
@@ -208,8 +209,9 @@ def matched_segments(
             )
 
         blocks = list(
-            docs.map_batches(keep_and_tokens, batch_format="pyarrow")
-            .to_arrow_refs()
+            arrow_block_refs(
+                docs.map_batches(keep_and_tokens, batch_format="pyarrow")
+            )
         )
         return _pack_shingle_broadcast.options(num_returns=3).remote(*blocks)
 

@@ -33,6 +33,7 @@ import ray
 from ray.data import Dataset
 
 from raydedup.hashing import hash_strings_u64
+from raydedup.util import arrow_block_refs
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +165,7 @@ def hot_lines(docs: Dataset, min_docs: int = 2, limit: int | None = None) -> pa.
 
     parts = [
         b
-        for b in ray.get(docs.map_batches(recover, batch_format="pyarrow").to_arrow_refs())
+        for b in ray.get(arrow_block_refs(docs.map_batches(recover, batch_format="pyarrow")))
         if b.num_columns and b.num_rows
     ]
     rec = pa.concat_tables(parts)

@@ -40,6 +40,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.hashing import hash_strings_u64
+from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -548,7 +549,7 @@ def unigram_surprisal(docs: Dataset) -> Dataset:
 
     docs = docs.select_columns(["doc_id", "text"]).materialize()
     cnt_tbl = term_counts(docs).materialize()
-    tot_ref, keys_ref, cnt_ref = _pack_counts.remote(*list(cnt_tbl.to_arrow_refs()))
+    tot_ref, keys_ref, cnt_ref = _pack_counts.remote(*list(arrow_block_refs(cnt_tbl)))
 
     def score_batch(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(I64)

@@ -47,6 +47,7 @@ from raydedup.stages.signatures import (
     rolling_hash_segments,
     tokenize,
 )
+from raydedup.util import arrow_block_refs
 
 logger = logging.getLogger(__name__)
 
@@ -265,7 +266,7 @@ def hot_passages(
             }
         )
 
-    rec = docs.map_batches(recover, batch_format="pyarrow").to_arrow_refs()
+    rec = arrow_block_refs(docs.map_batches(recover, batch_format="pyarrow"))
     parts = [b for b in ray.get(rec) if b.num_columns and b.num_rows]
     if not parts:
         return _OUT_SCHEMA.empty_table()

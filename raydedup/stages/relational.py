@@ -29,6 +29,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 I64 = np.int64
 
 _OUT_SCHEMA = pa.schema(
@@ -81,7 +83,7 @@ def revenue_by_nation(
     def _collect(ds: Dataset, cols: list[str]) -> pa.Table:
         blocks = [
             b.select(cols)
-            for b in ray.get(list(ds.select_columns(cols).to_arrow_refs()))
+            for b in ray.get(list(arrow_block_refs(ds.select_columns(cols))))
             if b.num_rows
         ]
         if not blocks:

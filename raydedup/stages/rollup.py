@@ -19,6 +19,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from raydedup.util import arrow_block_refs
+
 I64 = np.int64
 
 _OUT_SCHEMA = pa.schema(
@@ -71,9 +73,10 @@ def rollup_counts(
         t
         for t in ray.get(
             list(
-                ds.select_columns([key1, key2, value_col])
-                .map_batches(partial, batch_format="pyarrow")
-                .to_arrow_refs()
+                arrow_block_refs(
+                    ds.select_columns([key1, key2, value_col])
+                    .map_batches(partial, batch_format="pyarrow")
+                )
             )
         )
         if t.num_rows

@@ -31,6 +31,7 @@ import ray
 from ray.data import Dataset
 
 from raydedup.hashing import U64, mix64
+from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -195,7 +196,7 @@ def stratified_sample(
         lambda t: _local_topk(t, strata_col, key_col, k, seed),
         batch_format="pyarrow",
     )
-    blocks = [b for b in ray.get(list(cand.to_arrow_refs())) if b.num_rows]
+    blocks = [b for b in ray.get(list(arrow_block_refs(cand))) if b.num_rows]
     if not blocks:
         return ds.limit(0)
     allc = pa.concat_tables(blocks)

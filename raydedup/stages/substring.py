@@ -51,6 +51,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.hashing import U64, rolling_hash_u64
+from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -312,9 +313,10 @@ def substring_pairs(
         )
 
     text_blocks = list(
-        docs.select_columns([id_col, text_col])
-        .map_batches(keep_texts, batch_format="pyarrow")
-        .to_arrow_refs()
+        arrow_block_refs(
+            docs.select_columns([id_col, text_col])
+            .map_batches(keep_texts, batch_format="pyarrow")
+        )
     )
     bids_ref, offs_ref, data_ref = _pack_candidate_texts.remote(*text_blocks)
 
@@ -340,7 +342,7 @@ def substring_pairs(
         .map_batches(verify, batch_format="pyarrow")
     )
     out = pa.concat_tables(
-        [t for t in ray.get(verified.to_arrow_refs()) if t.num_columns and t.num_rows]
+        [t for t in ray.get(arrow_block_refs(verified)) if t.num_columns and t.num_rows]
         or [_PAIR_SCHEMA.empty_table()],
         promote_options="default",
     )

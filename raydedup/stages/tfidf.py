@@ -35,6 +35,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.hashing import hash_strings_u64
+from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -247,7 +248,7 @@ def df_commonness(docs: Dataset) -> Dataset:
     docs = docs.select_columns(["doc_id", "text"]).materialize()
     n_docs = docs.count()
     df_tbl = doc_frequency(docs).materialize()
-    _, keys_ref, dfv_ref = _pack_df.remote(*list(df_tbl.to_arrow_refs()))
+    _, keys_ref, dfv_ref = _pack_df.remote(*list(arrow_block_refs(df_tbl)))
 
     def score_batch(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(I64)
@@ -303,7 +304,7 @@ def top_terms(
         # driver
         if method == "broadcast" or df_tbl.count() <= broadcast_max_vocab:
             n_ref, keys_ref, dfv_ref = _pack_df.remote(
-                *list(df_tbl.to_arrow_refs())
+                *list(arrow_block_refs(df_tbl))
             )
 
             # counting + scoring + top-k fused in ONE UDF over DOC rows:

@@ -23,6 +23,7 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from raydedup.config import DedupConfig
+from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -162,9 +163,10 @@ def verify_pairs_small(
     # set| bytes to the driver and re-putting them was a fixed driver
     # cost (~seconds at 500k docs) that does not shrink with cluster size
     shingle_blocks = list(
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(shingle_candidates, batch_format="pyarrow")
-        .to_arrow_refs()
+        arrow_block_refs(
+            docs.select_columns(["doc_id", "text"])
+            .map_batches(shingle_candidates, batch_format="pyarrow")
+        )
     )
     bids_ref, offs_ref, data_ref = _pack_shingle_broadcast.options(
         num_returns=3

@@ -221,8 +221,12 @@ class ExchangeCheckpoint:
                 self.invalidated_stages.append(stage)
                 import shutil
 
-                shutil.rmtree(os.path.join(self.dir, stage), ignore_errors=True)
+                # persist the invalidation BEFORE deleting the buckets:
+                # a crash in the recompute must not leave an on-disk
+                # manifest marking the stage done over missing files
                 entry.clear()
+                self.mgr.save()
+                shutil.rmtree(os.path.join(self.dir, stage), ignore_errors=True)
             else:
                 self.loaded_stages.append(stage)
                 n = int(entry["n_buckets"])

@@ -1,4 +1,5 @@
-"""Small shared helpers (driver-side materialization for SMALL results)."""
+"""Small shared helpers: block refs of a Dataset, and driver-side
+materialization for SMALL results."""
 
 from __future__ import annotations
 
@@ -6,6 +7,31 @@ import pyarrow as pa
 
 import ray
 from ray.data import Dataset
+
+
+@ray.remote
+def _block_to_arrow(block) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+def arrow_block_refs(ds: Dataset) -> list:
+    """Execute ``ds`` and return its blocks as refs to Arrow tables: the
+    contract of ``Dataset.to_arrow_refs()`` without its trailing
+    ``schema()`` call. On a plan that is not materialized, Ray 2.49's
+    to_arrow_refs() finds no cached schema after the run and re-executes
+    the plan under ``limit(1)`` to get one, then cancels that probe's
+    in-flight tasks. That is wasted work on every exchange input, and
+    the cancellations race Ray core's task bookkeeping: the driver
+    aborts ("Check failed: ... submitted_task_ref_count > 0", or "Tried
+    to complete task that was not pending"). Each output bundle carries
+    its schema, so only non-Arrow (pandas) blocks need converting."""
+    refs: list = []
+    for bundle in ds.iter_internal_ref_bundles():
+        arrow = isinstance(bundle.schema, pa.Schema)
+        refs.extend(r if arrow else _block_to_arrow.remote(r) for r, _ in bundle.blocks)
+    return refs
 
 
 def to_arrow_table(ds: Dataset, empty_schema: pa.Schema | None = None) -> pa.Table:
@@ -16,9 +42,14 @@ def to_arrow_table(ds: Dataset, empty_schema: pa.Schema | None = None) -> pa.Tab
     when the dataset is empty and Ray cannot infer a schema (fully-empty
     lineages report ``schema() is None``).
     """
-    refs = ds.to_arrow_refs()
-    blocks = [b for b in ray.get(list(refs)) if b.num_rows > 0]
+    tables = ray.get(arrow_block_refs(ds))
+    blocks = [b for b in tables if b.num_rows > 0]
     if not blocks:
+        # an empty output block still carries the schema; ds.schema()
+        # would re-run the plan under limit(1) (see arrow_block_refs)
+        typed = [b for b in tables if b.num_columns]
+        if typed:
+            return typed[0].schema.remove_metadata().empty_table()
         schema = ds.schema()  # ray.data.Schema: .names + .types (arrow DataTypes)
         if schema is None:
             if empty_schema is None:

@@ -1,12 +1,13 @@
-"""Local replica of the driver's correctness gate: run every queries()
-entry at sf0.01 and diff against oracle_sql() via DuckDB (row count,
-schema, order-insensitive values). Usage:
+"""Local replica of the correctness gate: run every queries() entry at
+sf0.01 and diff against oracle_sql() via DuckDB (row count, schema,
+order-insensitive values). Usage:
 
-    python scripts/check_oracle.py [sf_dir] [query ...]
+    python scripts/check_oracle.py SF_DIR [QUERY ...]
 """
 
 from __future__ import annotations
 
+import argparse
 import logging
 import os
 import sys
@@ -38,9 +39,20 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+def parse_args(argv=None) -> argparse.Namespace:
+    ap = argparse.ArgumentParser(
+        description="Run the queries() registry on a test-data directory and "
+        "diff each result against its oracle_sql() via DuckDB."
+    )
+    ap.add_argument("sf_dir", help="directory holding the <table>.parquet files")
+    ap.add_argument("queries", nargs="*", help="query names to run (default: all)")
+    return ap.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sf_dir = args.sf_dir
+    only = set(args.queries)
 
     import ray
 

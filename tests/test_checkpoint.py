@@ -387,3 +387,35 @@ def test_completed_checkpoint_reclusters_after_new_shard(
         d3 = str(tmp_path / f"ck3_{mode}")
         out3 = run_dedup_checkpointed(cur, d3, cfg, mode=mode)
         pd.testing.assert_frame_equal(cl2, _clusters_df(out3))
+
+
+def test_exchange_invalidation_is_durable_before_recompute(ray_session, tmp_path, cfg):
+    """An input-fingerprint invalidation reaches the on-disk manifest
+    before the recompute runs: if the recompute crashes, the manifest
+    no longer marks the stage done over its deleted bucket files."""
+    import pyarrow as pa
+    import ray
+
+    from raydedup.state.checkpoint import ExchangeCheckpoint
+
+    ck = str(tmp_path / "inv")
+    exch = ExchangeCheckpoint(CheckpointManager(ck, cfg))
+    exch.input_fp = "n_docs=10"
+    exch.run("s1", lambda: [ray.put(pa.table({"a": pa.array([1], pa.int64())}))])
+
+    def crash():
+        raise RuntimeError("recompute died")
+
+    e2 = ExchangeCheckpoint(CheckpointManager(ck, cfg))
+    e2.input_fp = "n_docs=12"
+    with pytest.raises(RuntimeError, match="recompute died"):
+        e2.run("s1", crash)
+    with open(os.path.join(ck, "manifest.json")) as f:
+        on_disk = json.load(f)
+    assert on_disk["exchanges"]["s1"].get("status") != "done"
+    # a later run with the OLD fingerprint recomputes instead of reading
+    # the deleted buckets
+    e3 = ExchangeCheckpoint(CheckpointManager(ck, cfg))
+    e3.input_fp = "n_docs=10"
+    refs = e3.run("s1", lambda: [ray.put(pa.table({"a": pa.array([7], pa.int64())}))])
+    assert e3.loaded_stages == [] and ray.get(refs[0]).column("a").to_pylist() == [7]

@@ -372,3 +372,71 @@ def test_driver_contraction_bound_matches_bruteforce(ray_session):
     ds = rd.from_pandas(df).repartition(8)
     got = cluster_pairs_driver(ds, contract_edges=256)
     assert _canon(got) == _canon(_brute_components(df))
+
+
+class _BatchStream:
+    """Dataset stand-in for cluster_pairs_driver: yields a fixed list of
+    (a, b) pandas batches, so a test can stream many small batches
+    without Ray Data's 64k-row batching."""
+
+    def __init__(self, batches):
+        self.batches = batches
+
+    def select_columns(self, cols):
+        return self
+
+    def iter_batches(self, **kw):
+        return iter(self.batches)
+
+
+def test_driver_contraction_is_geometric_on_giant_component(monkeypatch):
+    """One giant component streamed in many batches with a tiny
+    contract_edges: once its spanning edges exceed the bound, the
+    buffer must grow geometrically before the next contraction —
+    O(log n) contractions, not one per batch — and the components must
+    equal cluster_edges_arrays over the full edge set."""
+    import raydedup.stages.cluster as cl
+
+    n, n_batches = 20_000, 256
+    rng = np.random.Generator(np.random.PCG64(11))
+    ids = rng.permutation(n).astype(np.int64) * 7 + 3
+    a, b = ids[:-1], ids[1:]  # a chain: every node in one component
+    order = rng.permutation(a.shape[0])
+    a, b = a[order], b[order]
+    batches = [
+        pd.DataFrame({"a": pa_, "b": pb_})
+        for pa_, pb_ in zip(np.array_split(a, n_batches), np.array_split(b, n_batches))
+    ]
+    calls = []
+    real = cl.cluster_edges_arrays
+
+    def counting(x, y):
+        calls.append(x.shape[0])
+        return real(x, y)
+
+    monkeypatch.setattr(cl, "cluster_edges_arrays", counting)
+    got = cl.cluster_pairs_driver(_BatchStream(batches), contract_edges=8)
+    assert len(calls) <= 2 * int(np.log2(n_batches)) + 2
+    members, roots = real(a, b)
+    assert got == dict(zip(members.tolist(), roots.tolist()))
+    assert set(got.values()) == {int(ids.min())}
+
+
+def test_vectorized_cc_converges_on_shuffled_chain_and_random_graph():
+    """Components must not depend on id order or need a round cap: a
+    long path in random id order and a random graph at the giant-
+    component threshold both match the UnionFind reference."""
+    from raydedup.stages.cluster import cluster_edges_arrays
+
+    rng = np.random.Generator(np.random.PCG64(11))
+    ids = rng.permutation(20_000).astype(np.int64) * 7 + 3
+    mem, root = cluster_edges_arrays(ids[:-1], ids[1:])
+    assert np.all(root == ids.min()) and mem.shape[0] == ids.shape[0]
+
+    a = rng.integers(0, 20_000, 10_000).astype(np.int64)
+    b = rng.integers(0, 20_000, 10_000).astype(np.int64)
+    uf = UnionFind()
+    for x, y in zip(a.tolist(), b.tolist()):
+        uf.union(x, y)
+    mem, root = cluster_edges_arrays(a, b)
+    assert dict(zip(mem.tolist(), root.tolist())) == uf.components()
