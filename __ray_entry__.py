@@ -222,10 +222,7 @@ def _q_engine_agreement(sf_dir: str):
 
     from raydedup.config import DedupConfig
     from raydedup.pipelines.dedup import run_dedup
-    from raydedup.pipelines.dedup_scale import (
-        run_dedup_scale,
-        run_dedup_scale_resumable,
-    )
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.stages.agreement import assignment_agreement
     from raydedup.state.checkpoint import (
         CheckpointKilled,
@@ -242,14 +239,12 @@ def _q_engine_agreement(sf_dir: str):
         exch = ExchangeCheckpoint(CheckpointManager(d, cfg))
         exch.fail_after_stage = "verified"
         try:
-            run_dedup_scale_resumable(docs, cfg, ckpt=exch, containment=True)
+            run_dedup_scale(docs, cfg, ckpt=exch, containment=True)
             raise AssertionError("injected kill did not fire")
         except CheckpointKilled:
             pass
         exch2 = ExchangeCheckpoint(CheckpointManager(d, cfg))
-        ck = run_dedup_scale_resumable(
-            docs, cfg, ckpt=exch2, containment=True
-        ).clusters
+        ck = run_dedup_scale(docs, cfg, ckpt=exch2, containment=True).clusters
         if "verified" not in exch2.loaded_stages:
             raise AssertionError("resume re-ran the finished exchange")
         pairs = [

@@ -173,7 +173,6 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     out = run_dedup_checkpointed(
         files, args.checkpoint, _cfg_from_args(args),
         containment=not args.no_containment, substring=args.substring,
-        mode=args.mode,
     )
     print(json.dumps({"clusters_dir": out["clusters_path"], **out["metrics"]}, default=str))
     return 0
@@ -1241,9 +1240,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--substring", action="store_true",
                    help="also run the exact full-substring pass over "
                         "cluster representatives (suffix-array analog)")
-    s.add_argument("--mode", choices=("auto", "base", "scale"), default="auto",
-                   help="phase-2 engine: driver-assisted (base), refs-only "
-                        "(scale), or pick by doc count (auto, default)")
     s.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a DedupConfig key (repeatable)")
     s.set_defaults(fn=cmd_dedup)

@@ -155,10 +155,10 @@ class DedupConfig:
     # --- execution
     # batch_size and signature_concurrency shape the Ray Data signature
     # stage (map_batches rows per call; None -> stateless tasks, N -> an
-    # N-actor pool) of run_dedup, run_dedup_scale_resumable and the
-    # index/query paths. run_dedup_scale ignores both: its signature
-    # stage is one raw task per group of input blocks, the kernel called
-    # once per block.
+    # N-actor pool) of run_dedup and the index/query paths; batch_size
+    # is also the phase-1 extract batch of run_dedup_checkpointed.
+    # run_dedup_scale ignores both: its signature stage is one raw task
+    # per group of input blocks, the kernel called once per block.
     batch_size: int = 4096
     target_block_rows: int = 65536
     signature_concurrency: int | None = None

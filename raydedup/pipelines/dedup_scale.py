@@ -13,6 +13,13 @@ machine). This variant keeps every intermediate as object-store refs:
   iterated contraction + pointer-jump exchanges (stages/cluster_scale)
   assignment: docs x forest exchange join -> Dataset of refs
 
+The stage graph is written once, in ``run_dedup_scale``; checkpointing
+is a per-stage policy on it. Without a checkpoint the stages run with
+no barrier and overlap; with an ExchangeCheckpoint each exchange stage
+commits its per-bucket outputs to Parquet, and a resumed run loads the
+committed stages instead of re-running them (the checkpointed
+``run_dedup_checkpointed`` in state/checkpoint.py uses it that way).
+
 The driver sees per-bucket row counts and convergence signatures —
 bytes, independent of corpus size. Containment sweeps cluster
 REPRESENTATIVES only, like run_dedup, but refs-only: the round-1
@@ -33,7 +40,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import pyarrow as pa
@@ -43,11 +50,14 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.config import DedupConfig
-from raydedup.stages.candidates import POSTINGS_SCHEMA, band_postings, band_postings_table
+from raydedup.stages.candidates import POSTINGS_SCHEMA, band_postings_table
 from raydedup.stages.cluster_scale import assignments_exchange, cluster_edge_refs
 from raydedup.stages.containment import _emit_fp_pairs, fingerprint_postings_table
 from raydedup.stages.exchange import _split_table, block_groups, hash_exchange_apply
 from raydedup.util import arrow_block_refs
+
+if TYPE_CHECKING:
+    from raydedup.state.checkpoint import ExchangeCheckpoint
 
 
 @dataclass
@@ -75,10 +85,6 @@ def _count_rows(t: pa.Table) -> int:
     return t.num_rows
 
 
-def _total(refs: list) -> int:
-    return int(sum(ray.get([_count_rows.remote(r) for r in refs])))
-
-
 def _select_ab(refs: list) -> list:
     @ray.remote
     def sel(t: pa.Table) -> pa.Table:
@@ -97,8 +103,7 @@ def _flatten_refs(refs: list) -> list:
     return out
 
 
-# --- module-level stage kernels (shared by the overlapped orchestration
-# below and the checkpoint-barriered resumable one) ----------------------
+# --- module-level stage kernels of run_dedup_scale's stage graph --------
 
 
 @ray.remote
@@ -111,39 +116,45 @@ def _member_table(t: pa.Table) -> pa.Table:
 def _signature_postings_split(
     cfg: DedupConfig, num_buckets: int, exclude: list, *blocks: pa.Table
 ) -> list[pa.Table]:
-    """One task of the signature wave: ``doc_id,text`` blocks -> MinHash
-    signatures -> band postings, hash-split on ``band_key`` into
-    ``num_buckets`` tables (one split task's row of split_dataset's wave
-    shape). The kernel runs once per input block, so its working set is
-    a block, whatever the group size. ``exclude`` is ``[]`` or
-    ``[member-array ref]``; nested in a list, the ref reaches the task
-    unresolved and each block's ray.get in _filter_excluded waits on the
-    sha exchange inside the task, not on the driver."""
-    from raydedup.pipelines.dedup import _signature_fn
+    """One task of the signature wave: blocks -> MinHash signatures ->
+    band postings, hash-split on ``band_key`` into ``num_buckets``
+    tables (one split task's row of split_dataset's wave shape). A
+    ``doc_id,text`` block is signed here, once per block, so the
+    kernel's working set is a block, whatever the group size; a block
+    without ``text`` already holds signatures (``doc_id,bands``, the
+    phase-1 signature parquet) and is used as it is. ``exclude`` is
+    ``[]`` or ``[member-array ref]``; nested in a list, the ref reaches
+    the task unresolved and each block's ray.get in _filter_excluded
+    waits on the sha exchange inside the task, not on the driver."""
+    from raydedup.pipelines.dedup import _filter_excluded, _signature_fn
 
     exclude_ref = exclude[0] if exclude else None
+
+    def signed(b: pa.Table) -> pa.Table:
+        if "text" in b.column_names:
+            return _signature_fn(b, cfg, False, exclude_ref)
+        return b if exclude_ref is None else _filter_excluded(b, exclude_ref)
+
     parts = [
-        band_postings_table(_signature_fn(b, cfg, False, exclude_ref), cfg.n_bands)
-        for b in blocks
-        if b.num_rows
+        band_postings_table(signed(b), cfg.n_bands) for b in blocks if b.num_rows
     ]
     postings = pa.concat_tables(parts) if parts else POSTINGS_SCHEMA.empty_table()
     return _split_table(postings, "band_key", num_buckets)
 
 
 def _signature_wave(
-    text_refs: list, cfg: DedupConfig, num_buckets: int, exclude_ref=None
+    block_refs: list, cfg: DedupConfig, num_buckets: int, exclude_ref=None
 ) -> list:
     """Submit the fused signature -> band postings -> band_key split wave
-    over ``doc_id,text`` block refs, grouped like split_dataset, without
-    waiting on it. Returns the wave (``wave[i][k]``) for
-    candidate_pair_refs's exchange-1 reduce."""
+    over ``doc_id,text`` (or ``doc_id,bands`` signature) block refs,
+    grouped like split_dataset, without waiting on it. Returns the wave
+    (``wave[i][k]``) for candidate_pair_refs's exchange-1 reduce."""
     exclude = [exclude_ref] if exclude_ref is not None else []
     return [
         _signature_postings_split.options(num_returns=num_buckets).remote(
             cfg, num_buckets, exclude, *g
         )
-        for g in block_groups(text_refs)
+        for g in block_groups(block_refs)
     ]
 
 
@@ -362,19 +373,52 @@ def run_dedup_scale(
     num_buckets: int | None = None,
     n_shards: int | None = None,
     stream_spill_dir: str | None = None,
+    ckpt: ExchangeCheckpoint | None = None,
+    signatures: Dataset | None = None,
 ) -> DedupScaleResult:
     """Refs-only dedup of ``docs`` (doc_id, text, text_sha256): every
     stage is submitted as raw Ray tasks over object-store refs, and the
     driver waits only on the containment pair count and the final
     metric counts.
 
+    The phase-2 stage graph exists once; ``ckpt`` is its checkpoint
+    policy. Each exchange stage (``exact``, ``candidates``, ``verified``,
+    ``forest1``, ``containment``, ``substring_edges``, ``forest2``) is
+    submitted as ``stage(name, thunk)``. Without a checkpoint that is
+    ``thunk()``: no barrier, and the stages overlap. With an
+    ExchangeCheckpoint (state/checkpoint.py) it is ``ckpt.run``: a stage
+    already committed loads its buckets from disk, a computed one
+    commits its buckets before the next stage starts, so a crash resumes
+    from the last committed exchange. The inputs several stages share
+    (text block refs, doc and member splits, containment explode,
+    union-find shard actors) are built on first use: a resume builds
+    only what its remaining stages need, and without a checkpoint each
+    is built up front where its work overlaps the signature stage. Under
+    a checkpoint ``docs`` is not materialized; pass a Dataset that is
+    cheap to re-read (the phase-1 parquet) or already materialized.
+
     The signature stage is one wave of raw tasks (signatures, band
     postings and the band_key split fused per task, grouped like
     split_dataset), so ``cfg.batch_size`` and ``cfg.signature_concurrency``
-    do not shape it; they apply to the Ray Data signature stage of
-    run_dedup, run_dedup_scale_resumable and the query/index paths.
-    ``stream_spill_dir`` caches the input projection to parquet once
-    (see _spill_docs_to_parquet)."""
+    do not shape it. ``signatures`` (doc_id, bands; the phase-1
+    signature parquet) feeds that wave precomputed signatures instead of
+    text; they must be signed over the text the run dedups, so not over
+    raw text with ``cfg.normalize``. ``stream_spill_dir`` caches the
+    input projection to parquet once (see _spill_docs_to_parquet)."""
+    import functools
+
+    from raydedup.pipelines.dedup import sha_emit_table, sha_key_table
+    from raydedup.stages.candidates import candidate_pair_refs
+    from raydedup.stages.cluster import UnionFindShard
+    from raydedup.stages.exchange import (
+        _reduce_bucket,
+        reduce_apply_resplit,
+        reduce_join_resplit,
+        reduce_join_split,
+        split_dataset,
+    )
+    from raydedup.stages.verify import make_attach_a, make_attach_b_verify
+
     cfg = cfg or DedupConfig()
     t0 = time.perf_counter()
     metrics: dict[str, Any] = {}
@@ -409,550 +453,342 @@ def run_dedup_scale(
         # once, into the cache)
         docs = _spill_docs_to_parquet(docs, stream_spill_dir)
         metrics["phase1_mode"] = "stream"
-    else:
+    elif ckpt is None:
         docs = docs.materialize()
         metrics["phase1_mode"] = "materialize"
 
-    from raydedup.stages.exchange import (
-        reduce_join_resplit,
-        reduce_join_split,
-        split_dataset,
-    )
-
-    # --- corpus text split FIRST (async) -----------------------------------
-    # The full-text split is the pipeline's largest byte mover and depends
-    # only on the input; every downstream join (shingle demand, containment
-    # explode) consumes it. Launching its tasks before the signature stage
-    # overlaps the text movement with signature compute instead of paying
-    # for it serially after the candidate barrier (the residual gap vs
-    # run_dedup's id-broadcast verify, BASELINE.md).
-    n_docs = docs.count()  # materialized: metadata-only
-    if num_buckets is None:
-        num_buckets = _auto_buckets(n_docs)
-    if n_shards is None:
-        n_shards = _auto_shards(n_docs)
-
-    # union-find shard actors spawn NOW (async): their process startup
-    # (~0.5 s) overlaps the signature/verify stages instead of landing
-    # on the clustering critical path; both cluster rounds reuse them
-    from raydedup.stages.cluster import UnionFindShard
-
-    uf_shards = [UnionFindShard.remote(i, n_shards) for i in range(n_shards)]
-
-    # one projection pass: the doc_id,text block refs feed both the corpus
-    # text split and the signature wave below
-    text_refs = arrow_block_refs(docs.select_columns(["doc_id", "text"]))
-    dsplit = split_dataset(text_refs, "doc_id", num_buckets)
-    _mark("text_split", dsplit)
-
-    # --- exact sha edges (refs): same pure-NumPy kernels as run_dedup -----
-    from raydedup.pipelines.dedup import sha_emit_table, sha_key_table
-
-    keyed = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
-        sha_key_table, batch_format="pyarrow"
-    )
-    exact_refs = hash_exchange_apply(
-        keyed, "sha_key", sha_emit_table, num_buckets, collect=False
-    )
-    _mark("exact", exact_refs)
-
-    # --- LSH candidates (refs) -------------------------------------------
-    # One wave of raw tasks over the text block refs, grouped like
-    # split_dataset: each task computes signatures, explodes band
-    # postings and splits them on band_key in-task, so exchange 1 of the
-    # fused candidate chain consumes the wave directly. Nothing waits on
-    # it: every stage below is submitted while signatures compute (a
-    # Ray Data map_batches would coalesce small blocks into fewer tasks
-    # than CPUs, and collecting its block refs would block the driver until
-    # the last one ends). Per-bucket (a, b, n_collisions) tables, never
-    # collected.
-    from raydedup.stages.candidates import candidate_pair_refs
-
-    # opt-in (cfg.sig_skip_exact_members): signature/posting/pair work
-    # scales with UNIQUE texts — each signature task waits on the sha
-    # exchange via its broadcast ref (pipelined, no driver barrier) and
-    # drops exact-dup members in-kernel; members reattach through the
-    # sha edges so clusters are identical (measured crossover vs the
-    # lost overlap in BASELINE.md).
-    sig_exclude_ref = (
-        _sorted_member_array.remote(*exact_refs)
-        if cfg.sig_skip_exact_members
-        else None
-    )
-    cand_refs = candidate_pair_refs(
-        _signature_wave(text_refs, cfg, num_buckets, sig_exclude_ref), cfg, num_buckets
-    )
-    # the split and wave tasks hold the text blocks now; without the
-    # driver's refs the store frees them as soon as both waves finish
-    del text_refs
-    _mark("sig_candidates", cand_refs)
-    # NOTE: counted BEFORE the exact-member drop below (run_dedup counts
-    # after its driver-side drop) — the drop happens implicitly at the
-    # attach joins here, so the raw LSH candidate volume is the
-    # meaningful refs-only metric. Count tasks are submitted now but
-    # ray.get'd only at the END: a blocking count here is a full stage
-    # barrier that serializes candidates -> verify on the driver.
-    cand_count_futs = [_count_rows.remote(r) for r in cand_refs]
-
-    # --- refs-only exact-member filter (demand-side) ----------------------
-    # Candidate pairs touching an exact-dup MEMBER are mirrored by the
-    # member's byte-identical representative (identical signature =>
-    # identical band pairs), and the sha edge reattaches the member — so
-    # instead of anti-joining the (large) pair table, the members are
-    # dropped from the SHINGLE DEMAND (tiny id tables, one co-partitioned
-    # round): a memberless doc gets no packed-shingle row, and the attach
-    # joins below drop its pairs via the lookup found-mask. Connectivity
-    # is unchanged while member shingle payloads never enter the verify
-    # exchanges and the pair table is never re-shuffled for filtering.
-    msplit = split_dataset(
-        [_member_table.remote(r) for r in exact_refs], "m", num_buckets
-    )
-    _mark("member_split", msplit)
-
-    # --- verification: refs-only semi-join + packed-shingle exchange ------
-    # The candidate doc-id DEMAND is itself exchanged (never broadcast —
-    # at 10^12 docs even the id set outgrows one machine): per-candidate-
-    # bucket id tables co-partition with the docs split, each bucket
-    # kernel filters its local docs to demanded ids and computes their
-    # shingle sets ONCE with the vectorized batch kernel. The full text
-    # corpus is split exactly ONE time (the split refs are reused by the
-    # containment explode below); only candidate shingle payloads move
-    # through the two join rounds.
-    from raydedup.stages.verify import (
-        make_attach_a,
-        make_attach_b_verify,
-    )
-
-    # --- containment explode, OVERLAPPED with verify + clustering ---------
-    # The winnowing text scan only needs docs minus EXACT members (known
-    # now); near-dup members found by LSH are dropped from the POSTING
-    # rows after round-1 clustering (co-partitioned row filter — postings
-    # inherit the doc_id bucketing from dsplit). Same result as exploding
-    # after the forest (a member's removal never changes another doc's
-    # fingerprints), but the expensive scan runs while the verify and
-    # clustering exchanges are in flight — mirroring run_dedup's overlap,
-    # refs-only.
-    fp_expl_refs: list = []
-    if containment:
-        fp_expl_refs = reduce_join_split(
-            dsplit,
-            msplit,
-            make_drop_exact_then_explode(cfg.containment_window, cfg.containment_stride),
-            num_buckets,
-        )
-        _mark("fp_explode", fp_expl_refs)
-
-    idsplit = split_dataset(
-        [_pair_id_table.remote(r) for r in cand_refs], "doc_id", num_buckets
-    )
-
-    idsplit = [reduce_join_split(idsplit, msplit, _drop_member_ids, num_buckets)]
-    _mark("demand_ids", idsplit)
-
-    # per-bucket packed candidate shingles, already partitioned by
-    # hash(doc_id) — usable directly as the right side of both joins
-    shingled_refs = reduce_join_split(
-        idsplit, dsplit, make_filter_and_shingle(cfg), num_buckets
-    )
-    _mark("demand_shingle", shingled_refs)
-    shsplit = [shingled_refs]
-
-    # attach round 1 re-splits its output on ``b`` in-task (fused), so
-    # round 2 consumes the pieces without a separate split wave; pairs
-    # whose doc has no shingle row (exact members) drop at the attach
-    psplit = split_dataset(cand_refs, "a", num_buckets)
-    r1 = reduce_join_resplit(
-        psplit, shsplit, make_attach_a(), "b", num_buckets, num_buckets
-    )
-    _mark("attach_a", r1)
-    verified_refs = reduce_join_split(
-        r1,
-        shsplit,
-        make_attach_b_verify(cfg.jaccard_tau),
-        num_buckets,
-    )
-    # deferred count (see candidate_pairs note): no driver barrier between
-    # verification and clustering submission
-    ver_count_futs = [_count_rows.remote(r) for r in verified_refs]
-    _mark("attach_b_verify", verified_refs)
-
-    # --- clustering round 1: exact + verified LSH edges -------------------
-    # the shard actor pool (spawned at pipeline start, already warm) is
-    # reused by the containment merge round below (contract() resets
-    # shard state at stability, so the second round starts clean)
-    edge_refs = _select_ab(verified_refs) + exact_refs
-    forest_refs = cluster_edge_refs(
-        edge_refs,
-        n_shards=n_shards,
-        num_buckets=min(num_buckets, 32),
-        shards=uf_shards,
-        kill=False,
-    )
-    _mark("cluster_r1", forest_refs)
-
-    # --- containment over cluster REPRESENTATIVES only (refs) -------------
-    # The round-1 forest (exact + near-dup members) filters the
-    # fingerprint postings via an exchange join — the refs-only analog of
-    # run_dedup's representative sweep: members share ~every fingerprint
-    # with their representative, so sweeping them only floods the pair
-    # exchange with redundant rows. The forest never touches the driver.
-    extra_edge_refs: list = []
-    if containment:
-        # left = exploded postings bucket (fp_key, doc_id, n_fp),
-        # partitioned by hash(doc_id); right = forest bucket keyed on
-        # b: drop posting rows of near-dup MEMBERS — their
-        # representative already carries ~every shared fingerprint,
-        # so member rows only flood the pair exchange.
-        # The exploded postings inherited dsplit's doc_id bucketing, so
-        # the forest (keyed on b, a doc_id) co-partitions with them;
-        # the member-drop join re-splits its output on fp_key IN-TASK
-        # (fused) — the emit wave consumes the pieces without another
-        # full pass over the posting table (the pipeline's biggest)
-        fp_wave = reduce_join_resplit(
-            [fp_expl_refs],
-            split_dataset(forest_refs, "b", num_buckets),
-            drop_forest_member_rows,
-            "fp_key",
-            num_buckets,
-            num_buckets,
-        )
-        cont_cap = cfg.containment_max_postings
-
-        # fused emit -> combine chain (emit wave re-splits on `a` in-task)
-        from raydedup.stages.exchange import _reduce_bucket, reduce_apply_resplit
-
-        cont_wave = reduce_apply_resplit(
-            fp_wave,
-            lambda t: _emit_fp_pairs(t, cont_cap),
-            "a",
-            num_buckets,
-            num_buckets,
-        )
-        combine_containment = make_combine_containment(
-            cfg.containment_min_coverage, cfg.containment_min_shared
-        )
-        cont_refs = [
-            _reduce_bucket.remote(combine_containment, *[w[j] for w in cont_wave])
-            for j in range(num_buckets)
-        ]
-        _mark("containment_pairs", cont_refs)
-        # this count is a REQUIRED barrier: whether round-2 clustering
-        # runs depends on it (and round 2 consumes the containment refs)
-        metrics["containment_pairs"] = _total(cont_refs)
-        metrics["t_containment_done"] = time.perf_counter() - t0
-        if metrics["containment_pairs"]:
-            extra_edge_refs += cont_refs
-
-    # --- exact substring pass over representatives (refs) -----------------
-    # The lossless counterpart of the winnowed containment sweep
-    # (stages/substring.py): round-1 near/exact members are dropped from
-    # the text split via the co-partitioned forest join (the same
-    # member-drop shape as the fingerprint sweep), and the Rabin-Karp
-    # window-index join runs over the surviving reps + singletons.
-    # Driver cost is O(substring candidate pairs) — the verified-pair
-    # order, not the corpus — the one driver-side table this mode keeps.
-    if substring:
-        from raydedup.stages.substring import substring_pairs
-
-        rep_doc_refs = reduce_join_split(
-            dsplit,
-            split_dataset(forest_refs, "b", num_buckets),
-            drop_forest_member_rows,
-            num_buckets,
-        )
-        sub_tbl, sub_m = substring_pairs(
-            rd.from_arrow_refs(rep_doc_refs), min_len=cfg.substring_min_len
-        )
-        metrics["substring_candidates"] = sub_m["candidates"]
-        metrics["substring_pairs"] = sub_tbl.num_rows
-        metrics["t_substring_done"] = time.perf_counter() - t0
-        if sub_tbl.num_rows:
-            extra_edge_refs.append(
-                ray.put(
-                    pa.table(
-                        {
-                            "a": sub_tbl.column("outer_id").cast(pa.int64()),
-                            "b": sub_tbl.column("inner_id").cast(pa.int64()),
-                        }
-                    )
-                )
-            )
-
-    if extra_edge_refs:
-        # round 2: merge containment/substring links into the forest (the
-        # forest's own edges re-attach the members transitively) — on the
-        # SAME warm shard actors as round 1
-        forest_refs = cluster_edge_refs(
-            forest_refs + extra_edge_refs,
-            n_shards=n_shards,
-            num_buckets=min(num_buckets, 32),
-            shards=uf_shards,
-            kill=True,
-        )
-    else:
-        for s in uf_shards:
-            ray.kill(s)
-
-    forest_count_futs = [_count_rows.remote(r) for r in forest_refs]
-    clusters = assignments_exchange(docs, forest_refs, num_buckets=min(num_buckets, 32))
-    # resolve the deferred metric counts (their tasks ran alongside the
-    # pipeline; this get is after all real work has been submitted)
-    metrics["candidate_pairs"] = int(sum(ray.get(cand_count_futs)))
-    metrics["verified_pairs"] = int(sum(ray.get(ver_count_futs)))
-    metrics["n_dup_docs"] = int(sum(ray.get(forest_count_futs)))
-    metrics["t_total"] = time.perf_counter() - t0
-    return DedupScaleResult(clusters=clusters, metrics=metrics)
-
-
-def run_dedup_scale_resumable(
-    docs: Dataset,
-    cfg: DedupConfig | None = None,
-    *,
-    ckpt,
-    containment: bool = True,
-    substring: bool = False,
-    num_buckets: int | None = None,
-    n_shards: int | None = None,
-    signatures: Dataset | None = None,
-    stream_docs: bool = False,
-) -> DedupScaleResult:
-    """run_dedup_scale with per-exchange checkpoint barriers.
-
-    ``stream_docs=True`` skips the docs materialize: the caller asserts
-    ``docs`` is already cheap to re-read per stage (a disk-backed
-    parquet Dataset — the checkpointed wrapper's phase-1 output), so
-    each consuming stage streams its pruned columns from disk and the
-    corpus is never pinned in the object store (VERDICT r4 #3).
-
-    Same stage kernels and cluster-identical output as run_dedup_scale,
-    but each exchange stage (sha edges, LSH candidate pairs, verified
-    edges, round-1 forest, containment links, merged forest) commits its
-    per-bucket output tables through ``ckpt``
-    (state.checkpoint.ExchangeCheckpoint) before the next stage starts —
-    a crash mid-phase-2 resumes from the last committed exchange instead
-    of replaying all of them (VERDICT r3 #1; the reference's ``.tdb``
-    resume, OlafStorageFile.java:176-191, lifted to the join stages).
-
-    The barriers serialize the stages, giving up run_dedup_scale's
-    deliberate compute/containment overlap — durability costs one
-    overlap's worth of wall time, which is why the non-checkpointed
-    entry point keeps its own orchestration. ``signatures`` (e.g. the
-    phase-1 per-shard signature parquet) skips recomputing the
-    signature kernel when the candidates stage must run.
-    """
-    cfg = cfg or DedupConfig()
-    t0 = time.perf_counter()
-    metrics: dict[str, Any] = {}
-
-    if cfg.normalize:
-        from raydedup.stages.textnorm import normalized_docs
-
-        docs = normalized_docs(docs)
-    if not stream_docs:
-        docs = docs.materialize()
     n_docs = docs.count()  # materialized or parquet-backed: metadata-only
     if num_buckets is None:
         num_buckets = _auto_buckets(n_docs)
     if n_shards is None:
         n_shards = _auto_shards(n_docs)
+    cl_buckets = min(num_buckets, 32)
+
+    stage = ckpt.run if ckpt is not None else (lambda _name, thunk: thunk())
     # stamp this run's input on every exchange stage: a checkpoint taken
     # over a different corpus size (shards added since) is invalidated
-    # and re-run instead of silently dropping the new docs (advisory
-    # r4). The checkpointed wrapper passes a stronger shard-set digest
-    # already — keep it; the doc-count stamp is the direct-caller belt
-    # (equal-count content swaps are caught by the wrapper's digest,
-    # not this default).
-    if ckpt.input_fp is None:
+    # and re-run instead of silently dropping the new docs. The
+    # checkpointed wrapper passes a stronger shard-set digest already —
+    # keep it; the doc-count stamp is the direct-caller belt (equal-count
+    # content swaps are caught by the wrapper's digest, not this default).
+    if ckpt is not None and ckpt.input_fp is None:
         ckpt.input_fp = f"n_docs={n_docs}"
 
-    from raydedup.stages.exchange import (
-        _reduce_bucket,
-        reduce_apply_resplit,
-        reduce_join_resplit,
-        reduce_join_split,
-        split_dataset,
-    )
-    from raydedup.pipelines.dedup import sha_emit_table, sha_key_table
+    def row_count(name: str, refs: list):
+        """Deferred row count of stage ``name``, resolved by calling the
+        result: count tasks over its buckets, submitted now; under a
+        checkpoint the manifest's n_rows (committed or loaded), so no
+        bucket is fetched only to be counted."""
+        if ckpt is not None:
+            n = ckpt.stage_rows(name)
+            return lambda: n
+        futs = [_count_rows.remote(r) for r in refs]
+        return lambda: int(sum(ray.get(futs)))
 
-    # lazy splits: built only if a pending stage needs them, so a resume
-    # whose remaining work is (say) clustering never re-splits the corpus
-    _cache: dict[str, Any] = {}
+    # --- shared stage inputs, built on first use -------------------------
+    uf_shards: list = []
 
-    def get_dsplit():
-        if "dsplit" not in _cache:
-            _cache["dsplit"] = split_dataset(
-                docs.select_columns(["doc_id", "text"]), "doc_id", num_buckets
-            )
-        return _cache["dsplit"]
+    def get_uf_shards() -> list:
+        if not uf_shards:
+            uf_shards.extend(UnionFindShard.remote(i, n_shards) for i in range(n_shards))
+        return uf_shards
 
-    def get_msplit():
-        if "msplit" not in _cache:
-            _cache["msplit"] = split_dataset(
-                [_member_table.remote(r) for r in exact_refs], "m", num_buckets
-            )
-        return _cache["msplit"]
+    def kill_uf_shards() -> None:
+        while uf_shards:
+            ray.kill(uf_shards.pop())
 
-    # --- stage: exact sha edges ------------------------------------------
-    def _exact_thunk():
-        keyed = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
-            sha_key_table, batch_format="pyarrow"
+    @functools.cache
+    def get_text_refs() -> list:
+        # one projection pass: the doc_id,text block refs feed both the
+        # corpus text split and the signature wave
+        return arrow_block_refs(docs.select_columns(["doc_id", "text"]))
+
+    @functools.cache
+    def get_dsplit() -> list:
+        return split_dataset(get_text_refs(), "doc_id", num_buckets)
+
+    @functools.cache
+    def get_msplit() -> list:
+        return split_dataset(
+            [_member_table.remote(r) for r in exact_refs], "m", num_buckets
         )
-        return hash_exchange_apply(
-            keyed, "sha_key", sha_emit_table, num_buckets, collect=False
+
+    @functools.cache
+    def get_fp_expl() -> list:
+        return reduce_join_split(
+            get_dsplit(),
+            get_msplit(),
+            make_drop_exact_then_explode(cfg.containment_window, cfg.containment_stride),
+            num_buckets,
         )
 
-    exact_refs = ckpt.run("exact", _exact_thunk)
+    try:
+        if ckpt is None:
+            # union-find shard actors spawn NOW (async): their process
+            # startup (~0.5 s) overlaps the signature/verify stages instead
+            # of landing on the clustering critical path; both cluster
+            # rounds reuse them
+            get_uf_shards()
+            # corpus text split FIRST (async): the full-text split is the
+            # pipeline's largest byte mover and depends only on the input;
+            # every downstream join (shingle demand, containment explode)
+            # consumes it. Launching its tasks before the signature stage
+            # overlaps the text movement with signature compute instead of
+            # paying for it serially after the candidate barrier.
+            _mark("text_split", get_dsplit())
 
-    # --- stage: LSH candidate pairs --------------------------------------
-    def _cand_thunk():
-        from raydedup.pipelines.dedup import compute_signatures
-        from raydedup.stages.candidates import candidate_pair_refs
+        # --- stage: exact sha edges (refs): same kernels as run_dedup -----
+        def _exact() -> list:
+            keyed = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
+                sha_key_table, batch_format="pyarrow"
+            )
+            return hash_exchange_apply(
+                keyed, "sha_key", sha_emit_table, num_buckets, collect=False
+            )
 
-        sigs = signatures
-        if sigs is None:
-            # thread the opt-in exact-member skip exactly like the
-            # non-resumable path (advisory r4: it was silently ignored
-            # here); with precomputed phase-1 signatures there is
-            # nothing to skip — the kernel already ran over all docs
+        exact_refs = stage("exact", _exact)
+        _mark("exact", exact_refs)
+
+        # --- stage: LSH candidates (refs) ---------------------------------
+        # One wave of raw tasks over the text (or signature) block refs,
+        # grouped like split_dataset: each task computes signatures,
+        # explodes band postings and splits them on band_key in-task, so
+        # exchange 1 of the fused candidate chain consumes the wave
+        # directly. Nothing waits on it: every stage below is submitted
+        # while signatures compute (a Ray Data map_batches would coalesce
+        # small blocks into fewer tasks than CPUs, and collecting its block
+        # refs would block the driver until the last one ends). Per-bucket
+        # (a, b, n_collisions) tables, never collected.
+        def _candidates() -> list:
+            # opt-in (cfg.sig_skip_exact_members): signature/posting/pair
+            # work scales with UNIQUE texts — each signature task waits on
+            # the sha exchange via its broadcast ref (pipelined, no driver
+            # barrier) and drops exact-dup members in-kernel; members
+            # reattach through the sha edges so clusters are identical
+            # (measured crossover vs the lost overlap in BASELINE.md).
             exclude_ref = (
                 _sorted_member_array.remote(*exact_refs)
                 if cfg.sig_skip_exact_members
                 else None
             )
-            sigs = compute_signatures(
-                docs, cfg, keep_shingles=False, exclude_ids_ref=exclude_ref
+            blocks = (
+                get_text_refs()
+                if signatures is None
+                else arrow_block_refs(signatures.select_columns(["doc_id", "bands"]))
             )
-        postings = band_postings(sigs, cfg)
-        return candidate_pair_refs(postings, cfg, num_buckets)
-
-    cand_refs = ckpt.run("candidates", _cand_thunk)
-    metrics["candidate_pairs"] = ckpt.stage_rows("candidates")
-
-    # --- stage: verified edges -------------------------------------------
-    def _verified_thunk():
-        from raydedup.stages.verify import make_attach_a, make_attach_b_verify
-
-        idsplit = split_dataset(
-            [_pair_id_table.remote(r) for r in cand_refs], "doc_id", num_buckets
-        )
-        idsplit = [
-            reduce_join_split(idsplit, get_msplit(), _drop_member_ids, num_buckets)
-        ]
-        shingled_refs = reduce_join_split(
-            idsplit, get_dsplit(), make_filter_and_shingle(cfg), num_buckets
-        )
-        psplit = split_dataset(cand_refs, "a", num_buckets)
-        r1 = reduce_join_resplit(
-            psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
-        )
-        return reduce_join_split(
-            r1, [shingled_refs], make_attach_b_verify(cfg.jaccard_tau), num_buckets
-        )
-
-    verified_refs = ckpt.run("verified", _verified_thunk)
-    metrics["verified_pairs"] = ckpt.stage_rows("verified")
-
-    # --- stage: round-1 forest (exact + verified LSH edges) --------------
-    cl_buckets = min(num_buckets, 32)
-
-    def _forest1_thunk():
-        return cluster_edge_refs(
-            _select_ab(verified_refs) + exact_refs,
-            n_shards=n_shards,
-            num_buckets=cl_buckets,
-        )
-
-    forest_refs = ckpt.run("forest1", _forest1_thunk)
-
-    # --- stage: containment links over representatives -------------------
-    extra_edge_refs: list = []
-    if containment:
-        def _cont_thunk():
-            fp_expl = reduce_join_split(
-                get_dsplit(),
-                get_msplit(),
-                make_drop_exact_then_explode(
-                    cfg.containment_window, cfg.containment_stride
-                ),
-                num_buckets,
+            return candidate_pair_refs(
+                _signature_wave(blocks, cfg, num_buckets, exclude_ref), cfg, num_buckets
             )
-            fp_wave = reduce_join_resplit(
-                [fp_expl],
-                split_dataset(forest_refs, "b", num_buckets),
-                drop_forest_member_rows,
-                "fp_key",
-                num_buckets,
-                num_buckets,
+
+        cand_refs = stage("candidates", _candidates)
+        # the split and wave tasks hold the text blocks now; without the
+        # driver's refs the store frees them as soon as both waves finish
+        get_text_refs.cache_clear()
+        _mark("sig_candidates", cand_refs)
+        # NOTE: counted BEFORE the exact-member drop below (run_dedup counts
+        # after its driver-side drop) — the drop happens implicitly at the
+        # attach joins here, so the raw LSH candidate volume is the
+        # meaningful refs-only metric. Count tasks are submitted now but
+        # resolved only at the END: a blocking count here is a full stage
+        # barrier that serializes candidates -> verify on the driver.
+        cand_count = row_count("candidates", cand_refs)
+
+        # --- refs-only exact-member filter (demand-side) ------------------
+        # Candidate pairs touching an exact-dup MEMBER are mirrored by the
+        # member's byte-identical representative (identical signature =>
+        # identical band pairs), and the sha edge reattaches the member —
+        # so instead of anti-joining the (large) pair table, the members
+        # are dropped from the SHINGLE DEMAND (tiny id tables, one
+        # co-partitioned round): a memberless doc gets no packed-shingle
+        # row, and the attach joins below drop its pairs via the lookup
+        # found-mask. Connectivity is unchanged while member shingle
+        # payloads never enter the verify exchanges.
+        if ckpt is None:
+            _mark("member_split", get_msplit())
+            # containment explode, OVERLAPPED with verify + clustering: the
+            # winnowing text scan only needs docs minus EXACT members (known
+            # now); near-dup members found by LSH are dropped from the
+            # POSTING rows after round-1 clustering (co-partitioned row
+            # filter — postings inherit the doc_id bucketing from dsplit).
+            # Same result as exploding after the forest (a member's removal
+            # never changes another doc's fingerprints), but the expensive
+            # scan runs while the verify and clustering exchanges are in
+            # flight.
+            if containment:
+                _mark("fp_explode", get_fp_expl())
+
+        # --- stage: verified edges: refs-only semi-join + packed shingles -
+        # The candidate doc-id DEMAND is itself exchanged (never broadcast —
+        # at 10^12 docs even the id set outgrows one machine): per-candidate-
+        # bucket id tables co-partition with the docs split, each bucket
+        # kernel filters its local docs to demanded ids and computes their
+        # shingle sets ONCE with the vectorized batch kernel. The full text
+        # corpus is split exactly ONE time (the split refs are reused by the
+        # containment explode); only candidate shingle payloads move
+        # through the two join rounds.
+        def _verified() -> list:
+            idsplit = split_dataset(
+                [_pair_id_table.remote(r) for r in cand_refs], "doc_id", num_buckets
             )
-            cont_cap = cfg.containment_max_postings
-            cont_wave = reduce_apply_resplit(
-                fp_wave,
-                lambda t: _emit_fp_pairs(t, cont_cap),
-                "a",
-                num_buckets,
-                num_buckets,
-            )
-            combine = make_combine_containment(
-                cfg.containment_min_coverage, cfg.containment_min_shared
-            )
-            return [
-                _reduce_bucket.remote(combine, *[w[j] for w in cont_wave])
-                for j in range(num_buckets)
+            idsplit = [
+                reduce_join_split(idsplit, get_msplit(), _drop_member_ids, num_buckets)
             ]
-
-        cont_refs = ckpt.run("containment", _cont_thunk)
-        metrics["containment_pairs"] = ckpt.stage_rows("containment")
-        metrics["t_containment_done"] = time.perf_counter() - t0
-        if metrics["containment_pairs"]:
-            extra_edge_refs += cont_refs
-
-    # --- stage: exact substring links over representatives ---------------
-    if substring:
-        def _sub_thunk():
-            from raydedup.stages.substring import substring_pairs
-
-            rep_doc_refs = reduce_join_split(
-                get_dsplit(),
-                split_dataset(forest_refs, "b", num_buckets),
-                drop_forest_member_rows,
-                num_buckets,
+            _mark("demand_ids", idsplit)
+            # per-bucket packed candidate shingles, already partitioned by
+            # hash(doc_id) — usable directly as the right side of both joins
+            shingled_refs = reduce_join_split(
+                idsplit, get_dsplit(), make_filter_and_shingle(cfg), num_buckets
             )
-            sub_tbl, sub_m = substring_pairs(
-                rd.from_arrow_refs(rep_doc_refs), min_len=cfg.substring_min_len
+            _mark("demand_shingle", shingled_refs)
+            # attach round 1 re-splits its output on ``b`` in-task (fused),
+            # so round 2 consumes the pieces without a separate split wave;
+            # pairs whose doc has no shingle row (exact members) drop at
+            # the attach
+            psplit = split_dataset(cand_refs, "a", num_buckets)
+            r1 = reduce_join_resplit(
+                psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
             )
-            return [
-                ray.put(
-                    pa.table(
-                        {
-                            "a": sub_tbl.column("outer_id").cast(pa.int64()),
-                            "b": sub_tbl.column("inner_id").cast(pa.int64()),
-                        }
-                    )
-                )
-            ]
+            _mark("attach_a", r1)
+            return reduce_join_split(
+                r1, [shingled_refs], make_attach_b_verify(cfg.jaccard_tau), num_buckets
+            )
 
-        sub_refs = ckpt.run("substring_edges", _sub_thunk)
-        metrics["substring_pairs"] = ckpt.stage_rows("substring_edges")
-        if metrics["substring_pairs"]:
-            extra_edge_refs += sub_refs
+        verified_refs = stage("verified", _verified)
+        # deferred count (see the candidates note): no driver barrier
+        # between verification and clustering submission
+        ver_count = row_count("verified", verified_refs)
+        _mark("attach_b_verify", verified_refs)
 
-    # --- stage: merged forest (round 2) ----------------------------------
-    if extra_edge_refs:
-        def _forest2_thunk():
+        def cluster(edge_refs: list, kill: bool) -> list:
             return cluster_edge_refs(
-                forest_refs + extra_edge_refs,
+                edge_refs,
                 n_shards=n_shards,
                 num_buckets=cl_buckets,
+                shards=get_uf_shards(),
+                kill=kill,
             )
 
-        forest_refs = ckpt.run("forest2", _forest2_thunk)
-        metrics["n_dup_docs"] = ckpt.stage_rows("forest2")
-    else:
-        metrics["n_dup_docs"] = ckpt.stage_rows("forest1")
+        # --- stage: round-1 forest: exact + verified LSH edges ------------
+        # the shard actor pool is reused by the merge round below
+        # (contract() resets shard state at stability, so the second round
+        # starts clean)
+        forest1_refs = stage(
+            "forest1", lambda: cluster(_select_ab(verified_refs) + exact_refs, kill=False)
+        )
+        _mark("cluster_r1", forest1_refs)
 
-    clusters = assignments_exchange(docs, forest_refs, num_buckets=cl_buckets)
+        # --- stage: containment over cluster REPRESENTATIVES only ---------
+        # The round-1 forest (exact + near-dup members) filters the
+        # fingerprint postings via an exchange join — the refs-only analog
+        # of run_dedup's representative sweep: members share ~every
+        # fingerprint with their representative, so sweeping them only
+        # floods the pair exchange with redundant rows. The forest never
+        # touches the driver.
+        extra_edge_refs: list = []
+        if containment:
+
+            def _containment() -> list:
+                # left = exploded postings bucket (fp_key, doc_id, n_fp),
+                # partitioned by hash(doc_id) like dsplit; right = forest
+                # bucket keyed on b, a doc_id, so the two co-partition: drop
+                # posting rows of near-dup MEMBERS. The member-drop join
+                # re-splits its output on fp_key IN-TASK (fused) — the emit
+                # wave consumes the pieces without another full pass over
+                # the posting table (the pipeline's biggest)
+                fp_wave = reduce_join_resplit(
+                    [get_fp_expl()],
+                    split_dataset(forest1_refs, "b", num_buckets),
+                    drop_forest_member_rows,
+                    "fp_key",
+                    num_buckets,
+                    num_buckets,
+                )
+                cont_cap = cfg.containment_max_postings
+                # fused emit -> combine chain (emit wave re-splits on `a`)
+                cont_wave = reduce_apply_resplit(
+                    fp_wave,
+                    lambda t: _emit_fp_pairs(t, cont_cap),
+                    "a",
+                    num_buckets,
+                    num_buckets,
+                )
+                combine = make_combine_containment(
+                    cfg.containment_min_coverage, cfg.containment_min_shared
+                )
+                return [
+                    _reduce_bucket.remote(combine, *[w[j] for w in cont_wave])
+                    for j in range(num_buckets)
+                ]
+
+            cont_refs = stage("containment", _containment)
+            _mark("containment_pairs", cont_refs)
+            # this count is a REQUIRED barrier: whether round-2 clustering
+            # runs depends on it (and round 2 consumes the containment refs)
+            metrics["containment_pairs"] = row_count("containment", cont_refs)()
+            metrics["t_containment_done"] = time.perf_counter() - t0
+            if metrics["containment_pairs"]:
+                extra_edge_refs += cont_refs
+
+        # --- stage: exact substring links over representatives ------------
+        # The lossless counterpart of the winnowed containment sweep
+        # (stages/substring.py): round-1 near/exact members are dropped from
+        # the text split via the co-partitioned forest join (the same
+        # member-drop shape as the fingerprint sweep), and the Rabin-Karp
+        # window-index join runs over the surviving reps + singletons.
+        # Driver cost is O(substring candidate pairs) — the verified-pair
+        # order, not the corpus — the one driver-side table this mode keeps.
+        if substring:
+
+            def _substring() -> list:
+                from raydedup.stages.substring import substring_pairs
+
+                rep_doc_refs = reduce_join_split(
+                    get_dsplit(),
+                    split_dataset(forest1_refs, "b", num_buckets),
+                    drop_forest_member_rows,
+                    num_buckets,
+                )
+                sub_tbl, sub_m = substring_pairs(
+                    rd.from_arrow_refs(rep_doc_refs), min_len=cfg.substring_min_len
+                )
+                metrics["substring_candidates"] = sub_m["candidates"]
+                edges = pa.table(
+                    {
+                        "a": sub_tbl.column("outer_id").cast(pa.int64()),
+                        "b": sub_tbl.column("inner_id").cast(pa.int64()),
+                    }
+                )
+                return [ray.put(edges)]
+
+            sub_refs = stage("substring_edges", _substring)
+            metrics["substring_pairs"] = row_count("substring_edges", sub_refs)()
+            metrics["t_substring_done"] = time.perf_counter() - t0
+            if metrics["substring_pairs"]:
+                extra_edge_refs += sub_refs
+
+        forest_refs = forest1_refs
+        if extra_edge_refs:
+            # round 2: merge containment/substring links into the forest
+            # (the forest's own edges re-attach the members transitively) —
+            # on the SAME warm shard actors as round 1
+            forest_refs = stage(
+                "forest2", lambda: cluster(forest1_refs + extra_edge_refs, kill=True)
+            )
+        # no later stage uses the actors (a computed round 2 killed them)
+        kill_uf_shards()
+
+        forest_count = row_count("forest2" if extra_edge_refs else "forest1", forest_refs)
+        clusters = assignments_exchange(docs, forest_refs, num_buckets=cl_buckets)
+        # resolve the deferred metric counts (their tasks ran alongside the
+        # pipeline; this get is after all real work has been submitted)
+        metrics["candidate_pairs"] = cand_count()
+        metrics["verified_pairs"] = ver_count()
+        metrics["n_dup_docs"] = forest_count()
+    finally:
+        kill_uf_shards()
     metrics["t_total"] = time.perf_counter() - t0
-    metrics["resumed_exchanges"] = list(ckpt.loaded_stages)
+    if ckpt is not None:
+        metrics["resumed_exchanges"] = list(ckpt.loaded_stages)
     return DedupScaleResult(clusters=clusters, metrics=metrics)
 
 

@@ -1,5 +1,5 @@
 """Checkpointed, resumable dedup run: per-shard signature/doc extracts +
-stage-level global checkpoints with a lineage manifest.
+per-exchange phase-2 checkpoints with a lineage manifest.
 
 Transplant of the reference's fingerprint file cache + bulk load
 (``.tdb`` per-resource extracts re-read on re-run,
@@ -14,15 +14,14 @@ Layout under ``ckpt_dir``:
   docs/shard=<i>.parquet          extracted docs (doc_id, url, text,
                                   text_sha256, lang) per input shard
   signatures/shard=<i>.parquet    per-shard signature table
-  pairs.parquet                   verified + exact + containment edges
-  components.parquet              union-find state (doc_id -> root)
   clusters/                       final assignment parquet
   exchanges/<stage>/bucket=<i>.parquet
-                                  (scale mode) per-exchange bucket
-                                  outputs — see ExchangeCheckpoint
+                                  per-exchange bucket outputs of the
+                                  phase-2 stage graph — see
+                                  ExchangeCheckpoint
 
 Resume = anti-join of input shards against the manifest (phase 1) and
-skip of completed global stages (phase 2). All writes go through a
+load of committed exchange stages (phase 2). All writes go through a
 temp-file + atomic rename; a crash mid-write leaves no partial shard
 marked complete. A config change invalidates everything (the config
 hash is part of the lineage).
@@ -37,8 +36,6 @@ import os
 import time
 from typing import Any
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -117,18 +114,13 @@ class CheckpointManager:
         return hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
 
     def invalidate_phase2(self) -> None:
-        """Drop ALL phase-2 state (both modes): stage entries, exchange
-        entries, and their on-disk artifacts. Phase-1 shard extracts
-        stay — they are per-shard and remain valid."""
+        """Drop ALL phase-2 state: stage entries, exchange entries, and
+        their on-disk artifacts. Phase-1 shard extracts stay — they are
+        per-shard and remain valid."""
         import shutil
 
-        for stage in ("pairs", "components", "clusters", "scale_clusters"):
-            self.manifest["stages"].pop(stage, None)
+        self.manifest["stages"] = {}
         self.manifest.pop("exchanges", None)
-        for f in ("pairs.parquet", "components.parquet"):
-            p = self.path(f)
-            if os.path.exists(p):
-                os.remove(p)
         shutil.rmtree(self.path("exchanges"), ignore_errors=True)
         shutil.rmtree(self.path("clusters"), ignore_errors=True)
         os.makedirs(self.path("clusters"), exist_ok=True)
@@ -152,14 +144,14 @@ def _read_bucket(path: str) -> pa.Table:
 
 
 class ExchangeCheckpoint:
-    """Per-exchange bucket persistence for the scale-path phase 2.
+    """Per-exchange bucket persistence: the checkpoint policy of
+    run_dedup_scale's stage graph.
 
     The refs-only engine keeps every intermediate (sha edges, candidate
     pairs, verified edges, forest, containment links) as object-store
-    refs — nothing corpus-sized ever exists on the driver, so the base
-    path's pairs/components checkpoints have nothing to persist. This
-    manager closes that durability gap at the EXCHANGE level instead
-    (VERDICT r3 #1): each barrier stage's per-bucket output tables are
+    refs — nothing corpus-sized ever exists on the driver. This manager
+    makes it durable at the EXCHANGE level (VERDICT r3 #1): each stage
+    submitted through ``run`` has its per-bucket output tables
     written as spillable Parquet (atomic tmp+rename, one file per
     bucket) with per-bucket manifest rows, and a resumed run loads the
     finished stages' buckets back as refs instead of re-running their
@@ -362,43 +354,33 @@ def run_dedup_checkpointed(
     containment: bool = True,
     substring: bool = False,
     max_shards: int | None = None,
-    mode: str = "auto",
     fail_after_stage: str | None = None,
 ) -> dict[str, Any] | None:
     """Resumable dedup over a list of pages parquet shards.
 
     Phase 1 extracts docs + signatures per input shard (skipping shards
-    the manifest marks done — the ``hasResource`` skip). Phase 2 runs
-    the global LSH/verify/containment/cluster stages, checkpointing the
-    edge table and the union-find component state. ``max_shards``
+    the manifest marks done — the ``hasResource`` skip). ``max_shards``
     processes only that many pending shards and returns None (the
-    kill-point used by the resume test).
-
-    ``mode``: "base" keeps phase 2 on the driver-assisted run_dedup
-    stages (pairs/components checkpointed individually); "scale" routes
-    phase 2 through the refs-only run_dedup_scale_resumable with
-    PER-EXCHANGE checkpoints (each exchange stage's per-bucket outputs
-    persisted as Parquet with manifest rows — a crash mid-phase-2
+    kill-point used by the resume test). Phase 2 is run_dedup_scale with
+    an ExchangeCheckpoint: each exchange stage's per-bucket outputs are
+    persisted as Parquet with manifest rows, so a crash mid-phase-2
     resumes from the last committed exchange, never replaying finished
-    ones, and phase-1 signatures feed candidate generation so the
-    signature kernel never re-runs either); "auto" (default) picks by
-    doc count vs ``cfg.scale_min_docs``, same crossover policy as
-    run_dedup_auto. ``fail_after_stage`` is the test fail-injection
-    hook: raise CheckpointKilled right after that exchange commits.
+    ones. It reads the phase-1 docs parquet, and the phase-1 signatures
+    feed candidate generation, so the signature kernel does not re-run —
+    unless ``cfg.normalize`` is set: the phase-1 signatures are signed
+    over raw text, so the engine signs the normalized text itself.
+    ``fail_after_stage`` is the test fail-injection hook: raise
+    CheckpointKilled right after that exchange commits.
 
-    Returns {"clusters_path", "components_path", "metrics"} when
-    complete (components_path is None on the scale route).
+    Returns {"clusters_path", "metrics"} when complete.
     """
+    import glob as _glob
+    import shutil
+
     import ray.data as rd
 
-    from raydedup.stages.candidates import band_postings, postings_to_pairs
-    from raydedup.stages.cluster import assignments_table
-    from raydedup.stages.containment import containment_pairs
-    from raydedup.stages.verify import verify_pairs_exchange
-    from raydedup.util import to_arrow_table
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
 
-    if mode not in ("auto", "base", "scale"):
-        raise ValueError(f"mode must be auto|base|scale, got {mode!r}")
     cfg = cfg or DedupConfig()
     mgr = CheckpointManager(ckpt_dir, cfg)
     metrics: dict[str, Any] = {"resumed_shards": 0, "processed_shards": 0}
@@ -416,202 +398,38 @@ def run_dedup_checkpointed(
     if budget < len(pending):
         return None  # interrupted (kill-point for tests)
 
-    # --- phase-2 input gate (review finding on the r4 advisory fix) -----
+    # --- phase-2 input gate ----------------------------------------------
     # The exchange-level fingerprint alone never fires once a run has
-    # COMPLETED (phase 2 is skipped on its done stages before any
-    # exchange is consulted), so a shard added to a finished checkpoint
-    # would silently keep the old clusters. Gate ALL phase-2 state on
-    # the done-shard-set digest: changed input -> drop phase-2
-    # artifacts (both modes) and recompute; phase-1 extracts stay.
+    # COMPLETED (phase 2 is skipped on its done stage before any exchange
+    # is consulted), so a shard added to a finished checkpoint would
+    # silently keep the old clusters. Gate ALL phase-2 state on the
+    # done-shard-set digest: changed input -> drop phase-2 artifacts and
+    # recompute; phase-1 extracts stay.
     fp = mgr.shard_set_fingerprint()
     if mgr.manifest.get("phase2_input_fp") != fp:
         mgr.invalidate_phase2()
         mgr.manifest["phase2_input_fp"] = fp
         mgr.save()
 
-    # --- phase 2: global stages ------------------------------------------
-    docs = rd.read_parquet(mgr.path("docs"))
-    if mode == "scale" or (mode == "auto" and docs.count() >= cfg.scale_min_docs):
+    # --- phase 2: the stage graph, checkpointed per exchange -------------
+    clusters_dir = mgr.path("clusters")
+    if not mgr.stage_done("scale_clusters"):
         exch = ExchangeCheckpoint(mgr)
         exch.input_fp = f"shards={fp}"
         exch.fail_after_stage = fail_after_stage
-        return _phase2_scale(
-            mgr, docs, cfg, containment, substring, metrics, exch_ckpt=exch
-        )
-    signatures = rd.read_parquet(mgr.path("signatures"))
-    pairs_path = mgr.path("pairs.parquet")
-    if not mgr.stage_done("pairs"):
-        from raydedup.pipelines.dedup import exact_dedup_edges
-
-        exact_edges = to_arrow_table(exact_dedup_edges(docs))
-        candidates = postings_to_pairs(band_postings(signatures, cfg), cfg)
-        cand_tbl = to_arrow_table(candidates.select_columns(["a", "b"]))
-        pair_docs = np.unique(
-            np.concatenate(
-                [
-                    cand_tbl.column("a").to_numpy(zero_copy_only=False),
-                    cand_tbl.column("b").to_numpy(zero_copy_only=False),
-                ]
-            )
-        ) if cand_tbl.num_rows else np.empty(0, dtype=np.int64)
-        if cand_tbl.num_rows:
-            import ray.data as _rd
-
-            verified = verify_pairs_exchange(
-                _rd.from_arrow(cand_tbl), docs, cfg, pair_docs
-            )
-        else:
-            verified = pa.table(
-                {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                 "jaccard": pa.array([], pa.float64())}
-            )
-        edges = [verified.select(["a", "b"]), exact_edges.select(["a", "b"])]
-        if containment:
-            cont = to_arrow_table(
-                containment_pairs(docs, cfg),
-                empty_schema=pa.schema(
-                    [("a", pa.int64()), ("b", pa.int64()),
-                     ("shared", pa.int64()), ("coverage", pa.float64())]
-                ),
-            )
-            edges.append(cont.select(["a", "b"]))
-        if substring:
-            # exact full-substring links (stages/substring.py), swept over
-            # exact REPRESENTATIVES only: byte-identical texts contain each
-            # other, so a k-copy sha group would emit k^2 pairs — the sha
-            # edges reattach those members transitively instead
-            from raydedup.stages.substring import substring_pairs
-
-            ex_members = np.sort(
-                exact_edges.column("b").to_numpy(zero_copy_only=False)
-            )
-            sub_docs = docs
-            if ex_members.shape[0]:
-                import ray as _ray
-
-                em_ref = _ray.put(ex_members)
-
-                def _drop_exact(t: pa.Table) -> pa.Table:
-                    if t.num_rows == 0 or t.num_columns == 0:
-                        return t
-                    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                    em = _ray.get(em_ref)
-                    pos = np.minimum(np.searchsorted(em, ids), em.shape[0] - 1)
-                    return t.filter(pa.array(em[pos] != ids))
-
-                sub_docs = docs.map_batches(_drop_exact, batch_format="pyarrow")
-            sub_tbl, _sm = substring_pairs(sub_docs, min_len=cfg.substring_min_len)
-            edges.append(
-                pa.table(
-                    {
-                        "a": sub_tbl.column("outer_id").cast(pa.int64()),
-                        "b": sub_tbl.column("inner_id").cast(pa.int64()),
-                    }
-                )
-            )
-        all_edges = pa.concat_tables(edges)
-        _atomic_write_table(all_edges, pairs_path)
-        mgr.mark_stage(
-            "pairs",
-            n_edges=all_edges.num_rows,
-            n_verified=verified.num_rows,
-            n_exact=exact_edges.num_rows,
-        )
-
-    comp_path = mgr.path("components.parquet")
-    if not mgr.stage_done("components"):
-        edges = pq.read_table(pairs_path)
-        from raydedup.stages.cluster import cluster_edges_arrays
-
-        a = edges.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = edges.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        if a.shape[0]:
-            members, roots = cluster_edges_arrays(a, b)
-        else:
-            members = roots = np.empty(0, dtype=np.int64)
-        comp_tbl = pa.table(
-            {
-                "doc_id": pa.array(members, type=pa.int64()),
-                "cluster_id": pa.array(roots, type=pa.int64()),
-            }
-        )
-        _atomic_write_table(comp_tbl, comp_path)
-        mgr.mark_stage("components", n_dup_docs=comp_tbl.num_rows)
-
-    clusters_dir = mgr.path("clusters")
-    if not mgr.stage_done("clusters"):
-        import glob as _glob
-        import shutil
-
-        comp_tbl = pq.read_table(comp_path)
-        comp = dict(
-            zip(
-                comp_tbl.column("doc_id").to_pylist(),
-                comp_tbl.column("cluster_id").to_pylist(),
-            )
-        )
-        clusters = assignments_table(docs, comp)
-        # partitioned output (one file per block, streamed by the
-        # executor — never one giant file), swapped in atomically:
-        # a crash mid-write leaves the stage unmarked and the tmp dir
-        # is rebuilt on resume
-        tmp_dir = clusters_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        clusters.write_parquet(tmp_dir)
-        shutil.rmtree(clusters_dir, ignore_errors=True)
-        os.replace(tmp_dir, clusters_dir)
-        n_out = sum(
-            pq.ParquetFile(p).metadata.num_rows
-            for p in _glob.glob(os.path.join(clusters_dir, "*.parquet"))
-        )
-        mgr.mark_stage("clusters", n_docs=n_out)
-
-    metrics.update({k: v for k, v in mgr.manifest["stages"].items()})
-    return {
-        "clusters_path": clusters_dir,
-        "components_path": comp_path,
-        "metrics": metrics,
-    }
-
-
-def _phase2_scale(
-    mgr: CheckpointManager,
-    docs,
-    cfg: DedupConfig,
-    containment: bool,
-    substring: bool,
-    metrics: dict[str, Any],
-    exch_ckpt: "ExchangeCheckpoint | None" = None,
-) -> dict[str, Any]:
-    """Scale-mode phase 2: the refs-only engine with PER-EXCHANGE
-    checkpoint barriers (run_dedup_scale_resumable). The pair table /
-    component map never exist as driver objects (the reason this mode
-    exists), so instead of the base path's driver-side pairs/components
-    checkpoints, each exchange stage's per-bucket outputs are persisted
-    as Parquet through an ExchangeCheckpoint — a crash mid-phase-2
-    resumes from the last committed exchange (loading its buckets back
-    as refs) rather than replaying all of phase 2. Phase-1 signatures
-    are fed in so a resume never re-runs the signature kernel either."""
-    import glob as _glob
-    import shutil
-
-    import ray.data as rd
-
-    clusters_dir = mgr.path("clusters")
-    if not mgr.stage_done("scale_clusters"):
-        from raydedup.pipelines.dedup_scale import run_dedup_scale_resumable
-
-        res = run_dedup_scale_resumable(
-            docs,
+        res = run_dedup_scale(
+            rd.read_parquet(mgr.path("docs")),
             cfg,
-            ckpt=exch_ckpt or ExchangeCheckpoint(mgr),
+            ckpt=exch,
             containment=containment,
             substring=substring,
-            signatures=rd.read_parquet(mgr.path("signatures")),
-            # docs IS the phase-1 parquet: stream pruned columns per
-            # stage instead of pinning the corpus in the object store
-            stream_docs=True,
+            signatures=(
+                None if cfg.normalize else rd.read_parquet(mgr.path("signatures"))
+            ),
         )
+        # partitioned output (one file per block, streamed by the
+        # executor), swapped in atomically: a crash mid-write leaves the
+        # stage unmarked and the tmp dir is rebuilt on resume
         tmp_dir = clusters_dir + ".tmp"
         shutil.rmtree(tmp_dir, ignore_errors=True)
         res.clusters.write_parquet(tmp_dir)
@@ -626,11 +444,7 @@ def _phase2_scale(
             n_docs=n_out,
             **{k: v for k, v in res.metrics.items() if isinstance(v, (int, float))},
         )
-        metrics["resumed_exchanges"] = res.metrics.get("resumed_exchanges", [])
-    metrics.update({k: v for k, v in mgr.manifest["stages"].items()})
+        metrics["resumed_exchanges"] = res.metrics["resumed_exchanges"]
+    metrics.update(mgr.manifest["stages"])
     metrics["dedup_path"] = "scale"
-    return {
-        "clusters_path": clusters_dir,
-        "components_path": None,
-        "metrics": metrics,
-    }
+    return {"clusters_path": clusters_dir, "metrics": metrics}

@@ -151,7 +151,7 @@ def cmd_phase2() -> int:
     th = threading.Thread(target=sampler, daemon=True)
     th.start()
     t0 = time.perf_counter()
-    out = run_dedup_checkpointed([], CKPT, _cfg(), mode="scale", containment=True)
+    out = run_dedup_checkpointed([], CKPT, _cfg(), containment=True)
     dt = time.perf_counter() - t0
     stop.set()
     th.join(timeout=3)
@@ -203,7 +203,7 @@ def cmd_phase2b() -> int:
     DataContext.get_current().enable_progress_bars = False
     import ray.data as rd
 
-    from raydedup.pipelines.dedup_scale import run_dedup_scale_resumable
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.state.checkpoint import CheckpointManager, ExchangeCheckpoint
 
     cfg = _cfg().with_overrides(containment_min_shared=2)
@@ -215,9 +215,8 @@ def cmd_phase2b() -> int:
         sorted(glob.glob(os.path.join(CKPT, "signatures", "*.parquet")))
     )
     t0 = time.perf_counter()
-    res = run_dedup_scale_resumable(
-        docs, cfg, ckpt=ExchangeCheckpoint(mgr), containment=True,
-        signatures=sigs, stream_docs=True,
+    res = run_dedup_scale(
+        docs, cfg, ckpt=ExchangeCheckpoint(mgr), containment=True, signatures=sigs,
     )
     out_dir = os.path.join(ROOT, "clusters_minshared2")
     shutil.rmtree(out_dir, ignore_errors=True)

@@ -32,8 +32,6 @@ def main() -> int:
     p.add_argument("--pages", required=True, help="pages parquet dir (or one file)")
     p.add_argument("--checkpoint", required=True, help="checkpoint/output dir")
     p.add_argument("--no-containment", action="store_true")
-    p.add_argument("--mode", choices=("auto", "base", "scale"), default="auto",
-                   help="phase-2 engine (auto routes by doc count vs scale_min_docs)")
     p.add_argument("--num-cpus", type=int, default=None, help="local-mode CPU override")
     p.add_argument(
         "--set", action="append", default=None, dest="set", metavar="KEY=VALUE",
@@ -60,7 +58,7 @@ def main() -> int:
     files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
     out = run_dedup_checkpointed(
         files, args.checkpoint, _cfg_from_args(args),
-        containment=not args.no_containment, mode=args.mode,
+        containment=not args.no_containment,
     )
     print(json.dumps({"clusters_dir": out["clusters_path"], **out["metrics"]}, default=str))
     ray.shutdown()

@@ -120,18 +120,17 @@ def test_config_change_invalidates_lineage(tmp_path, cfg):
 
 
 def test_checkpointed_scale_mode(ray_session, small_corpus, tmp_path, cfg):
-    """mode='scale' routes phase 2 through the refs-only pipeline:
-    clusters identical to a direct run_dedup_scale, single
-    'scale_clusters' stage in the manifest, re-invocation a no-op —
-    and mode='auto' with a tiny threshold picks the same route."""
+    """Phase 2 runs the refs-only pipeline: clusters identical to a
+    direct run_dedup_scale, single 'scale_clusters' stage in the
+    manifest, re-invocation a no-op."""
     from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.sources.pages import pages_to_docs, read_pages
 
     spec, paths = small_corpus
     files = _pages_files(paths)
     d = str(tmp_path / "scale")
-    out = run_dedup_checkpointed(files, d, cfg, mode="scale")
-    assert out is not None and out["components_path"] is None
+    out = run_dedup_checkpointed(files, d, cfg)
+    assert out is not None
     assert out["metrics"]["dedup_path"] == "scale"
     manifest = json.load(open(os.path.join(d, "manifest.json")))
     assert set(manifest["stages"]) == {"scale_clusters"}
@@ -143,17 +142,10 @@ def test_checkpointed_scale_mode(ray_session, small_corpus, tmp_path, cfg):
     pd.testing.assert_frame_equal(got[direct.columns], direct)
 
     # re-invocation: no-op (stage marked done)
-    again = run_dedup_checkpointed(files, d, cfg, mode="scale")
+    again = run_dedup_checkpointed(files, d, cfg)
     m2 = json.load(open(os.path.join(d, "manifest.json")))
     assert manifest == m2
     pd.testing.assert_frame_equal(_clusters_df(again), got)
-
-    # auto + tiny threshold -> same scale route from a fresh dir
-    cfg_auto = cfg.with_overrides(scale_min_docs=1)
-    d2 = str(tmp_path / "auto")
-    out2 = run_dedup_checkpointed(files, d2, cfg_auto, mode="auto")
-    assert out2["metrics"]["dedup_path"] == "scale"
-    pd.testing.assert_frame_equal(_clusters_df(out2), got)
 
 
 def test_exchange_checkpoint_roundtrip(ray_session, tmp_path, cfg):
@@ -256,9 +248,7 @@ def test_scale_resume_skips_finished_exchanges(
     d = str(tmp_path / "killsc")
 
     with pytest.raises(CheckpointKilled):
-        run_dedup_checkpointed(
-            files, d, cfg, mode="scale", fail_after_stage="candidates"
-        )
+        run_dedup_checkpointed(files, d, cfg, fail_after_stage="candidates")
     manifest = json.load(open(os.path.join(d, "manifest.json")))
     ex = manifest["exchanges"]
     assert ex["exact"]["status"] == "done"
@@ -281,13 +271,11 @@ def test_scale_resume_skips_finished_exchanges(
         raise AssertionError("finished exchange was re-run on resume")
 
     monkeypatch.setattr(C, "candidate_pair_refs", _boom)
-    monkeypatch.setattr(C, "band_postings", _boom)
-    monkeypatch.setattr(DS, "band_postings", _boom)
-    monkeypatch.setattr(D, "compute_signatures", _boom)
+    monkeypatch.setattr(DS, "_signature_wave", _boom)
     monkeypatch.setattr(D, "sha_emit_table", _boom)
     monkeypatch.setattr(D, "sha_key_table", _boom)
 
-    resumed = run_dedup_checkpointed(files, d, cfg, mode="scale")
+    resumed = run_dedup_checkpointed(files, d, cfg)
     assert resumed is not None
     assert set(resumed["metrics"]["resumed_exchanges"]) == {"exact", "candidates"}
     m2 = json.load(open(os.path.join(d, "manifest.json")))
@@ -319,9 +307,7 @@ def test_scale_resume_after_late_stage_kill(
     d = str(tmp_path / "late")
 
     with pytest.raises(CheckpointKilled):
-        run_dedup_checkpointed(
-            files, d, cfg, mode="scale", fail_after_stage="containment"
-        )
+        run_dedup_checkpointed(files, d, cfg, fail_after_stage="containment")
     ex = json.load(open(os.path.join(d, "manifest.json")))["exchanges"]
     for stage in ("exact", "candidates", "verified", "forest1", "containment"):
         assert ex[stage]["status"] == "done", stage
@@ -336,21 +322,20 @@ def test_scale_resume_after_late_stage_kill(
         raise AssertionError("finished exchange was re-run on resume")
 
     monkeypatch.setattr(C, "candidate_pair_refs", _boom)
-    monkeypatch.setattr(DS, "band_postings", _boom)
-    monkeypatch.setattr(D, "compute_signatures", _boom)
+    monkeypatch.setattr(DS, "_signature_wave", _boom)
     monkeypatch.setattr(D, "sha_key_table", _boom)
     monkeypatch.setattr(DS, "make_filter_and_shingle", _boom)
     monkeypatch.setattr(DS, "make_drop_exact_then_explode", _boom)
     monkeypatch.setattr(CT, "fingerprint_postings_table", _boom)
 
-    resumed = run_dedup_checkpointed(files, d, cfg, mode="scale")
+    resumed = run_dedup_checkpointed(files, d, cfg)
     assert resumed is not None
     assert set(resumed["metrics"]["resumed_exchanges"]) == {
         "exact", "candidates", "verified", "forest1", "containment"
     }
     monkeypatch.undo()
 
-    ref = run_dedup_checkpointed(files, str(tmp_path / "ref"), cfg, mode="scale")
+    ref = run_dedup_checkpointed(files, str(tmp_path / "ref"), cfg)
     pd.testing.assert_frame_equal(_clusters_df(resumed), _clusters_df(ref))
 
 
@@ -361,32 +346,31 @@ def test_completed_checkpoint_reclusters_after_new_shard(
     never fires once a run COMPLETED (phase 2 skips on its done
     stages), so a shard added to a finished checkpoint kept the old
     clusters. The phase-2 shard-set gate must re-cluster with the new
-    docs included — in BOTH modes."""
+    docs included."""
     import shutil
 
     spec, paths = small_corpus
     files = _pages_files(paths)
-    for mode in ("base", "scale"):
-        work = tmp_path / f"in_{mode}"
-        work.mkdir()
-        for f in files[:-1]:
-            shutil.copy(f, work / os.path.basename(f))
-        d = str(tmp_path / f"ck_{mode}")
-        cur = sorted(glob.glob(str(work / "*.parquet")))
-        out1 = run_dedup_checkpointed(cur, d, cfg, mode=mode)
-        n1 = len(_clusters_df(out1))
+    work = tmp_path / "in"
+    work.mkdir()
+    for f in files[:-1]:
+        shutil.copy(f, work / os.path.basename(f))
+    d = str(tmp_path / "ck")
+    cur = sorted(glob.glob(str(work / "*.parquet")))
+    out1 = run_dedup_checkpointed(cur, d, cfg)
+    n1 = len(_clusters_df(out1))
 
-        shutil.copy(files[-1], work / os.path.basename(files[-1]))
-        cur = sorted(glob.glob(str(work / "*.parquet")))
-        out2 = run_dedup_checkpointed(cur, d, cfg, mode=mode)
-        cl2 = _clusters_df(out2)
-        added = pq.read_table(files[-1]).num_rows
-        assert len(cl2) == n1 + added, mode
-        # the added shard's docs must actually participate: re-running
-        # from scratch over the full set must agree exactly
-        d3 = str(tmp_path / f"ck3_{mode}")
-        out3 = run_dedup_checkpointed(cur, d3, cfg, mode=mode)
-        pd.testing.assert_frame_equal(cl2, _clusters_df(out3))
+    shutil.copy(files[-1], work / os.path.basename(files[-1]))
+    cur = sorted(glob.glob(str(work / "*.parquet")))
+    out2 = run_dedup_checkpointed(cur, d, cfg)
+    cl2 = _clusters_df(out2)
+    added = pq.read_table(files[-1]).num_rows
+    assert len(cl2) == n1 + added
+    # the added shard's docs must actually participate: re-running
+    # from scratch over the full set must agree exactly
+    d3 = str(tmp_path / "ck3")
+    out3 = run_dedup_checkpointed(cur, d3, cfg)
+    pd.testing.assert_frame_equal(cl2, _clusters_df(out3))
 
 
 def test_exchange_invalidation_is_durable_before_recompute(ray_session, tmp_path, cfg):
@@ -419,3 +403,100 @@ def test_exchange_invalidation_is_durable_before_recompute(ray_session, tmp_path
     e3.input_fp = "n_docs=10"
     refs = e3.run("s1", lambda: [ray.put(pa.table({"a": pa.array([7], pa.int64())}))])
     assert e3.loaded_stages == [] and ray.get(refs[0]).column("a").to_pylist() == [7]
+
+
+def test_checkpointed_normalize_matches_engine(ray_session, tmp_path):
+    """With cfg.normalize the phase-1 signatures (signed over raw text)
+    cannot feed candidates: two docs that differ only in '…' vs '...'
+    and one word share no raw band, so the checkpointed run must sign
+    the normalized text and cluster them like run_dedup_scale does."""
+    import pyarrow as pa
+
+    from raydedup.corpus import render_html
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
+    from raydedup.sources.pages import pages_to_docs, read_pages
+    from raydedup.stages.extract import doc_ids_from_urls
+
+    words = [f"tok{i}" for i in range(30)]
+    texts = [
+        " ".join(w + "…" for w in words),
+        " ".join(w + "..." for w in words) + " extra",
+        *(" ".join(f"w{i}x{j}" for i in range(25)) for j in range(6)),
+    ]
+    urls = [f"https://norm.example/p/{i}" for i in range(len(texts))]
+    pages = pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "html": pa.array([render_html(u, t) for u, t in zip(urls, texts)], pa.binary()),
+            "lang": pa.array(["en"] * len(texts), pa.string()),
+        }
+    )
+    pages_dir = tmp_path / "pages"
+    pages_dir.mkdir()
+    for k in range(2):
+        pq.write_table(pages.slice(4 * k, 4), str(pages_dir / f"part-{k}.parquet"))
+    cfg = DedupConfig(batch_size=64, normalize=True, scale_min_docs=1)
+
+    direct = (
+        run_dedup_scale(pages_to_docs(read_pages(str(pages_dir))), cfg, containment=False)
+        .clusters.to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    a, b = doc_ids_from_urls(urls[:2])
+    cl = direct.set_index("doc_id")["cluster_id"]
+    assert cl.loc[a] == cl.loc[b]
+
+    out = run_dedup_checkpointed(
+        _pages_files({"pages": str(pages_dir)}), str(tmp_path / "ck"), cfg,
+        containment=False,
+    )
+    pd.testing.assert_frame_equal(_clusters_df(out)[direct.columns], direct)
+
+
+@pytest.mark.parametrize(
+    "containment,substring,sig_skip",
+    [(True, False, False), (True, True, False), (True, False, True)],
+    ids=["containment", "substring", "sig_skip_exact_members"],
+)
+def test_checkpoint_policy_is_cluster_identical(
+    ray_session, small_corpus, tmp_path, cfg, containment, substring, sig_skip
+):
+    """The checkpoint is a per-stage policy on one stage graph: with an
+    ExchangeCheckpoint, run_dedup_scale gives the frame and the counts
+    of the unchecked run, and a second run over the same directory
+    loads every committed stage and gives them again."""
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
+    from raydedup.sources.pages import pages_to_docs, read_pages
+    from raydedup.state.checkpoint import ExchangeCheckpoint
+
+    spec, paths = small_corpus
+    run_cfg = cfg.with_overrides(sig_skip_exact_members=sig_skip)
+    docs = pages_to_docs(read_pages(paths["pages"])).materialize()
+    kw = dict(containment=containment, substring=substring)
+    keys = ["candidate_pairs", "verified_pairs", "containment_pairs", "n_dup_docs"]
+    if substring:
+        keys.append("substring_pairs")
+
+    def frame(res):
+        return res.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+    ref = run_dedup_scale(docs, run_cfg, **kw)
+    want = frame(ref)
+
+    d = str(tmp_path / "ck")
+    ck1 = ExchangeCheckpoint(CheckpointManager(d, run_cfg))
+    first = run_dedup_scale(docs, run_cfg, ckpt=ck1, **kw)
+    pd.testing.assert_frame_equal(frame(first), want)
+    assert {k: first.metrics[k] for k in keys} == {k: ref.metrics[k] for k in keys}
+    assert first.metrics["resumed_exchanges"] == []
+    stages = list(ck1.mgr.manifest["exchanges"])
+    assert stages[:5] == ["exact", "candidates", "verified", "forest1", "containment"]
+    assert ("substring_edges" in stages) == substring
+
+    ck2 = ExchangeCheckpoint(CheckpointManager(d, run_cfg))
+    second = run_dedup_scale(docs, run_cfg, ckpt=ck2, **kw)
+    assert ck2.loaded_stages == stages and ck2.invalidated_stages == []
+    assert second.metrics["resumed_exchanges"] == stages
+    pd.testing.assert_frame_equal(frame(second), want)
+    assert {k: second.metrics[k] for k in keys} == {k: ref.metrics[k] for k in keys}

@@ -77,8 +77,8 @@ def test_dedup_verb_set_changes_verified_pairs(
 
     strict = run(0.95, "ck_strict")
     loose = run(0.55, "ck_loose")
-    n_strict = strict["pairs"]["n_verified"]
-    n_loose = loose["pairs"]["n_verified"]
+    n_strict = strict["scale_clusters"]["verified_pairs"]
+    n_loose = loose["scale_clusters"]["verified_pairs"]
     assert n_loose > n_strict
 
 

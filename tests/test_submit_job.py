@@ -37,8 +37,8 @@ def test_submit_and_resubmit(small_corpus, tmp_path):
     r1 = _submit(paths["pages"], ckpt)
     assert r1.returncode == 0, r1.stderr[-2000:]
     out1 = json.loads(r1.stdout.strip().splitlines()[-1])
-    assert out1["clusters"]["n_docs"] == 600
-    assert out1["clusters"]["status"] == "done"
+    assert out1["scale_clusters"]["n_docs"] == 600
+    assert out1["scale_clusters"]["status"] == "done"
     assert os.path.isdir(out1["clusters_dir"])
 
     # resubmit: completed checkpoint short-circuits (much faster, same output)
