@@ -2432,10 +2432,10 @@ _GRAPH_T_STAR = min(int(0.05 * 2.0**64), 2**64 - 1)
 def _q_graph_components(sf_dir: str):
     """Standalone connected components over a deterministic synthetic
     edge table (chain edges doc->doc+1 gated at 45% of the hash space,
-    star edges doc->floor100(doc) at 5%): the dedup pipeline's sharded
-    union-find + pointer-jump clustering stage exposed as a generic
-    operator (stages/cluster_scale.py connected_components). Oracle =
-    recursive min-reachable-label CTE."""
+    star edges doc->floor100(doc) at 5%): the dedup pipeline's
+    leaf-and-merge forest task DAG exposed as a generic operator
+    (stages/cluster_scale.py connected_components). Oracle = recursive
+    min-reachable-label CTE."""
     from raydedup.hashing import U64, hash_pair_u64
     from raydedup.stages.cluster_scale import connected_components
 

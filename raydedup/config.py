@@ -106,10 +106,6 @@ class DedupConfig:
     # route to the posting exchange
     decon_broadcast_max_keys: int = 50_000_000
 
-    # --- clustering (graft extension; reference emits pairs only)
-    cluster_backend: str = "driver"  # "driver" | "actors"
-    n_cluster_shards: int = 8
-
     # --- pipeline dispatch: run_dedup_auto routes to the refs-only
     # run_dedup_scale at or above this doc count. Round-4 remeasurement
     # (32 CPUs, containment on, adaptive exchange width + early shard

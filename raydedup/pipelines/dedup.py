@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ray.data import Dataset
@@ -40,11 +39,7 @@ from raydedup.stages.candidates import (
     postings_to_pairs,
     simhash_postings,
 )
-from raydedup.stages.cluster import (
-    assignments_table,
-    cluster_edges_arrays,
-    cluster_pairs_actors,
-)
+from raydedup.stages.cluster import assignments_table, cluster_edges_arrays
 from raydedup.stages.signatures import SignatureKernel
 from raydedup.stages.verify import verify_pairs, verify_pairs_small
 from raydedup.util import arrow_block_refs, to_arrow_table
@@ -444,16 +439,6 @@ def run_dedup(
     # the vectorized min-label kernel and array broadcast replace the
     # per-edge Python union-find + dict broadcast (both were fixed driver
     # seconds that did not shrink with cluster size)
-    def _cluster(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if cfg.cluster_backend == "actors":
-            comp = cluster_pairs_actors(
-                pd.DataFrame({"a": ea, "b": eb}), n_shards=cfg.n_cluster_shards
-            )
-            mem = np.fromiter(comp.keys(), dtype=np.int64, count=len(comp))
-            rt = np.fromiter(comp.values(), dtype=np.int64, count=len(comp))
-            return mem, rt
-        return cluster_edges_arrays(ea, eb)
-
     base_edges = pa.concat_tables(
         [
             verified_tbl.select(["a", "b"]),
@@ -461,7 +446,7 @@ def run_dedup(
             hamming_edges.select(["a", "b"]),
         ]
     )
-    members, roots = _cluster(
+    members, roots = cluster_edges_arrays(
         base_edges.column("a").to_numpy(zero_copy_only=False),
         base_edges.column("b").to_numpy(zero_copy_only=False),
     )
@@ -503,7 +488,7 @@ def run_dedup(
         metrics["containment_pairs"] = containment_tbl.num_rows
         if containment_tbl.num_rows:
             # round 2: star edges (root -> member) + containment links
-            members, roots = _cluster(
+            members, roots = cluster_edges_arrays(
                 np.concatenate(
                     [roots, containment_tbl.column("a").to_numpy(zero_copy_only=False)]
                 ),
@@ -541,7 +526,7 @@ def run_dedup(
         metrics["substring_candidates"] = sub_m["candidates"]
         metrics["substring_pairs"] = sub_tbl.num_rows
         if sub_tbl.num_rows:
-            members, roots = _cluster(
+            members, roots = cluster_edges_arrays(
                 np.concatenate(
                     [roots, sub_tbl.column("outer_id").to_numpy(zero_copy_only=False)]
                 ),

@@ -9,8 +9,8 @@ machine). This variant keeps every intermediate as object-store refs:
     over the docs' block refs, submitted without a driver wait
   postings -> exchange (refs) -> pair combine exchange (refs)
   verification: two co-partitioned exchange joins against the docs table
-  clustering: edges routed to union-find shard actors FROM TASKS,
-  iterated contraction + pointer-jump exchanges (stages/cluster_scale)
+  clustering: leaf tasks contract groups of edge refs to spanning
+  forests, one merge task contracts those (stages/cluster_scale)
   assignment: docs x forest exchange join -> Dataset of refs
 
 The stage graph is written once, in ``run_dedup_scale``; checkpointing
@@ -20,19 +20,18 @@ commits its per-bucket outputs to Parquet, and a resumed run loads the
 committed stages instead of re-running them (the checkpointed
 ``run_dedup_checkpointed`` in state/checkpoint.py uses it that way).
 
-The driver sees per-bucket row counts and convergence signatures —
-bytes, independent of corpus size. Containment sweeps cluster
-REPRESENTATIVES only, like run_dedup, but refs-only: the round-1
-component forest filters the fingerprint postings via an exchange join
-(never a collected member set), and a second clustering round merges the
-containment links back in. Exact-dup members are pre-filtered from the
-candidate pairs by a refs-only anti-join (run_dedup's driver-side
-np.isin drop, expressed as two co-partitioned exchange rounds over the
-pair table): a member's pairs are mirrored by its byte-identical
-representative's pairs, so connectivity is preserved while member
-shingle payloads never enter the verification exchanges. Outputs are
-cluster-equivalent; the e2e oracle test holds the same recall/
-false-merge gates for both.
+The driver sees per-bucket row counts — bytes, independent of corpus
+size. Containment sweeps cluster REPRESENTATIVES only, like run_dedup,
+but refs-only: the round-1 component forest filters the fingerprint
+postings via an exchange join (never a collected member set), and a
+second clustering round merges the containment links back in.
+Exact-dup members are pre-filtered from the candidate pairs by a
+refs-only anti-join (run_dedup's driver-side np.isin drop, expressed as
+two co-partitioned exchange rounds over the pair table): a member's
+pairs are mirrored by its byte-identical representative's pairs, so
+connectivity is preserved while member shingle payloads never enter the
+verification exchanges. Outputs are cluster-equivalent; the e2e oracle
+test holds the same recall/false-merge gates for both.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from ray.data import Dataset
 
 from raydedup.config import DedupConfig
 from raydedup.stages.candidates import POSTINGS_SCHEMA, band_postings_table
-from raydedup.stages.cluster_scale import assignments_exchange, cluster_edge_refs
+from raydedup.stages.cluster_scale import assign_roots, cluster_edge_refs
 from raydedup.stages.containment import _emit_fp_pairs, fingerprint_postings_table
 from raydedup.stages.exchange import _split_table, block_groups, hash_exchange_apply
 from raydedup.util import arrow_block_refs
@@ -83,14 +82,6 @@ def _sorted_member_array(*edge_tables: pa.Table) -> np.ndarray:
 @ray.remote
 def _count_rows(t: pa.Table) -> int:
     return t.num_rows
-
-
-def _select_ab(refs: list) -> list:
-    @ray.remote
-    def sel(t: pa.Table) -> pa.Table:
-        return t.select(["a", "b"])
-
-    return [sel.remote(r) for r in refs]
 
 
 def _flatten_refs(refs: list) -> list:
@@ -253,10 +244,10 @@ def _auto_buckets(n_docs: int) -> int:
 
 
 def _auto_shards(n_docs: int) -> int:
-    """Union-find shard-actor count: 8 actors is the steady-state pool,
-    but below the scale crossover 2-4 shards cut the per-round actor
-    round-trip fan-in without ever holding more than ~25k forest rows
-    per shard."""
+    """Width of the clustering task DAG (leaf tasks over the edge refs):
+    2 leaves below 25k docs, one more per 25k docs, at most 8 — the
+    leaves contract in parallel, and the merge task's fan-in stays
+    small."""
     return int(min(8, max(2, n_docs // 25_000 + 1)))
 
 
@@ -378,8 +369,8 @@ def run_dedup_scale(
 ) -> DedupScaleResult:
     """Refs-only dedup of ``docs`` (doc_id, text, text_sha256): every
     stage is submitted as raw Ray tasks over object-store refs, and the
-    driver waits only on the containment pair count and the final
-    metric counts.
+    driver waits only on the final metric counts (and, with
+    ``substring``, on the substring stage's driver-side pair table).
 
     The phase-2 stage graph exists once; ``ckpt`` is its checkpoint
     policy. Each exchange stage (``exact``, ``candidates``, ``verified``,
@@ -390,12 +381,16 @@ def run_dedup_scale(
     already committed loads its buckets from disk, a computed one
     commits its buckets before the next stage starts, so a crash resumes
     from the last committed exchange. The inputs several stages share
-    (text block refs, doc and member splits, containment explode,
-    union-find shard actors) are built on first use: a resume builds
-    only what its remaining stages need, and without a checkpoint each
-    is built up front where its work overlaps the signature stage. Under
-    a checkpoint ``docs`` is not materialized; pass a Dataset that is
-    cheap to re-read (the phase-1 parquet) or already materialized.
+    (text block refs, doc and member splits, containment explode) are
+    built on first use: a resume builds only what its remaining stages
+    need, and without a checkpoint each is built up front where its
+    work overlaps the signature stage. Clustering is a task DAG
+    (stages/cluster_scale.cluster_edge_refs, ``n_shards`` leaves):
+    ``forest1`` over the exact and verified edges, then, when
+    containment or substring links are on, ``forest2`` over ``forest1``
+    plus those links. Under a checkpoint ``docs`` is not materialized;
+    pass a Dataset that is cheap to re-read (the phase-1 parquet) or
+    already materialized.
 
     The signature stage is one wave of raw tasks (signatures, band
     postings and the band_key split fused per task, grouped like
@@ -409,7 +404,6 @@ def run_dedup_scale(
 
     from raydedup.pipelines.dedup import sha_emit_table, sha_key_table
     from raydedup.stages.candidates import candidate_pair_refs
-    from raydedup.stages.cluster import UnionFindShard
     from raydedup.stages.exchange import (
         _reduce_bucket,
         reduce_apply_resplit,
@@ -462,7 +456,6 @@ def run_dedup_scale(
         num_buckets = _auto_buckets(n_docs)
     if n_shards is None:
         n_shards = _auto_shards(n_docs)
-    cl_buckets = min(num_buckets, 32)
 
     stage = ckpt.run if ckpt is not None else (lambda _name, thunk: thunk())
     # stamp this run's input on every exchange stage: a checkpoint taken
@@ -486,17 +479,6 @@ def run_dedup_scale(
         return lambda: int(sum(ray.get(futs)))
 
     # --- shared stage inputs, built on first use -------------------------
-    uf_shards: list = []
-
-    def get_uf_shards() -> list:
-        if not uf_shards:
-            uf_shards.extend(UnionFindShard.remote(i, n_shards) for i in range(n_shards))
-        return uf_shards
-
-    def kill_uf_shards() -> None:
-        while uf_shards:
-            ray.kill(uf_shards.pop())
-
     @functools.cache
     def get_text_refs() -> list:
         # one projection pass: the doc_id,text block refs feed both the
@@ -522,270 +504,263 @@ def run_dedup_scale(
             num_buckets,
         )
 
-    try:
-        if ckpt is None:
-            # union-find shard actors spawn NOW (async): their process
-            # startup (~0.5 s) overlaps the signature/verify stages instead
-            # of landing on the clustering critical path; both cluster
-            # rounds reuse them
-            get_uf_shards()
-            # corpus text split FIRST (async): the full-text split is the
-            # pipeline's largest byte mover and depends only on the input;
-            # every downstream join (shingle demand, containment explode)
-            # consumes it. Launching its tasks before the signature stage
-            # overlaps the text movement with signature compute instead of
-            # paying for it serially after the candidate barrier.
-            _mark("text_split", get_dsplit())
+    if ckpt is None:
+        # corpus text split FIRST (async): the full-text split is the
+        # pipeline's largest byte mover and depends only on the input;
+        # every downstream join (shingle demand, containment explode)
+        # consumes it. Launching its tasks before the signature stage
+        # overlaps the text movement with signature compute instead of
+        # paying for it serially after the candidate barrier.
+        _mark("text_split", get_dsplit())
 
-        # --- stage: exact sha edges (refs): same kernels as run_dedup -----
-        def _exact() -> list:
-            keyed = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
-                sha_key_table, batch_format="pyarrow"
-            )
-            return hash_exchange_apply(
-                keyed, "sha_key", sha_emit_table, num_buckets, collect=False
-            )
-
-        exact_refs = stage("exact", _exact)
-        _mark("exact", exact_refs)
-
-        # --- stage: LSH candidates (refs) ---------------------------------
-        # One wave of raw tasks over the text (or signature) block refs,
-        # grouped like split_dataset: each task computes signatures,
-        # explodes band postings and splits them on band_key in-task, so
-        # exchange 1 of the fused candidate chain consumes the wave
-        # directly. Nothing waits on it: every stage below is submitted
-        # while signatures compute (a Ray Data map_batches would coalesce
-        # small blocks into fewer tasks than CPUs, and collecting its block
-        # refs would block the driver until the last one ends). Per-bucket
-        # (a, b, n_collisions) tables, never collected.
-        def _candidates() -> list:
-            # opt-in (cfg.sig_skip_exact_members): signature/posting/pair
-            # work scales with UNIQUE texts — each signature task waits on
-            # the sha exchange via its broadcast ref (pipelined, no driver
-            # barrier) and drops exact-dup members in-kernel; members
-            # reattach through the sha edges so clusters are identical
-            # (measured crossover vs the lost overlap in BASELINE.md).
-            exclude_ref = (
-                _sorted_member_array.remote(*exact_refs)
-                if cfg.sig_skip_exact_members
-                else None
-            )
-            blocks = (
-                get_text_refs()
-                if signatures is None
-                else arrow_block_refs(signatures.select_columns(["doc_id", "bands"]))
-            )
-            return candidate_pair_refs(
-                _signature_wave(blocks, cfg, num_buckets, exclude_ref), cfg, num_buckets
-            )
-
-        cand_refs = stage("candidates", _candidates)
-        # the split and wave tasks hold the text blocks now; without the
-        # driver's refs the store frees them as soon as both waves finish
-        get_text_refs.cache_clear()
-        _mark("sig_candidates", cand_refs)
-        # NOTE: counted BEFORE the exact-member drop below (run_dedup counts
-        # after its driver-side drop) — the drop happens implicitly at the
-        # attach joins here, so the raw LSH candidate volume is the
-        # meaningful refs-only metric. Count tasks are submitted now but
-        # resolved only at the END: a blocking count here is a full stage
-        # barrier that serializes candidates -> verify on the driver.
-        cand_count = row_count("candidates", cand_refs)
-
-        # --- refs-only exact-member filter (demand-side) ------------------
-        # Candidate pairs touching an exact-dup MEMBER are mirrored by the
-        # member's byte-identical representative (identical signature =>
-        # identical band pairs), and the sha edge reattaches the member —
-        # so instead of anti-joining the (large) pair table, the members
-        # are dropped from the SHINGLE DEMAND (tiny id tables, one
-        # co-partitioned round): a memberless doc gets no packed-shingle
-        # row, and the attach joins below drop its pairs via the lookup
-        # found-mask. Connectivity is unchanged while member shingle
-        # payloads never enter the verify exchanges.
-        if ckpt is None:
-            _mark("member_split", get_msplit())
-            # containment explode, OVERLAPPED with verify + clustering: the
-            # winnowing text scan only needs docs minus EXACT members (known
-            # now); near-dup members found by LSH are dropped from the
-            # POSTING rows after round-1 clustering (co-partitioned row
-            # filter — postings inherit the doc_id bucketing from dsplit).
-            # Same result as exploding after the forest (a member's removal
-            # never changes another doc's fingerprints), but the expensive
-            # scan runs while the verify and clustering exchanges are in
-            # flight.
-            if containment:
-                _mark("fp_explode", get_fp_expl())
-
-        # --- stage: verified edges: refs-only semi-join + packed shingles -
-        # The candidate doc-id DEMAND is itself exchanged (never broadcast —
-        # at 10^12 docs even the id set outgrows one machine): per-candidate-
-        # bucket id tables co-partition with the docs split, each bucket
-        # kernel filters its local docs to demanded ids and computes their
-        # shingle sets ONCE with the vectorized batch kernel. The full text
-        # corpus is split exactly ONE time (the split refs are reused by the
-        # containment explode); only candidate shingle payloads move
-        # through the two join rounds.
-        def _verified() -> list:
-            idsplit = split_dataset(
-                [_pair_id_table.remote(r) for r in cand_refs], "doc_id", num_buckets
-            )
-            idsplit = [
-                reduce_join_split(idsplit, get_msplit(), _drop_member_ids, num_buckets)
-            ]
-            _mark("demand_ids", idsplit)
-            # per-bucket packed candidate shingles, already partitioned by
-            # hash(doc_id) — usable directly as the right side of both joins
-            shingled_refs = reduce_join_split(
-                idsplit, get_dsplit(), make_filter_and_shingle(cfg), num_buckets
-            )
-            _mark("demand_shingle", shingled_refs)
-            # attach round 1 re-splits its output on ``b`` in-task (fused),
-            # so round 2 consumes the pieces without a separate split wave;
-            # pairs whose doc has no shingle row (exact members) drop at
-            # the attach
-            psplit = split_dataset(cand_refs, "a", num_buckets)
-            r1 = reduce_join_resplit(
-                psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
-            )
-            _mark("attach_a", r1)
-            return reduce_join_split(
-                r1, [shingled_refs], make_attach_b_verify(cfg.jaccard_tau), num_buckets
-            )
-
-        verified_refs = stage("verified", _verified)
-        # deferred count (see the candidates note): no driver barrier
-        # between verification and clustering submission
-        ver_count = row_count("verified", verified_refs)
-        _mark("attach_b_verify", verified_refs)
-
-        def cluster(edge_refs: list, kill: bool) -> list:
-            return cluster_edge_refs(
-                edge_refs,
-                n_shards=n_shards,
-                num_buckets=cl_buckets,
-                shards=get_uf_shards(),
-                kill=kill,
-            )
-
-        # --- stage: round-1 forest: exact + verified LSH edges ------------
-        # the shard actor pool is reused by the merge round below
-        # (contract() resets shard state at stability, so the second round
-        # starts clean)
-        forest1_refs = stage(
-            "forest1", lambda: cluster(_select_ab(verified_refs) + exact_refs, kill=False)
+    # --- stage: exact sha edges (refs): same kernels as run_dedup -----
+    def _exact() -> list:
+        keyed = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
+            sha_key_table, batch_format="pyarrow"
         )
-        _mark("cluster_r1", forest1_refs)
+        return hash_exchange_apply(
+            keyed, "sha_key", sha_emit_table, num_buckets, collect=False
+        )
 
-        # --- stage: containment over cluster REPRESENTATIVES only ---------
-        # The round-1 forest (exact + near-dup members) filters the
-        # fingerprint postings via an exchange join — the refs-only analog
-        # of run_dedup's representative sweep: members share ~every
-        # fingerprint with their representative, so sweeping them only
-        # floods the pair exchange with redundant rows. The forest never
-        # touches the driver.
-        extra_edge_refs: list = []
+    exact_refs = stage("exact", _exact)
+    _mark("exact", exact_refs)
+
+    # --- stage: LSH candidates (refs) ---------------------------------
+    # One wave of raw tasks over the text (or signature) block refs,
+    # grouped like split_dataset: each task computes signatures,
+    # explodes band postings and splits them on band_key in-task, so
+    # exchange 1 of the fused candidate chain consumes the wave
+    # directly. Nothing waits on it: every stage below is submitted
+    # while signatures compute (a Ray Data map_batches would coalesce
+    # small blocks into fewer tasks than CPUs, and collecting its block
+    # refs would block the driver until the last one ends). Per-bucket
+    # (a, b, n_collisions) tables, never collected.
+    def _candidates() -> list:
+        # opt-in (cfg.sig_skip_exact_members): signature/posting/pair
+        # work scales with UNIQUE texts — each signature task waits on
+        # the sha exchange via its broadcast ref (pipelined, no driver
+        # barrier) and drops exact-dup members in-kernel; members
+        # reattach through the sha edges so clusters are identical
+        # (measured crossover vs the lost overlap in BASELINE.md).
+        exclude_ref = (
+            _sorted_member_array.remote(*exact_refs)
+            if cfg.sig_skip_exact_members
+            else None
+        )
+        blocks = (
+            get_text_refs()
+            if signatures is None
+            else arrow_block_refs(signatures.select_columns(["doc_id", "bands"]))
+        )
+        return candidate_pair_refs(
+            _signature_wave(blocks, cfg, num_buckets, exclude_ref), cfg, num_buckets
+        )
+
+    cand_refs = stage("candidates", _candidates)
+    # the split and wave tasks hold the text blocks now; without the
+    # driver's refs the store frees them as soon as both waves finish
+    get_text_refs.cache_clear()
+    _mark("sig_candidates", cand_refs)
+    # NOTE: counted BEFORE the exact-member drop below (run_dedup counts
+    # after its driver-side drop) — the drop happens implicitly at the
+    # attach joins here, so the raw LSH candidate volume is the
+    # meaningful refs-only metric. Count tasks are submitted now but
+    # resolved only at the END: a blocking count here is a full stage
+    # barrier that serializes candidates -> verify on the driver.
+    cand_count = row_count("candidates", cand_refs)
+
+    # --- refs-only exact-member filter (demand-side) ------------------
+    # Candidate pairs touching an exact-dup MEMBER are mirrored by the
+    # member's byte-identical representative (identical signature =>
+    # identical band pairs), and the sha edge reattaches the member —
+    # so instead of anti-joining the (large) pair table, the members
+    # are dropped from the SHINGLE DEMAND (tiny id tables, one
+    # co-partitioned round): a memberless doc gets no packed-shingle
+    # row, and the attach joins below drop its pairs via the lookup
+    # found-mask. Connectivity is unchanged while member shingle
+    # payloads never enter the verify exchanges.
+    if ckpt is None:
+        _mark("member_split", get_msplit())
+        # containment explode, OVERLAPPED with verify + clustering: the
+        # winnowing text scan only needs docs minus EXACT members (known
+        # now); near-dup members found by LSH are dropped from the
+        # POSTING rows after round-1 clustering (co-partitioned row
+        # filter — postings inherit the doc_id bucketing from dsplit).
+        # Same result as exploding after the forest (a member's removal
+        # never changes another doc's fingerprints), but the expensive
+        # scan runs while the verify and clustering exchanges are in
+        # flight.
         if containment:
+            _mark("fp_explode", get_fp_expl())
 
-            def _containment() -> list:
-                # left = exploded postings bucket (fp_key, doc_id, n_fp),
-                # partitioned by hash(doc_id) like dsplit; right = forest
-                # bucket keyed on b, a doc_id, so the two co-partition: drop
-                # posting rows of near-dup MEMBERS. The member-drop join
-                # re-splits its output on fp_key IN-TASK (fused) — the emit
-                # wave consumes the pieces without another full pass over
-                # the posting table (the pipeline's biggest)
-                fp_wave = reduce_join_resplit(
-                    [get_fp_expl()],
-                    split_dataset(forest1_refs, "b", num_buckets),
-                    drop_forest_member_rows,
-                    "fp_key",
-                    num_buckets,
-                    num_buckets,
-                )
-                cont_cap = cfg.containment_max_postings
-                # fused emit -> combine chain (emit wave re-splits on `a`)
-                cont_wave = reduce_apply_resplit(
-                    fp_wave,
-                    lambda t: _emit_fp_pairs(t, cont_cap),
-                    "a",
-                    num_buckets,
-                    num_buckets,
-                )
-                combine = make_combine_containment(
-                    cfg.containment_min_coverage, cfg.containment_min_shared
-                )
-                return [
-                    _reduce_bucket.remote(combine, *[w[j] for w in cont_wave])
-                    for j in range(num_buckets)
-                ]
+    # --- stage: verified edges: refs-only semi-join + packed shingles -
+    # The candidate doc-id DEMAND is itself exchanged (never broadcast —
+    # at 10^12 docs even the id set outgrows one machine): per-candidate-
+    # bucket id tables co-partition with the docs split, each bucket
+    # kernel filters its local docs to demanded ids and computes their
+    # shingle sets ONCE with the vectorized batch kernel. The full text
+    # corpus is split exactly ONE time (the split refs are reused by the
+    # containment explode); only candidate shingle payloads move
+    # through the two join rounds.
+    def _verified() -> list:
+        idsplit = split_dataset(
+            [_pair_id_table.remote(r) for r in cand_refs], "doc_id", num_buckets
+        )
+        idsplit = [
+            reduce_join_split(idsplit, get_msplit(), _drop_member_ids, num_buckets)
+        ]
+        _mark("demand_ids", idsplit)
+        # per-bucket packed candidate shingles, already partitioned by
+        # hash(doc_id) — usable directly as the right side of both joins
+        shingled_refs = reduce_join_split(
+            idsplit, get_dsplit(), make_filter_and_shingle(cfg), num_buckets
+        )
+        _mark("demand_shingle", shingled_refs)
+        # attach round 1 re-splits its output on ``b`` in-task (fused),
+        # so round 2 consumes the pieces without a separate split wave;
+        # pairs whose doc has no shingle row (exact members) drop at
+        # the attach
+        psplit = split_dataset(cand_refs, "a", num_buckets)
+        r1 = reduce_join_resplit(
+            psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
+        )
+        _mark("attach_a", r1)
+        return reduce_join_split(
+            r1, [shingled_refs], make_attach_b_verify(cfg.jaccard_tau), num_buckets
+        )
 
-            cont_refs = stage("containment", _containment)
-            _mark("containment_pairs", cont_refs)
-            # this count is a REQUIRED barrier: whether round-2 clustering
-            # runs depends on it (and round 2 consumes the containment refs)
-            metrics["containment_pairs"] = row_count("containment", cont_refs)()
-            metrics["t_containment_done"] = time.perf_counter() - t0
-            if metrics["containment_pairs"]:
-                extra_edge_refs += cont_refs
+    verified_refs = stage("verified", _verified)
+    # deferred count (see the candidates note): no driver barrier
+    # between verification and clustering submission
+    ver_count = row_count("verified", verified_refs)
+    _mark("attach_b_verify", verified_refs)
 
-        # --- stage: exact substring links over representatives ------------
-        # The lossless counterpart of the winnowed containment sweep
-        # (stages/substring.py): round-1 near/exact members are dropped from
-        # the text split via the co-partitioned forest join (the same
-        # member-drop shape as the fingerprint sweep), and the Rabin-Karp
-        # window-index join runs over the surviving reps + singletons.
-        # Driver cost is O(substring candidate pairs) — the verified-pair
-        # order, not the corpus — the one driver-side table this mode keeps.
-        if substring:
+    # --- stage: round-1 forest: exact + verified LSH edges ------------
+    # a leaf-and-merge task DAG (stages/cluster_scale), submitted
+    # without a driver wait like every stage above
+    forest1_refs = stage(
+        "forest1", lambda: cluster_edge_refs(verified_refs + exact_refs, n_shards)
+    )
+    _mark("cluster_r1", forest1_refs)
 
-            def _substring() -> list:
-                from raydedup.stages.substring import substring_pairs
+    # --- stage: containment over cluster REPRESENTATIVES only ---------
+    # The round-1 forest (exact + near-dup members) filters the
+    # fingerprint postings via an exchange join — the refs-only analog
+    # of run_dedup's representative sweep: members share ~every
+    # fingerprint with their representative, so sweeping them only
+    # floods the pair exchange with redundant rows. The forest never
+    # touches the driver.
+    extra_edge_refs: list = []
+    if containment:
 
-                rep_doc_refs = reduce_join_split(
-                    get_dsplit(),
-                    split_dataset(forest1_refs, "b", num_buckets),
-                    drop_forest_member_rows,
-                    num_buckets,
-                )
-                sub_tbl, sub_m = substring_pairs(
-                    rd.from_arrow_refs(rep_doc_refs), min_len=cfg.substring_min_len
-                )
-                metrics["substring_candidates"] = sub_m["candidates"]
-                edges = pa.table(
-                    {
-                        "a": sub_tbl.column("outer_id").cast(pa.int64()),
-                        "b": sub_tbl.column("inner_id").cast(pa.int64()),
-                    }
-                )
-                return [ray.put(edges)]
-
-            sub_refs = stage("substring_edges", _substring)
-            metrics["substring_pairs"] = row_count("substring_edges", sub_refs)()
-            metrics["t_substring_done"] = time.perf_counter() - t0
-            if metrics["substring_pairs"]:
-                extra_edge_refs += sub_refs
-
-        forest_refs = forest1_refs
-        if extra_edge_refs:
-            # round 2: merge containment/substring links into the forest
-            # (the forest's own edges re-attach the members transitively) —
-            # on the SAME warm shard actors as round 1
-            forest_refs = stage(
-                "forest2", lambda: cluster(forest1_refs + extra_edge_refs, kill=True)
+        def _containment() -> list:
+            # left = exploded postings bucket (fp_key, doc_id, n_fp),
+            # partitioned by hash(doc_id) like dsplit; right = forest
+            # bucket keyed on b, a doc_id, so the two co-partition: drop
+            # posting rows of near-dup MEMBERS. The member-drop join
+            # re-splits its output on fp_key IN-TASK (fused) — the emit
+            # wave consumes the pieces without another full pass over
+            # the posting table (the pipeline's biggest)
+            fp_wave = reduce_join_resplit(
+                [get_fp_expl()],
+                split_dataset(forest1_refs, "b", num_buckets),
+                drop_forest_member_rows,
+                "fp_key",
+                num_buckets,
+                num_buckets,
             )
-        # no later stage uses the actors (a computed round 2 killed them)
-        kill_uf_shards()
+            cont_cap = cfg.containment_max_postings
+            # fused emit -> combine chain (emit wave re-splits on `a`)
+            cont_wave = reduce_apply_resplit(
+                fp_wave,
+                lambda t: _emit_fp_pairs(t, cont_cap),
+                "a",
+                num_buckets,
+                num_buckets,
+            )
+            combine = make_combine_containment(
+                cfg.containment_min_coverage, cfg.containment_min_shared
+            )
+            return [
+                _reduce_bucket.remote(combine, *[w[j] for w in cont_wave])
+                for j in range(num_buckets)
+            ]
 
-        forest_count = row_count("forest2" if extra_edge_refs else "forest1", forest_refs)
-        clusters = assignments_exchange(docs, forest_refs, num_buckets=cl_buckets)
-        # resolve the deferred metric counts (their tasks ran alongside the
-        # pipeline; this get is after all real work has been submitted)
-        metrics["candidate_pairs"] = cand_count()
-        metrics["verified_pairs"] = ver_count()
-        metrics["n_dup_docs"] = forest_count()
-    finally:
-        kill_uf_shards()
+        cont_refs = stage("containment", _containment)
+        _mark("containment_pairs", cont_refs)
+        cont_count = row_count("containment", cont_refs)
+        extra_edge_refs += cont_refs
+
+    # --- stage: exact substring links over representatives ------------
+    # The lossless counterpart of the winnowed containment sweep
+    # (stages/substring.py): round-1 near/exact members are dropped from
+    # the text split via the co-partitioned forest join (the same
+    # member-drop shape as the fingerprint sweep), and the Rabin-Karp
+    # window-index join runs over the surviving reps + singletons.
+    # Driver cost is O(substring candidate pairs) — the verified-pair
+    # order, not the corpus — the one driver-side table this mode keeps.
+    if substring:
+
+        def _substring() -> list:
+            from raydedup.stages.substring import substring_pairs
+
+            rep_doc_refs = reduce_join_split(
+                get_dsplit(),
+                split_dataset(forest1_refs, "b", num_buckets),
+                drop_forest_member_rows,
+                num_buckets,
+            )
+            sub_tbl, sub_m = substring_pairs(
+                rd.from_arrow_refs(rep_doc_refs), min_len=cfg.substring_min_len
+            )
+            metrics["substring_candidates"] = sub_m["candidates"]
+            edges = pa.table(
+                {
+                    "a": sub_tbl.column("outer_id").cast(pa.int64()),
+                    "b": sub_tbl.column("inner_id").cast(pa.int64()),
+                }
+            )
+            return [ray.put(edges)]
+
+        sub_refs = stage("substring_edges", _substring)
+        metrics["t_substring_done"] = time.perf_counter() - t0
+        sub_count = row_count("substring_edges", sub_refs)
+        extra_edge_refs += sub_refs
+
+    forest_name, forest_refs = "forest1", forest1_refs
+    if containment or substring:
+        # round 2: one more forest DAG over the round-1 forest plus the
+        # containment/substring links (the forest's own edges re-attach
+        # the members transitively); empty link tables are no-ops
+        forest_name = "forest2"
+        forest_refs = stage(
+            "forest2", lambda: cluster_edge_refs(forest1_refs + extra_edge_refs, n_shards)
+        )
+
+    forest_count = row_count(forest_name, forest_refs)
+    # --- assignment: docs x forest exchange join ---------------------
+    # without a checkpoint the left side is the corpus split, already
+    # partitioned on doc_id (the kernel reads only doc_id), so no docs
+    # projection runs and nothing waits here; a checkpointed run splits
+    # the doc_id column instead of re-reading the text
+    doc_split = (
+        get_dsplit()
+        if ckpt is None
+        else split_dataset(docs.select_columns(["doc_id"]), "doc_id", num_buckets)
+    )
+    asg_refs = reduce_join_split(
+        doc_split, split_dataset(forest_refs, "b", num_buckets), assign_roots, num_buckets
+    )
+    # resolve the deferred metric counts (their tasks ran alongside the
+    # pipeline; these gets come after all real work has been submitted)
+    metrics["candidate_pairs"] = cand_count()
+    metrics["verified_pairs"] = ver_count()
+    if containment:
+        metrics["containment_pairs"] = cont_count()
+    if substring:
+        metrics["substring_pairs"] = sub_count()
+    metrics["n_dup_docs"] = forest_count()
+    clusters = rd.from_arrow_refs(asg_refs)
     metrics["t_total"] = time.perf_counter() - t0
     if ckpt is not None:
         metrics["resumed_exchanges"] = list(ckpt.loaded_stages)

@@ -5,15 +5,14 @@ Graft extension — the reference emits match pairs only
 is the union-find stage the north rule adds. Cluster id is the minimum
 doc_id of the component (deterministic, order-insensitive).
 
-Two backends:
-- ``driver``: streaming path-compressed union-find on the driver;
-  correct whenever the *pair* set fits driver memory (pairs are the
-  small post-verification side; this is NOT a full-data materialize).
-- ``actors``: sharded union-find actor pool for the scale path — edges
-  are hash-routed to shards by min endpoint, each shard contracts its
-  edges to spanning (root, member) edges, and the reduced edge set is
-  re-routed until it fits one shard (alternating contraction; cf. BTS
-  load-balanced distributed union-find, PAPERS.md).
+One kernel, ``cluster_edges_arrays`` (vectorized hook-and-compress),
+runs in two places:
+- on the driver, in ``run_dedup`` and ``cluster_pairs_driver``; correct
+  whenever the *pair* set fits driver memory (pairs are the small
+  post-verification side; this is NOT a full-data materialize);
+- in tasks, for the scale path: ``stages/cluster_scale.py`` contracts
+  groups of edge refs to spanning forests and merges them in one more
+  task, so no edge reaches the driver.
 """
 
 from __future__ import annotations
@@ -66,9 +65,9 @@ def cluster_pairs_driver(
 ) -> dict[int, int]:
     """Driver-backend connected components: consumes (a, b) batches,
     returns {doc_id -> cluster_id(min member)} for every doc appearing
-    in a pair. Shares the vectorized min-label kernel with the actor
-    shards (VERDICT r4 #7 — the per-edge dict union-find this replaced
-    was the only per-row Python loop left in a cluster backend);
+    in a pair. Shares the vectorized kernel with the scale path's
+    forest tasks (VERDICT r4 #7 — the per-edge dict union-find this
+    replaced was the only per-row Python loop left in a cluster backend);
     ``UnionFind`` remains as the property-test reference.
 
     Streaming bound (review finding): buffered edges are CONTRACTED to
@@ -108,110 +107,6 @@ def cluster_pairs_driver(
     return dict(zip(members.tolist(), roots.tolist()))
 
 
-@ray.remote
-class UnionFindShard:
-    """One shard of the distributed union-find actor pool.
-
-    Edges are ACCUMULATED as arrays and contracted lazily with the
-    vectorized min-label kernel — the eager per-edge dict union-find this
-    replaced was the dominant cost of the refs-only clustering stage
-    (3-30 s at 300k docs vs 0 s for the driver's vectorized path; pure
-    Python per edge). add_edges is O(1) per call; contract() is one
-    cluster_edges_arrays pass over everything routed since the last
-    contract. External behavior is identical: components of the
-    accumulated edge multiset, state reset on contract."""
-
-    def __init__(self, shard_id: int, n_shards: int) -> None:
-        self.shard_id = shard_id
-        self.n_shards = n_shards
-        self._ea: list[np.ndarray] = []
-        self._eb: list[np.ndarray] = []
-
-    def add_edges(self, a: np.ndarray, b: np.ndarray) -> int:
-        if a.shape[0]:
-            self._ea.append(np.asarray(a, dtype=np.int64))
-            self._eb.append(np.asarray(b, dtype=np.int64))
-        return int(a.shape[0])
-
-    def contract(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spanning edges (root, member) of all local components; resets state."""
-        if not self._ea:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        ea = np.concatenate(self._ea)
-        eb = np.concatenate(self._eb)
-        self._ea, self._eb = [], []
-        members, roots = cluster_edges_arrays(ea, eb)
-        mask = members != roots
-        return roots[mask], members[mask]
-
-    def contract_table(self) -> pa.Table:
-        """contract() as an Arrow table — consumed directly as an
-        object-store ref by the exchange rounds (no wrapper-task hop)."""
-        a, b = self.contract()
-        return pa.table(
-            {"a": pa.array(a, type=pa.int64()), "b": pa.array(b, type=pa.int64())}
-        )
-
-
-def _route_edges(shards, a: np.ndarray, b: np.ndarray, key: np.ndarray) -> None:
-    n_shards = len(shards)
-    dest = (key % n_shards + n_shards) % n_shards
-    pending = []
-    for s in range(n_shards):
-        m = dest == s
-        if m.any():
-            pending.append(shards[s].add_edges.remote(a[m], b[m]))
-    ray.get(pending)
-
-
-def cluster_pairs_actors(
-    pairs: Dataset | pd.DataFrame, n_shards: int = 8, final_threshold: int = 0
-) -> dict[int, int]:
-    """Distributed union-find via edge contraction on an actor pool.
-
-    Round 1 routes each edge to ``shard = min(a,b) % n_shards``; every
-    shard union-finds its edge stream and contracts it to spanning
-    (root, member) edges — this collapses the pair volume from |pairs|
-    down to ~|dup docs| (pairs are quadratic in group size, spanning
-    edges linear). Round 2 re-routes the spanning edges by *member* so
-    bridge nodes merge their roots. The remaining forest (one edge per
-    dup doc, possibly chained) is resolved by a final driver union-find —
-    O(|dup docs|) driver memory, the same as the returned component map.
-    Deterministic (min-root convention, order-insensitive unions).
-    """
-    if isinstance(pairs, pd.DataFrame):
-        edge_batches = [pairs]
-    else:
-        edge_batches = pairs.select_columns(["a", "b"]).iter_batches(
-            batch_size=262144, batch_format="pandas"
-        )
-
-    shards = [UnionFindShard.remote(i, n_shards) for i in range(n_shards)]
-    pending = []
-    for bt in edge_batches:
-        a = bt["a"].to_numpy().astype(np.int64)
-        bb = bt["b"].to_numpy().astype(np.int64)
-        lo = np.minimum(a, bb)
-        hi = np.maximum(a, bb)
-        _route_edges(shards, lo, hi, lo)
-    parts = ray.get([s.contract.remote() for s in shards])
-    a = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-    b = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
-
-    if a.shape[0] > final_threshold:
-        # second contraction: route by member so shared members merge roots
-        _route_edges(shards, a, b, b)
-        parts = ray.get([s.contract.remote() for s in shards])
-        a = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        b = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
-
-    members, roots = cluster_edges_arrays(a, b)
-    components = dict(zip(members.tolist(), roots.tolist()))
-    for s in shards:
-        ray.kill(s)
-    return components
-
-
 def cluster_edges_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized in-memory connected components over an edge list:
     hook-and-compress (no per-edge Python — the driver union-find loop
@@ -240,37 +135,6 @@ def cluster_edges_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
                 break
             parent = nxt
     return nodes, nodes[parent]
-
-
-def label_propagation_components(pairs: Dataset, max_rounds: int = 32) -> pd.DataFrame:
-    """Pure-Dataset connected components via iterated min-label exchange
-    (cross-check backend; hash-to-min style). Returns (doc_id, cluster_id)."""
-    edges = pairs.select_columns(["a", "b"]).to_pandas()
-    # symmetric edge list incl. self loops
-    fwd = edges.rename(columns={"a": "node", "b": "peer"})
-    rev = edges.rename(columns={"b": "node", "a": "peer"})
-    adj = pd.concat([fwd, rev], ignore_index=True)
-    labels = pd.DataFrame({"node": pd.unique(adj["node"])})
-    labels["label"] = labels["node"]
-    for _ in range(max_rounds):
-        m = adj.merge(labels.rename(columns={"node": "peer", "label": "peer_label"}), on="peer")
-        new = (
-            pd.concat(
-                [
-                    m.groupby("node")["peer_label"].min().rename("label").reset_index(),
-                    labels,
-                ]
-            )
-            .groupby("node")["label"]
-            .min()
-            .reset_index()
-        )
-        if new.sort_values("node").reset_index(drop=True).equals(
-            labels.sort_values("node").reset_index(drop=True)
-        ):
-            break
-        labels = new
-    return labels.rename(columns={"node": "doc_id", "label": "cluster_id"})
 
 
 def assignments_table(

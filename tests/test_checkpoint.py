@@ -293,50 +293,67 @@ def test_scale_resume_skips_finished_exchanges(
     pd.testing.assert_frame_equal(got[direct.columns], direct)
 
 
+PHASE2_STAGES = ("exact", "candidates", "verified", "forest1", "containment", "forest2")
+
+
+@pytest.fixture(scope="module")
+def checkpointed_ref(ray_session, small_corpus, tmp_path_factory, cfg):
+    """Clusters of one uninterrupted checkpointed run."""
+    files = _pages_files(small_corpus[1])
+    return _clusters_df(
+        run_dedup_checkpointed(files, str(tmp_path_factory.mktemp("ref")), cfg)
+    )
+
+
+@pytest.mark.parametrize("kill_at", ["forest1", "containment", "forest2"])
 def test_scale_resume_after_late_stage_kill(
-    ray_session, small_corpus, tmp_path, cfg, monkeypatch
+    ray_session, small_corpus, tmp_path, cfg, monkeypatch, checkpointed_ref, kill_at
 ):
-    """Kill AFTER the containment exchange commits (late phase-2): the
-    resume must load exact/candidates/verified/forest1/containment from
-    their bucket files — only the merge round + assignment re-run —
-    and the clusters must match an uninterrupted checkpointed run."""
-    from raydedup.state.checkpoint import CheckpointKilled
-
-    spec, paths = small_corpus
-    files = _pages_files(paths)
-    d = str(tmp_path / "late")
-
-    with pytest.raises(CheckpointKilled):
-        run_dedup_checkpointed(files, d, cfg, fail_after_stage="containment")
-    ex = json.load(open(os.path.join(d, "manifest.json")))["exchanges"]
-    for stage in ("exact", "candidates", "verified", "forest1", "containment"):
-        assert ex[stage]["status"] == "done", stage
-
-    # poison every finished exchange's kernel family during the resume
+    """Kill right AFTER a late phase-2 stage commits: the resume must
+    load every stage up to ``kill_at`` from its bucket files (the kernels
+    of those stages are poisoned, so any replay fails), re-run only the
+    stages after it plus the assignment, and give clusters frame-
+    identical to an uninterrupted checkpointed run."""
     import raydedup.pipelines.dedup as D
     import raydedup.pipelines.dedup_scale as DS
     import raydedup.stages.candidates as C
     import raydedup.stages.containment as CT
+    from raydedup.state.checkpoint import CheckpointKilled
+
+    files = _pages_files(small_corpus[1])
+    d = str(tmp_path / "late")
+    loaded = PHASE2_STAGES[: PHASE2_STAGES.index(kill_at) + 1]
+
+    with pytest.raises(CheckpointKilled):
+        run_dedup_checkpointed(files, d, cfg, fail_after_stage=kill_at)
+    ex = json.load(open(os.path.join(d, "manifest.json")))["exchanges"]
+    assert {k for k, v in ex.items() if v.get("status") == "done"} == set(loaded)
+
+    # poison the kernel family of every committed stage during the resume
+    poisons = {
+        "exact": [(D, "sha_key_table")],
+        "candidates": [(C, "candidate_pair_refs"), (DS, "_signature_wave")],
+        "verified": [(DS, "make_filter_and_shingle")],
+        "forest1": [],  # its kernel, cluster_edge_refs, re-runs for forest2
+        "containment": [
+            (DS, "make_drop_exact_then_explode"),
+            (CT, "fingerprint_postings_table"),
+        ],
+        "forest2": [(DS, "cluster_edge_refs")],
+    }
 
     def _boom(*a, **k):
         raise AssertionError("finished exchange was re-run on resume")
 
-    monkeypatch.setattr(C, "candidate_pair_refs", _boom)
-    monkeypatch.setattr(DS, "_signature_wave", _boom)
-    monkeypatch.setattr(D, "sha_key_table", _boom)
-    monkeypatch.setattr(DS, "make_filter_and_shingle", _boom)
-    monkeypatch.setattr(DS, "make_drop_exact_then_explode", _boom)
-    monkeypatch.setattr(CT, "fingerprint_postings_table", _boom)
+    for stage in loaded:
+        for mod, name in poisons[stage]:
+            monkeypatch.setattr(mod, name, _boom)
 
     resumed = run_dedup_checkpointed(files, d, cfg)
     assert resumed is not None
-    assert set(resumed["metrics"]["resumed_exchanges"]) == {
-        "exact", "candidates", "verified", "forest1", "containment"
-    }
+    assert set(resumed["metrics"]["resumed_exchanges"]) == set(loaded)
     monkeypatch.undo()
-
-    ref = run_dedup_checkpointed(files, str(tmp_path / "ref"), cfg)
-    pd.testing.assert_frame_equal(_clusters_df(resumed), _clusters_df(ref))
+    pd.testing.assert_frame_equal(_clusters_df(resumed), checkpointed_ref)
 
 
 def test_completed_checkpoint_reclusters_after_new_shard(

@@ -1,16 +1,13 @@
-"""Union-find backends: driver, actor-pool, and label-propagation must
-produce identical components (graft extension; no reference analog —
-Panako emits pairs only, ``cli/Deduplication.java:90-108``)."""
+"""Connected-components backends: the driver kernel and the scale
+path's forest task DAG must produce the components of the reference
+union-find (graft extension; no reference analog — Panako emits pairs
+only, ``cli/Deduplication.java:90-108``)."""
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from raydedup.stages.cluster import (
-    UnionFind,
-    cluster_pairs_actors,
-    cluster_pairs_driver,
-)
+from raydedup.stages.cluster import UnionFind, cluster_pairs_driver
 
 
 def _rand_edges(n_nodes=500, n_edges=800, seed=5):
@@ -56,21 +53,72 @@ def test_driver_matches_bruteforce():
     assert _canon(cluster_pairs_driver(df)) == _canon(_brute_components(df))
 
 
+def _forest_components(df: pd.DataFrame, n_refs: int = 5, n_shards: int = 2) -> dict:
+    """Run ``df``'s edges through cluster_edge_refs split over ``n_refs``
+    table refs; ``n_shards=2`` over >= 5 refs gives 2 leaf tasks with
+    >= 2 refs each and a merge task. Returns {member: root} of the one
+    root forest table."""
+    import pyarrow as pa
+    import ray
+
+    from raydedup.stages.cluster_scale import cluster_edge_refs
+
+    refs = [
+        ray.put(pa.Table.from_pandas(df.iloc[idx], preserve_index=False))
+        for idx in np.array_split(np.arange(len(df)), n_refs)
+    ]
+    forest = ray.get(cluster_edge_refs(refs, n_shards=n_shards))
+    assert len(forest) == 1
+    t = forest[0]
+    assert t.schema.names == ["a", "b"]
+    b = t.column("b").to_pylist()
+    assert len(b) == len(set(b))  # one row per member: already collapsed
+    return dict(zip(b, t.column("a").to_pylist()))
+
+
+def _members(components: dict[int, int]) -> dict[int, int]:
+    """Non-root rows of a component map (a forest has no root rows)."""
+    return {m: r for m, r in components.items() if m != r}
+
+
 def test_actor_backend_matches_driver(ray_session):
+    """The forest task DAG (the scale path's backend) equals UnionFind."""
     df = _rand_edges(n_nodes=2000, n_edges=3000, seed=9)
-    got = cluster_pairs_actors(df, n_shards=4, final_threshold=100)
-    assert _canon(got) == _canon(_brute_components(df))
+    got = _forest_components(df)
+    assert _canon(got) == _canon(_members(_brute_components(df)))
 
 
 def test_actor_backend_chain_topology(ray_session):
-    # worst case for contraction: one long chain across shards
+    # worst case for contraction: one long chain whose pieces land in
+    # different leaves, joined only by the merge task
     n = 500
     df = pd.DataFrame(
         {"a": np.arange(n - 1, dtype=np.int64), "b": np.arange(1, n, dtype=np.int64)}
     )
-    got = cluster_pairs_actors(df, n_shards=4, final_threshold=10)
-    assert set(got.values()) == {0}
-    assert len(got) == n - 1 or len(got) == n  # root maps to itself optionally
+    got = _forest_components(df, n_refs=7)
+    assert got == {i: 0 for i in range(1, n)}
+
+
+def test_forest_dag_of_no_edges(ray_session):
+    """Zero refs and all-empty refs give a typed empty (a, b) forest,
+    and the assignment join then makes every doc its own cluster."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from raydedup.stages.cluster_scale import assignments_exchange, cluster_edge_refs
+
+    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([5, 1, 9, 3], pa.int64())}))
+    for refs in ([], [ray.put(empty)] * 5, [ray.put(pa.table({}))] * 3):
+        forest = cluster_edge_refs(refs, n_shards=2)
+        tables = ray.get(forest)
+        assert len(tables) == 1 and tables[0].num_rows == 0
+        assert tables[0].schema == empty.schema
+        cl = assignments_exchange(docs, forest, num_buckets=4).to_pandas()
+        cl = cl.sort_values("doc_id").reset_index(drop=True)
+        assert cl.doc_id.tolist() == [1, 3, 5, 9]
+        assert (cl.cluster_id == cl.doc_id).all() and cl.is_representative.all()
 
 
 def test_vectorized_cc_matches_union_find(ray_session):

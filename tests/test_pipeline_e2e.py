@@ -73,13 +73,25 @@ def test_uniques_stay_singletons(dedup_run):
 
 
 def test_actor_clustering_matches_driver(ray_session, small_corpus, dedup_run):
+    """The run's edges through the scale path's forest task DAG (split
+    over 6 refs, 2 leaves + a merge) give UnionFind's components."""
     res, cl, *_ = dedup_run
-    from raydedup.stages.cluster import cluster_pairs_actors, cluster_pairs_driver
     import pyarrow as pa
+    import ray
+
+    from raydedup.stages.cluster import UnionFind
+    from raydedup.stages.cluster_scale import cluster_edge_refs
 
     edges = pa.concat_tables(
         [res.verified_pairs.select(["a", "b"]), res.exact_edges.select(["a", "b"])]
-    ).to_pandas()
-    drv = cluster_pairs_driver(edges)
-    act = cluster_pairs_actors(edges, n_shards=3)
-    assert dict(sorted(drv.items())) == dict(sorted(act.items()))
+    )
+    uf = UnionFind()
+    for a, b in zip(edges.column("a").to_pylist(), edges.column("b").to_pylist()):
+        uf.union(a, b)
+    want = {m: r for m, r in uf.components().items() if m != r}
+    step = -(-edges.num_rows // 6)
+    refs = [ray.put(edges.slice(i, step)) for i in range(0, edges.num_rows, step)]
+    assert len(refs) >= 5
+    (forest,) = ray.get(cluster_edge_refs(refs, n_shards=2))
+    got = dict(zip(forest.column("b").to_pylist(), forest.column("a").to_pylist()))
+    assert got == want
