@@ -39,10 +39,10 @@ def entry() -> Any:
     """Flagship pipeline: full near-dup detection + clustering (with
     containment pass) over the sf0.001 documents table."""
     from raydedup.config import DedupConfig
-    from raydedup.pipelines.dedup import run_dedup
+    from raydedup.pipelines.dedup_scale import run_dedup_auto
 
     docs = _docs("/root/testdata/sf0.001")
-    res = run_dedup(docs, DedupConfig(batch_size=1024), containment=True)
+    res = run_dedup_auto(docs, DedupConfig(batch_size=1024), containment=True)
     return res.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
@@ -52,21 +52,21 @@ def entry() -> Any:
 
 # Seven registry queries wrap the SAME flagship run (assignment, size
 # histogram, dup rates, agreement, representative re-picks, passage
-# composition inputs). run_dedup is deterministic for a fixed (sf_dir,
+# composition inputs). The engine is deterministic for a fixed (sf_dir,
 # config), so memoizing the result only removes redundant recompute
 # from a single driver sweep — outputs are bit-identical either way.
 _FLAGSHIP_MEMO: dict[str, Any] = {}
 
 
 def _flagship(sf_dir: str):
-    """Materialized docs + flagship DedupResult for sf_dir (memoized).
+    """Materialized docs + flagship dedup result for sf_dir (memoized).
     Keyed by the Ray job id too: after a ray.shutdown()/ray.init()
     cycle the cached ObjectRefs dangle, so a new session clears the
     memo and recomputes instead of crashing on dead objects."""
     import ray
 
     from raydedup.config import DedupConfig
-    from raydedup.pipelines.dedup import run_dedup
+    from raydedup.pipelines.dedup_scale import run_dedup_auto
 
     job = ray.get_runtime_context().get_job_id() if ray.is_initialized() else None
     if _FLAGSHIP_MEMO.get("_job") != job:
@@ -75,7 +75,7 @@ def _flagship(sf_dir: str):
     hit = _FLAGSHIP_MEMO.get(sf_dir)
     if hit is None:
         docs = _docs(sf_dir).materialize()
-        res = run_dedup(docs, DedupConfig(batch_size=1024), containment=True)
+        res = run_dedup_auto(docs, DedupConfig(batch_size=1024), containment=True)
         hit = _FLAGSHIP_MEMO[sf_dir] = (docs, res)
     return hit
 
@@ -208,20 +208,20 @@ def _q_dedup_agreement(sf_dir: str):
 
 
 def _q_engine_agreement(sf_dir: str):
-    """Cross-ENGINE agreement gate (VERDICT r4 #5): run the base
-    driver-assisted engine, the refs-only scale engine, and the
-    checkpointed scale engine KILLED after the verified-edges exchange
-    and RESUMED, all on the same corpus/config — then emit the exact
-    Rand components of every engine pair. The oracle computes the pair
-    mass of the SQL-mirrored flagship assignment independently, so this
-    row hash-matches ONLY if all three engines reproduce the mirrored
-    clustering exactly (the 'frame-identical' pytests promoted to a
-    driver-checked invariant)."""
+    """Cross-PATH agreement gate (VERDICT r4 #5): run the dedup engine
+    unchecked, with the disk-backed streaming phase 1
+    (``stream_spill_dir``), and checkpointed, KILLED after the
+    verified-edges exchange and RESUMED, all on the same corpus/config —
+    then emit the exact Rand components of every pair of runs. The
+    oracle computes the pair mass of the SQL-mirrored flagship
+    assignment independently, so this row hash-matches ONLY if all
+    three runs reproduce the mirrored clustering exactly (the
+    'frame-identical' pytests promoted to a driver-checked
+    invariant)."""
     import shutil
     import tempfile
 
     from raydedup.config import DedupConfig
-    from raydedup.pipelines.dedup import run_dedup
     from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.stages.agreement import assignment_agreement
     from raydedup.state.checkpoint import (
@@ -232,25 +232,27 @@ def _q_engine_agreement(sf_dir: str):
 
     cfg = DedupConfig(batch_size=1024)
     docs = _docs(sf_dir).materialize()
-    base = run_dedup(docs, cfg, containment=True).clusters
     scale = run_dedup_scale(docs, cfg, containment=True).clusters
     d = tempfile.mkdtemp(prefix="engine_agreement_", dir="/tmp")
     try:
-        exch = ExchangeCheckpoint(CheckpointManager(d, cfg))
+        spill = run_dedup_scale(
+            docs, cfg, containment=True, stream_spill_dir=os.path.join(d, "spill")
+        ).clusters
+        exch = ExchangeCheckpoint(CheckpointManager(os.path.join(d, "ckpt"), cfg))
         exch.fail_after_stage = "verified"
         try:
             run_dedup_scale(docs, cfg, ckpt=exch, containment=True)
             raise AssertionError("injected kill did not fire")
         except CheckpointKilled:
             pass
-        exch2 = ExchangeCheckpoint(CheckpointManager(d, cfg))
+        exch2 = ExchangeCheckpoint(CheckpointManager(os.path.join(d, "ckpt"), cfg))
         ck = run_dedup_scale(docs, cfg, ckpt=exch2, containment=True).clusters
         if "verified" not in exch2.loaded_stages:
             raise AssertionError("resume re-ran the finished exchange")
         pairs = [
-            ("base_vs_ckpt_resume", base, ck),
-            ("base_vs_scale", base, scale),
             ("scale_vs_ckpt_resume", scale, ck),
+            ("spill_vs_ckpt_resume", spill, ck),
+            ("spill_vs_scale", spill, scale),
         ]
         rows = []
         for name, x, y in pairs:
@@ -275,8 +277,10 @@ def _q_dedup_increment(sf_dir: str):
     import pyarrow as pa
 
     from raydedup.config import DedupConfig
-    from raydedup.pipelines.dedup import compute_signatures, run_dedup
+    from raydedup.pipelines.dedup import compute_signatures
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.pipelines.increment import (
+        cluster_star_edges,
         cross_verified_pairs,
         increment_assignments,
     )
@@ -295,11 +299,8 @@ def _q_dedup_increment(sf_dir: str):
     base = docs.map_batches(_keep(np.iinfo(np.int64).min, thr), batch_format="pyarrow").materialize()
     new = docs.map_batches(_keep(thr, np.iinfo(np.int64).max), batch_format="pyarrow").materialize()
 
-    base_cl = run_dedup(base, cfg, containment=False).clusters.to_pandas()
-    nres = run_dedup(new, cfg, containment=False)
-    nn = pa.concat_tables(
-        [nres.verified_pairs.select(["a", "b"]), nres.exact_edges.select(["a", "b"])]
-    )
+    base_cl = run_dedup_scale(base, cfg, containment=False).clusters.to_pandas()
+    nn = cluster_star_edges(run_dedup_scale(new, cfg, containment=False).clusters)
     cross = cross_verified_pairs(
         compute_signatures(base, cfg, keep_shingles=False),
         compute_signatures(new, cfg, keep_shingles=False),
@@ -2286,6 +2287,18 @@ ORDER BY b.vec_id
     )
 
 
+def _component_of(a: np.ndarray, b: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Component id (min member) of each of ``ids`` over the edges
+    (a, b); an id on no edge is its own component."""
+    from raydedup.stages.cluster import cluster_edges_arrays
+
+    members, roots = cluster_edges_arrays(a, b)
+    if members.shape[0] == 0:
+        return ids
+    pos = np.minimum(np.searchsorted(members, ids), members.shape[0] - 1)
+    return np.where(members[pos] == ids, roots[pos], ids)
+
+
 def _q_embed_lexical_agreement(sf_dir: str):
     """Semantic-vs-lexical dedup agreement: exact Rand components
     between the flagship MinHash-LSH cluster assignment and the
@@ -2297,23 +2310,19 @@ def _q_embed_lexical_agreement(sf_dir: str):
     import ray.data as rd
 
     from raydedup.stages.agreement import assignment_agreement
-    from raydedup.stages.cluster import cluster_pairs_driver
     from raydedup.stages.embed import embed_docs
     from raydedup.stages.semdedup import semdedup
 
     docs, res = _flagship(sf_dir)
     sd = semdedup(embed_docs(docs), threshold=0.95, n_bucket_bits=2).to_pandas()
     pruned = sd[sd.keep == 0]
-    comp = cluster_pairs_driver(
-        pruned[["dup_of", "vec_id"]].rename(columns={"dup_of": "a", "vec_id": "b"})
-    )
-    ids = sd.vec_id.astype("int64")
+    ids = sd.vec_id.to_numpy(np.int64)
     sem = pd.DataFrame(
         {
             "doc_id": ids,
-            # vectorized lookup (no per-row Python): unmapped ids root
-            # at themselves, the singleton convention
-            "cluster_id": ids.map(comp).fillna(ids).astype("int64"),
+            "cluster_id": _component_of(
+                pruned.dup_of.to_numpy(np.int64), pruned.vec_id.to_numpy(np.int64), ids
+            ),
         }
     )
     return assignment_agreement(res.clusters, rd.from_pandas(sem)).to_pandas()
@@ -2897,15 +2906,13 @@ def _q_embedding_cluster(sf_dir: str):
     embedding modality; cluster_id = min member, same convention as the
     flagship union-find)."""
     from raydedup.stages.ann import embedding_neardup_bruteforce
-    from raydedup.stages.cluster import cluster_pairs_driver
 
     emb = _read(sf_dir, "embeddings")
     pairs = embedding_neardup_bruteforce(emb, threshold=0.4)
-    comp = cluster_pairs_driver(pairs[["a", "b"]])
     ids = np.sort(
         emb.select_columns(["vec_id"]).to_pandas()["vec_id"].to_numpy().astype(np.int64)
     )
-    cluster = np.array([comp.get(int(v), int(v)) for v in ids], dtype=np.int64)
+    cluster = _component_of(pairs.a.to_numpy(np.int64), pairs.b.to_numpy(np.int64), ids)
     sizes = pd.Series(cluster).map(pd.Series(cluster).value_counts()).to_numpy()
     return pd.DataFrame(
         {
@@ -7116,7 +7123,7 @@ FROM s ORDER BY shard, pos
         """,
         # cross-engine agreement: the oracle derives the pair mass of
         # the SQL-mirrored flagship assignment; the Ray side only
-        # matches if base == scale == killed-and-resumed checkpointed
+        # matches if unchecked == spilled == killed-and-resumed
         "engine_agreement": f"""
         WITH a AS ({q_dedup_pipeline_sql()}),
         cs AS (SELECT cluster_id, CAST(count(*) AS BIGINT) AS c
@@ -7132,8 +7139,8 @@ FROM s ORDER BY shard, pos
                s.sp AS pairs_same_both,
                1.0 AS rand_index
         FROM s CROSS JOIN (
-          SELECT unnest(['base_vs_ckpt_resume', 'base_vs_scale',
-                         'scale_vs_ckpt_resume']) AS comparison
+          SELECT unnest(['scale_vs_ckpt_resume', 'spill_vs_ckpt_resume',
+                         'spill_vs_scale']) AS comparison
         ) t
         ORDER BY t.comparison
         """,

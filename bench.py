@@ -63,7 +63,9 @@ def run_bench() -> dict:
 
     from raydedup.config import DedupConfig
     from raydedup.corpus import CorpusSpec, materialize_corpus
-    from raydedup.pipelines.dedup import run_dedup, compute_signatures
+    from raydedup.pipelines.dedup import compute_signatures
+    from raydedup.pipelines.dedup_scale import run_dedup_auto
+    from raydedup.stages.cluster import cluster_size_histogram
     from raydedup.sources.pages import pages_to_docs, read_pages, read_docs
 
     queries: dict[str, float] = {}
@@ -92,7 +94,7 @@ def run_bench() -> dict:
     for _ in range(max(1, reps)):
         t0 = time.perf_counter()
         docs = pages_to_docs(read_pages(paths["pages"]))
-        res = run_dedup(docs, cfg, containment=True)
+        res = run_dedup_auto(docs, cfg, containment=True)
         n_assigned = res.clusters.count()
         runs.append((time.perf_counter() - t0, res))
     headline, res = min(runs, key=lambda r: r[0])
@@ -100,13 +102,11 @@ def run_bench() -> dict:
     if len(runs) > 1:
         for i, (sec, _) in enumerate(runs):
             queries[f"dedup_full_run{i}"] = sec
-    queries["dedup_exact_stage"] = res.metrics["t_exact"]
-    queries["dedup_sig_candidates_stage"] = res.metrics["t_sig_candidates"]
-    queries["dedup_lsh_verify_stage"] = res.metrics["t_candidates_verify"]
-    queries["dedup_cluster_stage"] = res.metrics["t_cluster"]
-    queries["dedup_containment_stage"] = res.metrics["t_containment"]
-    queries["dedup_docs_prep"] = res.metrics.get("t_docs_prep", 0.0)
-    queries["dedup_postings_pairs"] = res.metrics.get("t_postings_pairs", 0.0)
+    # untimed: clusters with >= 2 docs, from the headline's assignment
+    hist = cluster_size_histogram(res.clusters).to_pydict()
+    n_clusters = sum(
+        n for size, n in zip(hist["cluster_size"], hist["n_clusters"]) if size >= 2
+    )
 
     # --- per-operator timings over $GRAFT_SF_DIR ------------------------
     def timed(name: str, fn) -> None:
@@ -126,7 +126,7 @@ def run_bench() -> dict:
             "docs_per_s": round(BENCH_DOCS / headline, 1),
             "docs_assigned": int(n_assigned),
             "verified_pairs": int(res.metrics.get("verified_pairs", 0)),
-            "n_clusters": int(res.metrics.get("n_clusters", 0)),
+            "n_clusters": int(n_clusters),
             "host_probe_s": host_probe_s(),
             # same-moment physical capability: a collapsed bw reading
             # (normal 9-13 GB/s on this host) explains slow wall times
@@ -146,16 +146,6 @@ def run_bench() -> dict:
     t = time.perf_counter()
     build_index(os.path.join(BENCH_DIR, "pages"), "/tmp/raydedup_bench_index", cfg)
     queries["store_index_bench"] = time.perf_counter() - t
-
-    # driver-light scale variant on the same corpus: evidences the
-    # run_dedup_scale vs run_dedup throughput gap (BASELINE.md) in the
-    # per-round bench record
-    from raydedup.pipelines.dedup_scale import run_dedup_scale
-
-    t = time.perf_counter()
-    sres = run_dedup_scale(docs, cfg, containment=True)
-    sres.clusters.count()
-    queries["dedup_scale_full"] = time.perf_counter() - t
 
     # incremental fold: a fresh 10%-size shard (different seed) into the
     # index built above + the headline run's clusters — measures the
@@ -291,7 +281,7 @@ def run_bench() -> dict:
         "docs_per_s": round(BENCH_DOCS / headline, 1),
         "docs_assigned": int(n_assigned),
         "verified_pairs": int(res.metrics.get("verified_pairs", 0)),
-        "n_clusters": int(res.metrics.get("n_clusters", 0)),
+        "n_clusters": int(n_clusters),
         "host_probe_s": host_probe_s(),
         "bw_gbs_8": parallel_probe(8, "bw"),
     }

@@ -547,12 +547,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     from raydedup.pipelines.dedup_scale import run_dedup_auto
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.agreement import assignment_agreement, exact_clusters
-    from raydedup.stages.cluster import dup_rate_by_group, largest_clusters
+    from raydedup.stages.cluster import (
+        cluster_size_histogram,
+        dup_rate_by_group,
+        largest_clusters,
+    )
 
     files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
     docs = pages_to_docs(read_pages(files)).materialize()
     res = run_dedup_auto(docs, _cfg_from_args(args), containment=not args.no_containment)
     clusters = res.clusters
+    hist = cluster_size_histogram(clusters).to_pydict()
+    # clusters with >= 2 docs (singletons are not duplication)
+    n_clusters = sum(
+        n for size, n in zip(hist["cluster_size"], hist["n_clusters"]) if size >= 2
+    )
     top = largest_clusters(docs, clusters, k=args.top).to_pylist()
     by_lang = dup_rate_by_group(docs, clusters, "lang").to_pylist()
     agree = assignment_agreement(clusters, exact_clusters(docs)).to_pylist()[0]
@@ -560,7 +569,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         json.dumps(
             {
                 "n_docs": res.metrics.get("n_docs"),
-                "n_clusters": res.metrics.get("n_clusters"),
+                "n_clusters": n_clusters,
                 "dedup_path": res.metrics.get("dedup_path"),
                 "largest_clusters": top,
                 "dup_rate_by_lang": by_lang,

@@ -45,13 +45,15 @@ class DedupConfig:
     # OlafStrategy.java:331-453; here: exact Jaccard >= tau)
     jaccard_tau: float = 0.80
     min_band_collisions: int = 1  # analog of MIN_HITS_UNFILTERED (Key.java:187)
-    # candidate-doc count below which verification broadcasts the texts
-    # (one zero-copy plasma object, copied once per node) instead of the
-    # two-round hash-exchange join; the exchange remains the 10^12 path
+    # candidate-doc count below which the increment fold's cross
+    # verification broadcasts the texts (one zero-copy plasma object,
+    # copied once per node) instead of the two-round hash-exchange join,
+    # and the per-broadcast doc bound of stages/lcs.py; the dedup engine
+    # always uses the exchange
     verify_broadcast_max_docs: int = 150_000
 
     # --- ingress normalization (M8 canonical-format surface on text;
-    # stages/textnorm.py). When set, run_dedup/run_dedup_scale replace
+    # stages/textnorm.py). When set, the dedup engine replaces
     # the text column with its typographically-normalized form (and
     # recompute text_sha256) BEFORE any stage, so signatures, verify
     # re-shingling, containment winnowing and the exact pass all see the
@@ -106,16 +108,9 @@ class DedupConfig:
     # route to the posting exchange
     decon_broadcast_max_keys: int = 50_000_000
 
-    # --- pipeline dispatch: run_dedup_auto routes to the refs-only
-    # run_dedup_scale at or above this doc count. Round-4 remeasurement
-    # (32 CPUs, containment on, adaptive exchange width + early shard
-    # spawn + single-task pointer collapse): the scale path now WINS at
-    # every size tried — 1k 1.51 s vs 1.76, 5k 1.90 vs 2.14, 20k 2.35
-    # vs 2.63, 50k 4.06 vs 4.51 — so the old 500k crossover is gone and
-    # the default drops to 10k (VERDICT r3 #2). The residual threshold
-    # only keeps trivially small inputs on the simpler driver-assisted
-    # path; the scale route is the default wherever size matters and is
-    # the only variant whose driver memory is corpus-independent.
+    # --- no longer routes anything: run_dedup_scale is the only dedup
+    # engine at every corpus size. The field stays so existing callers
+    # that override it (the benchmark's workloads) keep working.
     scale_min_docs: int = 10_000
 
     # --- streaming phase-1 (VERDICT r4 #3): at or above this doc count
@@ -151,10 +146,11 @@ class DedupConfig:
     # --- execution
     # batch_size and signature_concurrency shape the Ray Data signature
     # stage (map_batches rows per call; None -> stateless tasks, N -> an
-    # N-actor pool) of run_dedup and the index/query paths; batch_size
-    # is also the phase-1 extract batch of run_dedup_checkpointed.
-    # run_dedup_scale ignores both: its signature stage is one raw task
-    # per group of input blocks, the kernel called once per block.
+    # N-actor pool) of compute_signatures and the index/query paths;
+    # batch_size is also the phase-1 extract batch of
+    # run_dedup_checkpointed. The dedup engine (run_dedup_scale) ignores
+    # both: its signature stage is one raw task per group of input
+    # blocks, the kernel called once per block.
     batch_size: int = 4096
     target_block_rows: int = 65536
     signature_concurrency: int | None = None

@@ -12,7 +12,8 @@ status with FIXED precedence::
 Scale shape: stages 1–2 are row-local ``map_batches`` over the stream
 (the eval key set is a packed broadcast — zero shuffle); the dedup
 stage ships ONLY survivors' (doc_id, digest) through one hash exchange
-(exact mode) or routes survivors through ``run_dedup`` (near mode);
+(exact mode) or routes survivors through ``run_dedup_scale`` (near
+mode);
 sampling is again row-local. Non-survivors never enter the shuffle.
 
 Reference analog: the `store → query → delete` lifecycle
@@ -181,11 +182,9 @@ def curate(
     if p.near_dedup:
         # survivors re-join their text and run the flagship near-dup
         # pipeline; non-representatives of multi-doc clusters -> near_dup.
-        # The survivor id set is a driver array (8 B/doc) — the same
-        # regime as run_dedup itself; for the 10^12-doc tier route
-        # survivors through pipelines.dedup_scale and keep the id set
-        # as sharded refs instead.
-        from raydedup.pipelines.dedup import run_dedup
+        # The survivor id set is a driver array (8 B/doc); for the
+        # 10^12-doc tier keep it as sharded refs instead.
+        from raydedup.pipelines.dedup_scale import run_dedup_scale
         from raydedup.stages.exchange import hash_exchange_apply
 
         kept_ids = verdicts.map_batches(
@@ -214,7 +213,7 @@ def curate(
             return t.filter(pa.array(wanted[pos] == ids))
 
         survivors = docs.map_batches(keep_docs, batch_format="pyarrow")
-        res = run_dedup(survivors, cfg)
+        res = run_dedup_scale(survivors, cfg, containment=False)
 
         def mark_cluster(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:

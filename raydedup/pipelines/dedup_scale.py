@@ -1,14 +1,19 @@
-"""Driver-light dedup pipeline: nothing corpus-proportional on the driver.
+"""The dedup engine: nothing corpus-proportional on the driver.
 
-``run_dedup`` (pipelines/dedup.py) materializes candidate pairs, verified
-edges and the component map on the driver — fine up to hundreds of
-millions of docs, impossible at 10^12 (the PAIR LIST outgrows one
-machine). This variant keeps every intermediate as object-store refs:
+The graft's primary lifecycle — transplant of ``panako deduplication``
+(``cli/Deduplication.java:90-108``: store the whole corpus, then monitor
+every file against the index with ``avoid={self}``). Every intermediate
+stays as object-store refs, so the driver never holds candidate pairs,
+verified edges or the component map:
 
+  exact dedup: sha256 hash exchange -> (group min, member) edges
+    (``Deduplication.java:66-88``; kernels in pipelines/dedup.py)
   signatures -> band postings -> band_key split: one wave of raw tasks
     over the docs' block refs, submitted without a driver wait
-  postings -> exchange (refs) -> pair combine exchange (refs)
-  verification: two co-partitioned exchange joins against the docs table
+  postings -> exchange (refs) -> pair combine exchange (refs): the
+    inverted near-hash lookup (``PanakoStorageKV.java:293-379``)
+  verification: two co-partitioned exchange joins against the docs
+    table, exact Jaccard (``OlafStrategy.java:331-453``)
   clustering: leaf tasks contract groups of edge refs to spanning
   forests, one merge task contracts those (stages/cluster_scale)
   assignment: docs x forest exchange join -> Dataset of refs
@@ -21,17 +26,15 @@ committed stages instead of re-running them (the checkpointed
 ``run_dedup_checkpointed`` in state/checkpoint.py uses it that way).
 
 The driver sees per-bucket row counts — bytes, independent of corpus
-size. Containment sweeps cluster REPRESENTATIVES only, like run_dedup,
-but refs-only: the round-1 component forest filters the fingerprint
-postings via an exchange join (never a collected member set), and a
-second clustering round merges the containment links back in.
-Exact-dup members are pre-filtered from the candidate pairs by a
-refs-only anti-join (run_dedup's driver-side np.isin drop, expressed as
-two co-partitioned exchange rounds over the pair table): a member's
-pairs are mirrored by its byte-identical representative's pairs, so
-connectivity is preserved while member shingle payloads never enter the
-verification exchanges. Outputs are cluster-equivalent; the e2e oracle
-test holds the same recall/false-merge gates for both.
+size. Containment sweeps cluster REPRESENTATIVES only (the SURVEY §3.3
+sweep; ``OlafStrategy.java:561-573`` monitor-window analog): the round-1
+component forest filters the fingerprint postings via an exchange join
+(never a collected member set), and a second clustering round merges
+the containment links back in. Exact-dup members are dropped from the
+shingle demand by a refs-only anti-join: a member's pairs are mirrored
+by its byte-identical representative's pairs, so connectivity is
+preserved while member shingle payloads never enter the verification
+exchanges.
 """
 
 from __future__ import annotations
@@ -50,7 +53,11 @@ from ray.data import Dataset
 
 from raydedup.config import DedupConfig
 from raydedup.stages.candidates import POSTINGS_SCHEMA, band_postings_table
-from raydedup.stages.cluster_scale import assign_roots, cluster_edge_refs
+from raydedup.stages.cluster_scale import (
+    ASSIGNMENT_SCHEMA,
+    assign_roots,
+    cluster_edge_refs,
+)
 from raydedup.stages.containment import _emit_fp_pairs, fingerprint_postings_table
 from raydedup.stages.exchange import _split_table, block_groups, hash_exchange_apply
 from raydedup.util import arrow_block_refs
@@ -80,8 +87,14 @@ def _sorted_member_array(*edge_tables: pa.Table) -> np.ndarray:
 
 
 @ray.remote
-def _count_rows(t: pa.Table) -> int:
-    return t.num_rows
+def _count_rows(t: pa.Table, flag: str | None = None) -> int:
+    """Rows of ``t``, or with ``flag`` its rows whose boolean column
+    ``flag`` is true (0 when a typed-empty table lacks it)."""
+    if flag is None:
+        return t.num_rows
+    if flag not in t.column_names:
+        return 0
+    return int(pa.compute.sum(t.column(flag)).as_py() or 0)
 
 
 def _flatten_refs(refs: list) -> list:
@@ -105,7 +118,11 @@ def _member_table(t: pa.Table) -> pa.Table:
 
 @ray.remote
 def _signature_postings_split(
-    cfg: DedupConfig, num_buckets: int, exclude: list, *blocks: pa.Table
+    cfg: DedupConfig,
+    num_buckets: int,
+    exclude: list,
+    use_simhash: bool,
+    *blocks: pa.Table,
 ) -> list[pa.Table]:
     """One task of the signature wave: blocks -> MinHash signatures ->
     band postings, hash-split on ``band_key`` into ``num_buckets``
@@ -113,11 +130,14 @@ def _signature_postings_split(
     ``doc_id,text`` block is signed here, once per block, so the
     kernel's working set is a block, whatever the group size; a block
     without ``text`` already holds signatures (``doc_id,bands``, the
-    phase-1 signature parquet) and is used as it is. ``exclude`` is
-    ``[]`` or ``[member-array ref]``; nested in a list, the ref reaches
-    the task unresolved and each block's ray.get in _filter_excluded
-    waits on the sha exchange inside the task, not on the driver."""
+    phase-1 signature parquet) and is used as it is. ``use_simhash``
+    adds the SimHash pigeonhole block postings of each signed block
+    (same schema, same pair exchange). ``exclude`` is ``[]`` or
+    ``[member-array ref]``; nested in a list, the ref reaches the task
+    unresolved and each block's ray.get in _filter_excluded waits on
+    the sha exchange inside the task, not on the driver."""
     from raydedup.pipelines.dedup import _filter_excluded, _signature_fn
+    from raydedup.stages.candidates import simhash_postings_table
 
     exclude_ref = exclude[0] if exclude else None
 
@@ -126,15 +146,23 @@ def _signature_postings_split(
             return _signature_fn(b, cfg, False, exclude_ref)
         return b if exclude_ref is None else _filter_excluded(b, exclude_ref)
 
-    parts = [
-        band_postings_table(signed(b), cfg.n_bands) for b in blocks if b.num_rows
-    ]
+    parts = []
+    for b in blocks:
+        if b.num_rows:
+            sig = signed(b)
+            parts.append(band_postings_table(sig, cfg.n_bands))
+            if use_simhash:
+                parts.append(simhash_postings_table(sig, cfg.simhash_max_hamming))
     postings = pa.concat_tables(parts) if parts else POSTINGS_SCHEMA.empty_table()
     return _split_table(postings, "band_key", num_buckets)
 
 
 def _signature_wave(
-    block_refs: list, cfg: DedupConfig, num_buckets: int, exclude_ref=None
+    block_refs: list,
+    cfg: DedupConfig,
+    num_buckets: int,
+    exclude_ref=None,
+    use_simhash: bool = False,
 ) -> list:
     """Submit the fused signature -> band postings -> band_key split wave
     over ``doc_id,text`` (or ``doc_id,bands`` signature) block refs,
@@ -143,7 +171,7 @@ def _signature_wave(
     exclude = [exclude_ref] if exclude_ref is not None else []
     return [
         _signature_postings_split.options(num_returns=num_buckets).remote(
-            cfg, num_buckets, exclude, *g
+            cfg, num_buckets, exclude, use_simhash, *g
         )
         for g in block_groups(block_refs)
     ]
@@ -191,9 +219,11 @@ def make_drop_exact_then_explode(window: int, stride: int):
     return drop_exact_then_explode
 
 
-def make_filter_and_shingle(cfg: DedupConfig):
+def make_filter_and_shingle(cfg: DedupConfig, use_simhash: bool = False):
     """Demand-side shingle kernel: keep only demanded docs, compute
-    their packed shingle sets once with the vectorized batch kernel."""
+    their packed shingle sets once with the vectorized batch kernel;
+    ``use_simhash`` adds each demanded doc's SimHash (column
+    ``simhash``) for the secondary matcher."""
     from raydedup.stages.verify import packed_shingle_table
 
     def filter_and_shingle(ids_tbl: pa.Table, docs_tbl: pa.Table) -> pa.Table:
@@ -203,7 +233,17 @@ def make_filter_and_shingle(cfg: DedupConfig):
             docs_tbl = docs_tbl.filter(pa.array(np.isin(ids, wanted)))
         else:
             docs_tbl = docs_tbl.slice(0, 0)
-        return packed_shingle_table(docs_tbl, cfg)
+        packed = packed_shingle_table(docs_tbl, cfg)
+        if use_simhash:
+            from raydedup.pipelines.dedup import _signature_fn
+
+            sim = (
+                _signature_fn(docs_tbl, cfg, False).column("simhash")
+                if docs_tbl.num_rows
+                else pa.array([], pa.uint64())
+            )
+            packed = packed.append_column("simhash", sim)
+        return packed
 
     return filter_and_shingle
 
@@ -366,6 +406,7 @@ def run_dedup_scale(
     stream_spill_dir: str | None = None,
     ckpt: ExchangeCheckpoint | None = None,
     signatures: Dataset | None = None,
+    use_simhash: bool = False,
 ) -> DedupScaleResult:
     """Refs-only dedup of ``docs`` (doc_id, text, text_sha256): every
     stage is submitted as raw Ray tasks over object-store refs, and the
@@ -399,7 +440,19 @@ def run_dedup_scale(
     signature parquet) feeds that wave precomputed signatures instead of
     text; they must be signed over the text the run dedups, so not over
     raw text with ``cfg.normalize``. ``stream_spill_dir`` caches the
-    input projection to parquet once (see _spill_docs_to_parquet)."""
+    input projection to parquet once (see _spill_docs_to_parquet).
+
+    ``use_simhash`` turns on the SimHash secondary matcher: the
+    signature wave also posts each doc's simhash pigeonhole blocks, so
+    candidates are band postings U simhash postings, and a candidate
+    pair is accepted when its Jaccard is >= ``cfg.jaccard_tau`` OR its
+    simhashes differ in at most ``cfg.simhash_max_hamming`` bits
+    (token-reordered copies). ``verified_pairs`` then counts both
+    kinds, and ``metrics["simhash_accepted"]`` the Hamming-accepted
+    pairs. It needs text, so it is not combined with ``signatures``,
+    and not with ``ckpt``.
+
+    An input without docs returns an empty typed assignment."""
     import functools
 
     from raydedup.pipelines.dedup import sha_emit_table, sha_key_table
@@ -414,6 +467,8 @@ def run_dedup_scale(
     from raydedup.stages.verify import make_attach_a, make_attach_b_verify
 
     cfg = cfg or DedupConfig()
+    if use_simhash and (ckpt is not None or signatures is not None):
+        raise ValueError("use_simhash cannot be combined with ckpt or signatures")
     t0 = time.perf_counter()
     metrics: dict[str, Any] = {}
 
@@ -452,6 +507,22 @@ def run_dedup_scale(
         metrics["phase1_mode"] = "materialize"
 
     n_docs = docs.count()  # materialized or parquet-backed: metadata-only
+    metrics["n_docs"] = n_docs
+    if n_docs == 0:
+        # Ray skips map UDFs on 0-row blocks, so the stage kernels would
+        # see schema-less tables; with no docs there is nothing to link
+        for name in ("candidate_pairs", "verified_pairs", "n_dup_docs"):
+            metrics[name] = 0
+        if containment:
+            metrics["containment_pairs"] = 0
+        if substring:
+            metrics["substring_pairs"] = 0
+        if use_simhash:
+            metrics["simhash_accepted"] = 0
+        metrics["t_total"] = time.perf_counter() - t0
+        return DedupScaleResult(
+            clusters=rd.from_arrow(ASSIGNMENT_SCHEMA.empty_table()), metrics=metrics
+        )
     if num_buckets is None:
         num_buckets = _auto_buckets(n_docs)
     if n_shards is None:
@@ -513,7 +584,7 @@ def run_dedup_scale(
         # paying for it serially after the candidate barrier.
         _mark("text_split", get_dsplit())
 
-    # --- stage: exact sha edges (refs): same kernels as run_dedup -----
+    # --- stage: exact sha edges (refs) --------------------------------
     def _exact() -> list:
         keyed = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
             sha_key_table, batch_format="pyarrow"
@@ -553,7 +624,9 @@ def run_dedup_scale(
             else arrow_block_refs(signatures.select_columns(["doc_id", "bands"]))
         )
         return candidate_pair_refs(
-            _signature_wave(blocks, cfg, num_buckets, exclude_ref), cfg, num_buckets
+            _signature_wave(blocks, cfg, num_buckets, exclude_ref, use_simhash),
+            cfg,
+            num_buckets,
         )
 
     cand_refs = stage("candidates", _candidates)
@@ -561,12 +634,12 @@ def run_dedup_scale(
     # driver's refs the store frees them as soon as both waves finish
     get_text_refs.cache_clear()
     _mark("sig_candidates", cand_refs)
-    # NOTE: counted BEFORE the exact-member drop below (run_dedup counts
-    # after its driver-side drop) — the drop happens implicitly at the
-    # attach joins here, so the raw LSH candidate volume is the
-    # meaningful refs-only metric. Count tasks are submitted now but
-    # resolved only at the END: a blocking count here is a full stage
-    # barrier that serializes candidates -> verify on the driver.
+    # NOTE: counted BEFORE the exact-member drop below — the drop
+    # happens implicitly at the attach joins, so the raw LSH candidate
+    # volume is the meaningful refs-only metric. Count tasks are
+    # submitted now but resolved only at the END: a blocking count here
+    # is a full stage barrier that serializes candidates -> verify on
+    # the driver.
     cand_count = row_count("candidates", cand_refs)
 
     # --- refs-only exact-member filter (demand-side) ------------------
@@ -613,7 +686,7 @@ def run_dedup_scale(
         # per-bucket packed candidate shingles, already partitioned by
         # hash(doc_id) — usable directly as the right side of both joins
         shingled_refs = reduce_join_split(
-            idsplit, get_dsplit(), make_filter_and_shingle(cfg), num_buckets
+            idsplit, get_dsplit(), make_filter_and_shingle(cfg, use_simhash), num_buckets
         )
         _mark("demand_shingle", shingled_refs)
         # attach round 1 re-splits its output on ``b`` in-task (fused),
@@ -625,14 +698,20 @@ def run_dedup_scale(
             psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
         )
         _mark("attach_a", r1)
+        max_hamming = cfg.simhash_max_hamming if use_simhash else None
         return reduce_join_split(
-            r1, [shingled_refs], make_attach_b_verify(cfg.jaccard_tau), num_buckets
+            r1,
+            [shingled_refs],
+            make_attach_b_verify(cfg.jaccard_tau, max_hamming),
+            num_buckets,
         )
 
     verified_refs = stage("verified", _verified)
     # deferred count (see the candidates note): no driver barrier
     # between verification and clustering submission
     ver_count = row_count("verified", verified_refs)
+    if use_simhash:
+        sim_futs = [_count_rows.remote(r, "simhash_hit") for r in verified_refs]
     _mark("attach_b_verify", verified_refs)
 
     # --- stage: round-1 forest: exact + verified LSH edges ------------
@@ -645,8 +724,8 @@ def run_dedup_scale(
 
     # --- stage: containment over cluster REPRESENTATIVES only ---------
     # The round-1 forest (exact + near-dup members) filters the
-    # fingerprint postings via an exchange join — the refs-only analog
-    # of run_dedup's representative sweep: members share ~every
+    # fingerprint postings via an exchange join (the representative
+    # sweep): members share ~every
     # fingerprint with their representative, so sweeping them only
     # floods the pair exchange with redundant rows. The forest never
     # touches the driver.
@@ -755,6 +834,8 @@ def run_dedup_scale(
     # pipeline; these gets come after all real work has been submitted)
     metrics["candidate_pairs"] = cand_count()
     metrics["verified_pairs"] = ver_count()
+    if use_simhash:
+        metrics["simhash_accepted"] = int(sum(ray.get(sim_futs)))
     if containment:
         metrics["containment_pairs"] = cont_count()
     if substring:
@@ -774,38 +855,21 @@ def run_dedup_auto(
     containment: bool = True,
     substring: bool = False,
     **scale_kw: Any,
-):
-    """Dispatch between run_dedup (driver-assisted, fastest below the
-    crossover) and run_dedup_scale (refs-only, corpus-independent driver
-    memory) on the input doc count vs ``cfg.scale_min_docs``.
-
-    Both paths are cluster-equivalent (same e2e recall/false-merge
-    gates). Round-4 remeasurement after the adaptive exchange width /
-    early shard spawn / single-task pointer collapse: the scale path
-    wins at every size tried (1k-50k all faster, 1.8x at 1M), so the
-    default threshold is now 10k — only trivially small inputs stay on
-    the driver-assisted path (see config.scale_min_docs). The chosen
-    path is recorded in ``metrics["dedup_path"]``. Returns that path's
-    native result type (both expose .clusters and .metrics)."""
+) -> DedupScaleResult:
+    """run_dedup_scale with the corpus-size policy: above
+    ``cfg.scale_stream_min_docs`` a set ``cfg.stream_spill_dir`` turns on
+    the streaming phase-1 path (the corpus cached once to disk, never
+    pinned in the object store). Records ``metrics["dedup_path"] =
+    "scale"``."""
     cfg = cfg or DedupConfig()
-    n_docs = docs.count()  # parquet-backed inputs: metadata-only
-    if n_docs >= cfg.scale_min_docs:
-        if (
-            cfg.stream_spill_dir is not None
-            and n_docs >= cfg.scale_stream_min_docs
-            and "stream_spill_dir" not in scale_kw
-        ):
-            # streaming phase-1 above the threshold (VERDICT r4 #3):
-            # corpus cached once to disk, never pinned in the store
-            scale_kw = {**scale_kw, "stream_spill_dir": cfg.stream_spill_dir}
-        res = run_dedup_scale(
-            docs, cfg, containment=containment, substring=substring, **scale_kw
-        )
-        res.metrics["dedup_path"] = "scale"
-    else:
-        from raydedup.pipelines.dedup import run_dedup
-
-        res = run_dedup(docs, cfg, containment=containment, substring=substring)
-        res.metrics["dedup_path"] = "base"
-    res.metrics["n_docs"] = n_docs
+    if (
+        cfg.stream_spill_dir is not None
+        and "stream_spill_dir" not in scale_kw
+        and docs.count() >= cfg.scale_stream_min_docs
+    ):
+        scale_kw = {**scale_kw, "stream_spill_dir": cfg.stream_spill_dir}
+    res = run_dedup_scale(
+        docs, cfg, containment=containment, substring=substring, **scale_kw
+    )
+    res.metrics["dedup_path"] = "scale"
     return res

@@ -142,14 +142,39 @@ def cross_verified_pairs(
             keep_old, batch_format="pyarrow"
         )
     )
-    # same adaptive switch as run_dedup: broadcast lookup for small
-    # candidate-doc sets, hash-partitioned exchange join for big ones
+    # adaptive switch: broadcast lookup for small candidate-doc sets,
+    # hash-partitioned exchange join for big ones
     if pair_docs.shape[0] <= cfg.verify_broadcast_max_docs:
         return to_arrow_table(
             verify_pairs_small(rd.from_arrow(cand), union_docs, cfg, pair_docs),
             empty_schema=_EMPTY_CROSS,
         )
     return verify_pairs_exchange(rd.from_arrow(cand), union_docs, cfg, pair_docs)
+
+
+_EDGES = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+
+
+def _star_edge_table(t: pa.Table) -> pa.Table:
+    if t.num_rows == 0:
+        return _EDGES.empty_table()
+    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+    cl = t.column("cluster_id").to_numpy(zero_copy_only=False)
+    dup = ids != cl
+    return pa.table({"a": cl[dup], "b": ids[dup]}, schema=_EDGES)
+
+
+def cluster_star_edges(clusters: Dataset) -> pa.Table:
+    """(doc_id, cluster_id) assignment -> (a=cluster_id, b=doc_id) star
+    edges of its non-singleton rows: one edge per duplicate doc, with
+    the same connected components as the edges the assignment was
+    built from (increment_assignments reads only their connectivity)."""
+    edges = to_arrow_table(
+        clusters.map_batches(_star_edge_table, batch_format="pyarrow"),
+        empty_schema=_EDGES,
+    )
+    # an empty input skips the map (Ray 2.49), keeping its own schema
+    return edges if edges.num_rows else _EDGES.empty_table()
 
 
 def increment_assignments(
@@ -160,8 +185,9 @@ def increment_assignments(
 ) -> pd.DataFrame:
     """Pure assignment logic (driver, increment-proportional).
 
-    new_ids: every new doc id. nn_edges: verified (a, b) edges among new
-    docs. cross: verified (a=new, b=old, jaccard) attachments.
+    new_ids: every new doc id. nn_edges: (a, b) edges among new docs —
+    only their connectivity is used. cross: verified (a=new, b=old,
+    jaccard) attachments.
     old_assign: (doc_id, cluster_id) for the old docs appearing in
     cross. Returns (doc_id, cluster_id, is_representative) for the NEW
     docs only — old rows are frozen and not re-emitted."""
@@ -356,9 +382,9 @@ def dedup_increment(
 
     1. snapshot the index shard list, ``build_index`` the new pages
        (resumable — already-stored shards are skipped);
-    2. dedup the NEW docs among themselves (``run_dedup``, containment
-       off — window containment is a corpus-level pass, rerun it on the
-       full store when needed);
+    2. dedup the NEW docs among themselves (``run_dedup_scale``,
+       containment off — window containment is a corpus-level pass,
+       rerun it on the full store when needed);
     3. match new vs OLD (``cross_verified_pairs``);
     4. frozen-cluster assignment (``increment_assignments``), appended
        to ``clusters_path`` as one new parquet shard (atomic write).
@@ -366,7 +392,7 @@ def dedup_increment(
     Returns counts + the paths. New docs whose doc_id already exists in
     the old assignment (re-crawled identical url) keep the old row and
     are not re-emitted."""
-    from raydedup.pipelines.dedup import run_dedup
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.pipelines.query import build_index
     from raydedup.state.checkpoint import _atomic_write_table
 
@@ -391,20 +417,16 @@ def dedup_increment(
         return out
 
     # prune at the read: the fold consumes only identity + content
-    # columns (run_dedup / cross verify) and (doc_id, bands) postings
+    # columns (dedup / cross verify) and (doc_id, bands) postings
     new_docs = rd.read_parquet(
         new_doc_files, columns=["doc_id", "text", "text_sha256"]
     ).materialize()
     new_sigs = rd.read_parquet(new_sig_files, columns=["doc_id", "bands"])
     have_old = bool(before_docs)
 
-    # new-vs-new edges: the standard pipeline on the increment only
-    res = run_dedup(new_docs, cfg, containment=False)
-    nn_edges = pa.concat_tables(
-        [
-            res.verified_pairs.select(["a", "b"]),
-            res.exact_edges.select(["a", "b"]),
-        ]
+    # new-vs-new edges: the dedup engine on the increment only
+    nn_edges = cluster_star_edges(
+        run_dedup_scale(new_docs, cfg, containment=False).clusters
     )
 
     cross = _EMPTY_CROSS.empty_table()

@@ -83,36 +83,44 @@ def band_postings(signatures: Dataset, cfg: DedupConfig) -> Dataset:
     )
 
 
-def simhash_postings(signatures: Dataset, cfg: DedupConfig) -> Dataset:
-    """(block_key: int64, doc_id: int64) postings, one per 16-bit simhash
-    block (k+1 = 4 tables for Hamming <= 3)."""
-    n_blocks = cfg.simhash_max_hamming + 1
+def simhash_postings_table(batch: pa.Table, max_hamming: int) -> pa.Table:
+    """(doc_id, simhash) signatures -> (band_key, doc_id, sig) postings,
+    one per simhash block (k+1 = 4 tables of 16 bits for Hamming <= 3),
+    in the band-posting schema so both kinds share one pair exchange.
+    Module-level so raw Ray tasks can reuse it."""
+    from raydedup.hashing import mix64
+
+    if batch.num_rows == 0:
+        return POSTINGS_SCHEMA.empty_table()
+    n_blocks = max_hamming + 1
     shift = 64 // n_blocks
+    sim = batch.column("simhash").to_numpy(zero_copy_only=False).view(np.uint64)
+    doc = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(I64, copy=False)
+    keys = np.empty(sim.shape[0] * n_blocks, dtype=I64)
+    mask = np.uint64((1 << shift) - 1)
+    for t in range(n_blocks):
+        block = (sim >> np.uint64(t * shift)) & mask
+        # fold table id into key so blocks from different tables never collide
+        keys[t::n_blocks] = (block | (np.uint64(t + 1) << np.uint64(60))).view(I64)
+    # signature identity for grouping: the full simhash (mixed so it
+    # decorrelates from the block keys); exact copies share it
+    digest = mix64(sim).view(I64)
+    return pa.table(
+        {
+            "band_key": pa.array(keys, type=pa.int64()),
+            "doc_id": pa.array(np.repeat(doc, n_blocks), type=pa.int64()),
+            "sig": pa.array(np.repeat(digest, n_blocks), type=pa.int64()),
+        }
+    )
 
-    def explode(batch: pa.Table) -> pa.Table:
-        from raydedup.hashing import mix64
 
-        sim = batch.column("simhash").to_numpy(zero_copy_only=False).view(np.uint64)
-        doc = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(I64, copy=False)
-        keys = np.empty(sim.shape[0] * n_blocks, dtype=I64)
-        mask = np.uint64((1 << shift) - 1)
-        for t in range(n_blocks):
-            block = (sim >> np.uint64(t * shift)) & mask
-            # fold table id into key so blocks from different tables never collide
-            keys[t::n_blocks] = (block | (np.uint64(t + 1) << np.uint64(60))).view(I64)
-        # signature identity for grouping: the full simhash (mixed so it
-        # decorrelates from the block keys); exact copies share it
-        digest = mix64(sim).view(I64)
-        return pa.table(
-            {
-                "band_key": pa.array(keys, type=pa.int64()),
-                "doc_id": pa.array(np.repeat(doc, n_blocks), type=pa.int64()),
-                "sig": pa.array(np.repeat(digest, n_blocks), type=pa.int64()),
-            }
-        )
-
+def simhash_postings(signatures: Dataset, cfg: DedupConfig) -> Dataset:
+    """signatures Dataset -> simhash block postings (see
+    simhash_postings_table)."""
     return signatures.select_columns(["doc_id", "simhash"]).map_batches(
-        explode, batch_format="pyarrow"
+        simhash_postings_table,
+        batch_format="pyarrow",
+        fn_kwargs={"max_hamming": cfg.simhash_max_hamming},
     )
 
 

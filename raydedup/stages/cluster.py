@@ -7,21 +7,18 @@ doc_id of the component (deterministic, order-insensitive).
 
 One kernel, ``cluster_edges_arrays`` (vectorized hook-and-compress),
 runs in two places:
-- on the driver, in ``run_dedup`` and ``cluster_pairs_driver``; correct
-  whenever the *pair* set fits driver memory (pairs are the small
-  post-verification side; this is NOT a full-data materialize);
-- in tasks, for the scale path: ``stages/cluster_scale.py`` contracts
+- in tasks, for the dedup engine: ``stages/cluster_scale.py`` contracts
   groups of edge refs to spanning forests and merges them in one more
-  task, so no edge reaches the driver.
+  task, so no edge reaches the driver;
+- on the driver, for the small edge sets of the increment fold and of
+  registry queries (embedding and semantic components).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-import ray
 from ray.data import Dataset
 
 from raydedup.util import arrow_block_refs
@@ -60,53 +57,6 @@ class UnionFind:
         return {x: self.find(x) for x in list(self.parent)}
 
 
-def cluster_pairs_driver(
-    pairs: Dataset | pd.DataFrame, *, contract_edges: int = 1 << 22
-) -> dict[int, int]:
-    """Driver-backend connected components: consumes (a, b) batches,
-    returns {doc_id -> cluster_id(min member)} for every doc appearing
-    in a pair. Shares the vectorized kernel with the scale path's
-    forest tasks (VERDICT r4 #7 — the per-edge dict union-find this
-    replaced was the only per-row Python loop left in a cluster backend);
-    ``UnionFind`` remains as the property-test reference.
-
-    Streaming bound (review finding): buffered edges are CONTRACTED to
-    spanning (member, root) edges whenever they reach
-    max(``contract_edges``, 2 x the last contracted size), so peak
-    driver memory is O(distinct nodes + contract_edges) — a near-clique
-    pair explosion no longer buffers the whole edge list — and a giant
-    component costs O(log n) contractions, not one per batch.
-    Components of (spanning edges of prefix) U (new edges) equal
-    components of the full union, so the fold is exact."""
-    if isinstance(pairs, pd.DataFrame):
-        batches = [pairs]
-    else:
-        batches = pairs.select_columns(["a", "b"]).iter_batches(
-            batch_size=65536, batch_format="pandas"
-        )
-    ea: list[np.ndarray] = []
-    eb: list[np.ndarray] = []
-    buffered = 0
-    # once a giant component's spanning edges alone exceed
-    # contract_edges, a fixed trigger would re-contract on every batch
-    # (quadratic); doubling keeps the total contraction work linear
-    last_contracted = 0
-    for b in batches:
-        av = b["a"].to_numpy(dtype=np.int64, copy=False)
-        bv = b["b"].to_numpy(dtype=np.int64, copy=False)
-        ea.append(av)
-        eb.append(bv)
-        buffered += av.shape[0]
-        if buffered >= max(contract_edges, 2 * last_contracted):
-            m, r = cluster_edges_arrays(np.concatenate(ea), np.concatenate(eb))
-            ea, eb, buffered = [m], [r], m.shape[0]
-            last_contracted = buffered
-    if buffered == 0:
-        return {}
-    members, roots = cluster_edges_arrays(np.concatenate(ea), np.concatenate(eb))
-    return dict(zip(members.tolist(), roots.tolist()))
-
-
 def cluster_edges_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized in-memory connected components over an edge list:
     hook-and-compress (no per-edge Python — the driver union-find loop
@@ -135,49 +85,6 @@ def cluster_edges_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
                 break
             parent = nxt
     return nodes, nodes[parent]
-
-
-def assignments_table(
-    docs: Dataset,
-    components: dict[int, int] | tuple[np.ndarray, np.ndarray],
-    id_col: str = "doc_id",
-) -> Dataset:
-    """Full (doc_id, cluster_id, is_representative) assignment: docs not in
-    any component are singleton clusters of themselves. The component map
-    (dup docs only — small side) is broadcast via ray.put as two SORTED
-    numpy arrays (plasma serves numpy zero-copy; a dict broadcast
-    re-pickles per task and forces a per-row Python loop) and applied
-    with a vectorized searchsorted lookup in a stateless map_batches."""
-    if isinstance(components, dict):
-        members = np.fromiter(components.keys(), dtype=np.int64, count=len(components))
-        roots = np.fromiter(components.values(), dtype=np.int64, count=len(components))
-    else:
-        members, roots = components
-        members = np.asarray(members, dtype=np.int64)
-        roots = np.asarray(roots, dtype=np.int64)
-    order = np.argsort(members, kind="stable")
-    mem_ref = ray.put(np.ascontiguousarray(members[order]))
-    root_ref = ray.put(np.ascontiguousarray(roots[order]))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        mem = ray.get(mem_ref)
-        root = ray.get(root_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        if mem.shape[0]:
-            pos = np.minimum(np.searchsorted(mem, ids), mem.shape[0] - 1)
-            hit = mem[pos] == ids
-            out = np.where(hit, root[pos], ids)
-        else:
-            out = ids
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "cluster_id": pa.array(out, type=pa.int64()),
-                "is_representative": pa.array(ids == out),
-            }
-        )
-
-    return docs.select_columns([id_col]).map_batches(assign, batch_format="pyarrow")
 
 
 def cluster_size_histogram(clusters: Dataset) -> pa.Table:

@@ -245,9 +245,8 @@ def containment_pairs_from_postings(
     postings: Dataset | list, cfg: DedupConfig, num_buckets: int | None = None
 ) -> Dataset:
     """Pair emission + coverage scoring over pre-computed fingerprint
-    postings. Split out so run_dedup can materialize the (expensive)
-    fingerprint scan on a side thread overlapping verification, then
-    filter the postings by the clustering outcome before the exchange."""
+    postings (a Dataset or a list of block refs), so a caller can
+    filter the postings before the exchange."""
     import ray
     import ray.data as rd
 

@@ -12,9 +12,9 @@ sub-document dedup). This operator reuses two green stages end-to-end:
 2. Each chunk becomes a passage row ``(pid, text, text_sha256)`` with
    ``pid = doc_id * PASSAGE_CAP + chunk_id`` (a reversible composite
    key, no extra id-assignment shuffle), and the UNCHANGED flagship
-   ``run_dedup`` (pipelines/dedup.py — exact sha pass + LSH candidates
-   + exact-Jaccard verify + containment + union-find) clusters the
-   passages. Reference analog: the same fingerprint/query kernel the
+   dedup engine (``run_dedup_auto``, pipelines/dedup_scale.py — exact
+   sha pass + LSH candidates + exact-Jaccard verify + containment +
+   connected components) clusters the passages. Reference analog: the same fingerprint/query kernel the
    reference applies to whole recordings applies to extracted segments
    (``strategy/panako/PanakoStrategy.java`` query-over-slice path,
    ``cli/Monitor.java:66-120`` windowed matching).
@@ -84,8 +84,8 @@ _SCRUB_SCHEMA = pa.schema(
 
 
 def _pid_batch(t: pa.Table) -> pa.Table:
-    """(doc_id, chunk_id, text_chunk) -> passage docs table for
-    ``run_dedup``: composite pid as doc_id, chunk text as text."""
+    """(doc_id, chunk_id, text_chunk) -> passage docs table for the
+    dedup engine: composite pid as doc_id, chunk text as text."""
     if t.num_rows == 0 or t.num_columns == 0:
         return _PASSAGE_SCHEMA.empty_table()
     ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(I64)
@@ -137,9 +137,7 @@ def run_passage_dedup(
     containment: bool = True,
 ) -> Dataset:
     """Flagship dedup over passages -> (doc_id, chunk_id, cluster_id,
-    is_representative); cluster_id is the component-min pid. Routes
-    through run_dedup_auto so a 10^6+-passage corpus takes the
-    refs-only scale engine (cluster-equivalent, BASELINE.md)."""
+    is_representative); cluster_id is the component-min pid."""
     from raydedup.pipelines.dedup_scale import run_dedup_auto
 
     passages = passage_docs(docs, chunk_tokens).materialize()

@@ -4,20 +4,20 @@ Transplant of Panako's per-candidate verification chain (min-support
 filter -> sort hits -> head/tail mode-of-deltaT -> slope/inlier gates ->
 coverage >= 0.2; ``OlafStrategy.java:331-453``). For text the "one
 coherent alignment" check collapses to exact Jaccard between the two
-docs' shingle sets with threshold tau, plus a SimHash Hamming
-cross-check (the reference's histogram-fallback secondary matcher,
+docs' shingle sets with threshold tau, optionally OR a SimHash Hamming
+gate (the reference's histogram-fallback secondary matcher,
 ``OlafStrategy.java:462-541``).
 
-The shingle-set join is a distributed hash join (``Dataset.join``,
-hash-partitioned on doc_id): pairs are joined twice to attach each
-side's sorted shingle hash set, then a vectorized-per-row kernel
-computes |intersection| / |union| on the already-sorted uint64 arrays.
+Two shapes: a broadcast of the candidate docs' texts for small
+candidate sets (``verify_pairs_small``), and two hash-exchange join
+rounds over packed shingle sets (``make_attach_a`` then
+``make_attach_b_verify``) — the dedup engine's and
+``verify_pairs_exchange``'s path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ray.data import Dataset
@@ -43,39 +43,6 @@ def jaccard_sorted(a: np.ndarray, b: np.ndarray) -> float:
     inter = np.intersect1d(a, b, assume_unique=True).shape[0]
     union = a.shape[0] + b.shape[0] - inter
     return inter / union if union else 1.0
-
-
-def _jaccard_batch(batch: pa.Table, tau: float) -> pa.Table:
-    n = batch.num_rows
-    jac = np.empty(n, dtype=np.float64)
-    la = batch.column("shingles_a").to_pylist()  # packed u64-LE bytes per doc
-    lb = batch.column("shingles_b").to_pylist()
-    for i in range(n):
-        jac[i] = jaccard_sorted(
-            np.frombuffer(la[i], dtype=np.uint64), np.frombuffer(lb[i], dtype=np.uint64)
-        )
-    keep = jac >= tau
-    out = pa.table(
-        {
-            "a": batch.column("a"),
-            "b": batch.column("b"),
-            "jaccard": pa.array(jac, type=pa.float64()),
-        }
-    ).filter(pa.array(keep))
-    return out
-
-
-def _auto_partitions() -> int:
-    """Join partition count sized to the cluster: each hash-join partition
-    is an aggregating actor holding a CPU — more partitions than cores
-    deadlocks a small cluster and over-fragments a big one."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(64, cpus // 2))
 
 
 import ray as _ray
@@ -234,8 +201,10 @@ def packed_shingle_table(docs_tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     )
 
 
-def lookup_packed(packed: pa.Table, keys: np.ndarray) -> tuple[pa.Array, np.ndarray]:
-    """Gather ``packed.shingles`` rows by doc_id via sort + searchsorted.
+def lookup_packed(
+    packed: pa.Table, keys: np.ndarray, column: str = "shingles"
+) -> tuple[pa.Array, np.ndarray]:
+    """Gather ``packed[column]`` rows by doc_id via sort + searchsorted.
     Returns (values, found_mask): a key absent from the bucket gets an
     arbitrary row and ``found[i] = False`` — callers DROP those pairs
     (a doc excluded from the shingle demand, e.g. an exact-dup member
@@ -243,20 +212,20 @@ def lookup_packed(packed: pa.Table, keys: np.ndarray) -> tuple[pa.Array, np.ndar
     ids = packed.column("doc_id").to_numpy(zero_copy_only=False)
     if ids.shape[0] == 0:
         return (
-            pa.array([b""] * keys.shape[0], type=pa.large_binary()),
+            pa.nulls(keys.shape[0], packed.schema.field(column).type),
             np.zeros(keys.shape[0], dtype=bool),
         )
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     pos = np.clip(np.searchsorted(sorted_ids, keys), 0, ids.shape[0] - 1)
     found = sorted_ids[pos] == keys
-    col = packed.column("shingles")
+    col = packed.column(column)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     return col.take(pa.array(order[pos].astype(np.int64))), found
 
 
-def _jaccard_packed(sa: list, sb: list, tau: float) -> np.ndarray:
+def _jaccard_packed(sa: list, sb: list) -> np.ndarray:
     jac = np.empty(len(sa), dtype=np.float64)
     for i in range(len(sa)):
         jac[i] = jaccard_sorted(
@@ -266,8 +235,9 @@ def _jaccard_packed(sa: list, sb: list, tau: float) -> np.ndarray:
 
 
 def make_attach_a():
-    """Bucket kernel: pairs(a, b, ...) x packed(doc_id, shingles) ->
-    (a, b, shingles_a) via vectorized gather."""
+    """Bucket kernel: pairs(a, b, ...) x packed(doc_id, shingles[,
+    simhash]) -> (a, b, shingles_a[, simhash_a]) via vectorized gather;
+    ``simhash_a`` rides along when the packed side carries simhashes."""
 
     def attach_a(left: pa.Table, right: pa.Table) -> pa.Table:
         if left.num_rows == 0:
@@ -277,21 +247,22 @@ def make_attach_a():
             )
         a = left.column("a").to_numpy(zero_copy_only=False)
         sha, found = lookup_packed(right, a)
-        out = pa.table(
-            {
-                "a": left.column("a"),
-                "b": left.column("b"),
-                "shingles_a": sha,
-            }
-        )
+        cols = {"a": left.column("a"), "b": left.column("b"), "shingles_a": sha}
+        if "simhash" in right.column_names:
+            cols["simhash_a"] = lookup_packed(right, a, "simhash")[0]
+        out = pa.table(cols)
         return out if found.all() else out.filter(pa.array(found))
 
     return attach_a
 
 
-def make_attach_b_verify(tau: float):
-    """Bucket kernel: (a, b, shingles_a) x packed(doc_id, shingles) ->
-    verified (a, b, jaccard >= tau)."""
+def make_attach_b_verify(tau: float, max_hamming: int | None = None):
+    """Bucket kernel: (a, b, shingles_a[, simhash_a]) x packed(doc_id,
+    shingles[, simhash]) -> verified (a, b, jaccard) with jaccard >= tau.
+    With ``max_hamming`` (the SimHash secondary matcher) a pair is also
+    accepted when its simhashes differ in at most ``max_hamming`` bits,
+    and the boolean ``simhash_hit`` column marks those pairs."""
+    from raydedup.stages.signatures import hamming64
 
     def attach_b_and_verify(left: pa.Table, right: pa.Table) -> pa.Table:
         if left.num_rows == 0:
@@ -304,21 +275,22 @@ def make_attach_b_verify(tau: float):
         if not found.all():
             left = left.filter(pa.array(found))
             shb = shb.filter(pa.array(found))
-            if left.num_rows == 0:
-                return pa.table(
-                    {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                     "jaccard": pa.array([], pa.float64())}
-                )
-        jac = _jaccard_packed(
-            left.column("shingles_a").to_pylist(), shb.to_pylist(), tau
-        )
-        return pa.table(
-            {
-                "a": left.column("a"),
-                "b": left.column("b"),
-                "jaccard": pa.array(jac, type=pa.float64()),
-            }
-        ).filter(pa.array(jac >= tau))
+        jac = _jaccard_packed(left.column("shingles_a").to_pylist(), shb.to_pylist())
+        cols = {
+            "a": left.column("a"),
+            "b": left.column("b"),
+            "jaccard": pa.array(jac, type=pa.float64()),
+        }
+        keep = jac >= tau
+        if max_hamming is not None:
+            simb = lookup_packed(right, b, "simhash")[0].filter(pa.array(found))
+            hit = hamming64(
+                left.column("simhash_a").to_numpy(zero_copy_only=False),
+                simb.to_numpy(zero_copy_only=False),
+            ) <= max_hamming
+            cols["simhash_hit"] = pa.array(hit, type=pa.bool_())
+            keep |= hit
+        return pa.table(cols).filter(pa.array(keep))
 
     return attach_b_and_verify
 
@@ -381,72 +353,3 @@ def verify_pairs_exchange(
              "jaccard": pa.array([], pa.float64())}
         )
     return pa.concat_tables(parts)
-
-
-def verify_pairs(
-    pairs: Dataset,
-    signatures: Dataset,
-    cfg: DedupConfig,
-    num_partitions: int | None = None,
-) -> Dataset:
-    """pairs(a, b[, n_collisions]) x signatures(doc_id, shingles)
-    -> verified (a, b, jaccard >= tau).
-
-    Distributed: two hash-partitioned joins on doc_id then a stateless
-    per-batch Jaccard kernel. At 10^12-doc scale the pair table is the
-    small side post-LSH; num_partitions bounds per-partition memory.
-    The intermediate (pairs + side-a shingles) is materialized so the
-    two joins' actor pools never run concurrently (deadlock-safe on
-    small CPU counts).
-    """
-    if num_partitions is None:
-        num_partitions = _auto_partitions()
-    sh = signatures.select_columns(["doc_id", "shingles"])
-    j1 = pairs.select_columns(["a", "b"]).join(
-        sh,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("a",),
-        right_on=("doc_id",),
-        right_suffix="_a",
-    )
-    # after first join the shingles column belongs to side a
-    j1 = j1.map_batches(
-        lambda t: t.rename_columns(
-            ["shingles_a" if c == "shingles" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    j2 = j1.join(
-        sh,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("b",),
-        right_on=("doc_id",),
-        right_suffix="_b",
-    )
-    j2 = j2.map_batches(
-        lambda t: t.rename_columns(
-            ["shingles_b" if c == "shingles" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    tau = cfg.jaccard_tau
-    return j2.map_batches(
-        lambda t: _jaccard_batch(t, tau), batch_format="pyarrow"
-    )
-
-
-def verify_pairs_broadcast(
-    pairs_df: pd.DataFrame, shingle_map: dict[int, np.ndarray], tau: float
-) -> pd.DataFrame:
-    """Driver/broadcast verification for small candidate sets (tests, the
-    ``same a b`` pair-check verb — ``cli/Same.java:50-85`` analog)."""
-    jac = np.empty(len(pairs_df), dtype=np.float64)
-    a_ids = pairs_df["a"].to_numpy()
-    b_ids = pairs_df["b"].to_numpy()
-    for i in range(len(pairs_df)):
-        jac[i] = jaccard_sorted(shingle_map[int(a_ids[i])], shingle_map[int(b_ids[i])])
-    out = pairs_df[["a", "b"]].copy()
-    out["jaccard"] = jac
-    return out[out["jaccard"] >= tau].reset_index(drop=True)

@@ -439,11 +439,8 @@ def run_dedup_checkpointed(
             pq.ParquetFile(p).metadata.num_rows
             for p in _glob.glob(os.path.join(clusters_dir, "*.parquet"))
         )
-        mgr.mark_stage(
-            "scale_clusters",
-            n_docs=n_out,
-            **{k: v for k, v in res.metrics.items() if isinstance(v, (int, float))},
-        )
+        counts = {k: v for k, v in res.metrics.items() if isinstance(v, (int, float))}
+        mgr.mark_stage("scale_clusters", **{**counts, "n_docs": n_out})
         metrics["resumed_exchanges"] = res.metrics["resumed_exchanges"]
     metrics.update(mgr.manifest["stages"])
     metrics["dedup_path"] = "scale"

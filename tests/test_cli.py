@@ -5,6 +5,7 @@
 import json
 import os
 
+import pyarrow.parquet as pq
 import pytest
 
 from raydedup.cli import _cfg_from_args, build_parser, main
@@ -502,6 +503,10 @@ def test_report_verb(ray_session, small_corpus, capsys, monkeypatch):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["n_docs"] == 600
+    # one cluster of >= 2 docs per planted duplicate group (each group
+    # has one ``base`` doc), and no other
+    oc = pq.read_table(paths["oracle_clusters"]).to_pandas()
+    assert rep["n_clusters"] == int((oc.variant == "base").sum()) == 118
     assert 0 < len(rep["largest_clusters"]) <= 5
     assert rep["largest_clusters"][0]["size"] >= 2
     assert sum(r["n_docs"] for r in rep["dup_rate_by_lang"]) == 600

@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from raydedup.stages.cluster import UnionFind, cluster_pairs_driver
+from raydedup.stages.cluster import UnionFind, cluster_edges_arrays
 
 
 def _rand_edges(n_nodes=500, n_edges=800, seed=5):
@@ -50,7 +50,11 @@ def _brute_components(df: pd.DataFrame) -> dict[int, int]:
 
 def test_driver_matches_bruteforce():
     df = _rand_edges()
-    assert _canon(cluster_pairs_driver(df)) == _canon(_brute_components(df))
+    members, roots = cluster_edges_arrays(
+        df["a"].to_numpy(np.int64), df["b"].to_numpy(np.int64)
+    )
+    got = dict(zip(members.tolist(), roots.tolist()))
+    assert _canon(got) == _canon(_brute_components(df))
 
 
 def _forest_components(df: pd.DataFrame, n_refs: int = 5, n_shards: int = 2) -> dict:
@@ -135,11 +139,10 @@ def test_vectorized_cc_matches_union_find(ray_session):
         n_edges = int(rng.integers(1, 400))
         a = rng.integers(0, n_nodes, size=n_edges).astype(np.int64) * 7 + 3
         b = rng.integers(0, n_nodes, size=n_edges).astype(np.int64) * 7 + 3
-        df = pd.DataFrame({"a": a, "b": b})
-        want = cluster_pairs_driver(df)
+        want = _brute_components(pd.DataFrame({"a": a, "b": b}))
         mem, root = cluster_edges_arrays(a, b)
         got = dict(zip(mem.tolist(), root.tolist()))
-        assert got == dict(sorted(want.items())) or got == want, f"trial {trial}"
+        assert got == want, f"trial {trial}"
 
 
 def test_vectorized_cc_long_chain(ray_session):
@@ -407,67 +410,6 @@ def test_cluster_diversity(ray_session):
     # partition invariance
     out2 = cluster_diversity(docs.repartition(1), clusters.repartition(1)).to_pydict()
     assert out2 == out
-
-
-def test_driver_contraction_bound_matches_bruteforce(ray_session):
-    """The streaming pre-contraction (review finding: bound driver
-    memory on near-clique pair explosions) must not change components:
-    a tiny contract_edges forces many contraction rounds through the
-    Dataset batch path."""
-    import ray.data as rd
-
-    df = _rand_edges(n_nodes=500, n_edges=4000, seed=3)
-    ds = rd.from_pandas(df).repartition(8)
-    got = cluster_pairs_driver(ds, contract_edges=256)
-    assert _canon(got) == _canon(_brute_components(df))
-
-
-class _BatchStream:
-    """Dataset stand-in for cluster_pairs_driver: yields a fixed list of
-    (a, b) pandas batches, so a test can stream many small batches
-    without Ray Data's 64k-row batching."""
-
-    def __init__(self, batches):
-        self.batches = batches
-
-    def select_columns(self, cols):
-        return self
-
-    def iter_batches(self, **kw):
-        return iter(self.batches)
-
-
-def test_driver_contraction_is_geometric_on_giant_component(monkeypatch):
-    """One giant component streamed in many batches with a tiny
-    contract_edges: once its spanning edges exceed the bound, the
-    buffer must grow geometrically before the next contraction —
-    O(log n) contractions, not one per batch — and the components must
-    equal cluster_edges_arrays over the full edge set."""
-    import raydedup.stages.cluster as cl
-
-    n, n_batches = 20_000, 256
-    rng = np.random.Generator(np.random.PCG64(11))
-    ids = rng.permutation(n).astype(np.int64) * 7 + 3
-    a, b = ids[:-1], ids[1:]  # a chain: every node in one component
-    order = rng.permutation(a.shape[0])
-    a, b = a[order], b[order]
-    batches = [
-        pd.DataFrame({"a": pa_, "b": pb_})
-        for pa_, pb_ in zip(np.array_split(a, n_batches), np.array_split(b, n_batches))
-    ]
-    calls = []
-    real = cl.cluster_edges_arrays
-
-    def counting(x, y):
-        calls.append(x.shape[0])
-        return real(x, y)
-
-    monkeypatch.setattr(cl, "cluster_edges_arrays", counting)
-    got = cl.cluster_pairs_driver(_BatchStream(batches), contract_edges=8)
-    assert len(calls) <= 2 * int(np.log2(n_batches)) + 2
-    members, roots = real(a, b)
-    assert got == dict(zip(members.tolist(), roots.tolist()))
-    assert set(got.values()) == {int(ids.min())}
 
 
 def test_vectorized_cc_converges_on_shuffled_chain_and_random_graph():

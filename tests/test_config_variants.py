@@ -8,7 +8,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from raydedup.config import DedupConfig
-from raydedup.pipelines.dedup import run_dedup
+from raydedup.pipelines.dedup_scale import run_dedup_scale
 from raydedup.sources.pages import pages_to_docs, read_pages
 from raydedup.stages.extract import doc_ids_from_urls
 
@@ -32,7 +32,7 @@ def test_char_shingle_mode(ray_session, small_corpus):
     spec, paths = small_corpus
     docs = pages_to_docs(read_pages(paths["pages"]))
     cfg = DedupConfig(batch_size=256, shingle_mode="char", jaccard_tau=0.6)
-    res = run_dedup(docs, cfg)
+    res = run_dedup_scale(docs, cfg, containment=False)
     cl = res.clusters.to_pandas()
     recall, merges = _recall(paths, cl)
     assert recall >= 0.99
@@ -44,7 +44,9 @@ def test_stricter_tau_rejects_near_pairs(ray_session, small_corpus):
     verification threshold actually gates the output."""
     spec, paths = small_corpus
     docs = pages_to_docs(read_pages(paths["pages"]))
-    res = run_dedup(docs, DedupConfig(batch_size=256, jaccard_tau=0.999))
+    res = run_dedup_scale(
+        docs, DedupConfig(batch_size=256, jaccard_tau=0.999), containment=False
+    )
     cl = res.clusters.to_pandas()
     recall_exact, merges = _recall(paths, cl, kinds=("exact",), tau=0.0)
     assert recall_exact == 1.0
@@ -61,7 +63,7 @@ def test_oph_minhash_scheme_e2e(ray_session, small_corpus):
     spec, paths = small_corpus
     docs = pages_to_docs(read_pages(paths["pages"]))
     cfg = DedupConfig(batch_size=256, minhash_scheme="oph")
-    res = run_dedup(docs, cfg)
+    res = run_dedup_scale(docs, cfg, containment=False)
     cl = res.clusters.to_pandas()
     recall, merges = _recall(paths, cl)
     assert recall >= 0.99

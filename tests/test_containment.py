@@ -43,13 +43,13 @@ def test_containment_pipeline_recall(ray_session, small_corpus):
     """e2e with containment=True: containment pairs at/above the coverage
     gate co-cluster; boilerplate twins (site-wide blocks -> hot keys) do
     not."""
-    from raydedup.pipelines.dedup import run_dedup
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.extract import doc_ids_from_urls
 
     spec, paths = small_corpus
     docs = pages_to_docs(read_pages(paths["pages"]))
-    res = run_dedup(docs, DedupConfig(batch_size=256), containment=True)
+    res = run_dedup_scale(docs, DedupConfig(batch_size=256), containment=True)
     cl = res.clusters.to_pandas()
     oc = pq.read_table(paths["oracle_clusters"]).to_pandas()
     op = pq.read_table(paths["oracle_pairs"]).to_pandas()

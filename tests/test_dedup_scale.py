@@ -1,12 +1,12 @@
-"""Driver-light pipeline (run_dedup_scale): same acceptance gates as
-run_dedup with nothing corpus-proportional on the driver."""
+"""The dedup engine (run_dedup_scale): oracle acceptance gates with
+nothing corpus-proportional on the driver, width invariance, and
+degenerate inputs."""
 
 import pandas as pd
 import pytest
 
 from raydedup.config import DedupConfig
 from raydedup.metrics import evaluate_against_oracle
-from raydedup.pipelines.dedup import run_dedup
 from raydedup.pipelines.dedup_scale import run_dedup_scale
 from raydedup.sources.pages import pages_to_docs, read_pages
 
@@ -17,12 +17,15 @@ def both_runs(ray_session, small_corpus):
     cfg = DedupConfig(batch_size=256)
     docs = pages_to_docs(read_pages(paths["pages"]))
     scale = run_dedup_scale(docs, cfg, containment=True, num_buckets=16, n_shards=3)
-    std = run_dedup(pages_to_docs(read_pages(paths["pages"])), cfg, containment=True)
-    return paths, scale, std
+    return paths, scale
+
+
+def _sorted(res):
+    return res.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 def test_scale_pipeline_oracle_gates(both_runs):
-    paths, scale, std = both_runs
+    paths, scale = both_runs
     cl = scale.clusters.to_pandas()
     rep = evaluate_against_oracle(cl, paths["oracle_clusters"], paths["oracle_pairs"])
     assert rep["recall"] >= 0.99
@@ -31,7 +34,7 @@ def test_scale_pipeline_oracle_gates(both_runs):
 
 
 def test_scale_assignment_is_total_and_consistent(both_runs):
-    paths, scale, std = both_runs
+    paths, scale = both_runs
     cl = scale.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert cl.doc_id.is_unique
     # root convention: every cluster_id is itself assigned to that cluster
@@ -42,18 +45,24 @@ def test_scale_assignment_is_total_and_consistent(both_runs):
 
 
 def test_scale_matches_standard_on_exact_and_near(both_runs):
-    """Same co-membership for pairs the standard pipeline links through
-    exact + LSH edges (the two paths may differ only on containment
-    scope, which the oracle gate already covers)."""
-    paths, scale, std = both_runs
+    """Every exact sha edge co-clusters, and containment only merges:
+    each pair linked by the exact + LSH edges alone (a containment-off
+    run) stays co-clustered with containment on."""
+    from raydedup.pipelines.dedup import exact_dedup_edges
+
+    paths, scale = both_runs
     s = scale.clusters.to_pandas()
     smap = dict(zip(s.doc_id, s.cluster_id))
-    vp = std.verified_pairs.to_pandas()
-    agree = sum(smap[a] == smap[b] for a, b in zip(vp.a, vp.b))
-    assert agree == len(vp)
-    ee = std.exact_edges.to_pandas()
-    agree = sum(smap[a] == smap[b] for a, b in zip(ee.a, ee.b))
-    assert agree == len(ee)
+    docs = pages_to_docs(read_pages(paths["pages"]))
+    ee = exact_dedup_edges(docs).to_pandas()
+    assert len(ee) > 0
+    assert all(smap[a] == smap[b] for a, b in zip(ee.a, ee.b))
+    near = run_dedup_scale(docs, DedupConfig(batch_size=256), containment=False)
+    n = near.clusters.to_pandas()
+    linked = n[n.doc_id != n.cluster_id]
+    assert len(linked) > len(ee)
+    assert all(smap[a] == smap[b] for a, b in zip(linked.doc_id, linked.cluster_id))
+    assert near.metrics["n_dup_docs"] < scale.metrics["n_dup_docs"]
 
 
 def test_scale_determinism(ray_session, small_corpus):
@@ -69,30 +78,27 @@ def test_scale_determinism(ray_session, small_corpus):
 
 
 def test_run_dedup_auto_routes_by_doc_count(both_runs, small_corpus):
-    """run_dedup_auto: below scale_min_docs -> driver-assisted base path,
-    at/above -> refs-only scale path; both report the route in metrics
-    and the scale route stays cluster-equivalent on base's edges."""
+    """run_dedup_auto runs the one engine whatever the doc count:
+    below and above scale_min_docs (which no longer routes) it reports
+    the scale path and gives the engine's frame at any width."""
     from raydedup.pipelines.dedup_scale import run_dedup_auto
 
     spec, paths = small_corpus
-    _, scale, std = both_runs
+    _, scale = both_runs
     cfg = DedupConfig(batch_size=256)
     docs = pages_to_docs(read_pages(paths["pages"]))
 
-    base_res = run_dedup_auto(docs, cfg, containment=True)
-    assert base_res.metrics["dedup_path"] == "base"
-    assert base_res.metrics["n_docs"] == spec.n_docs
-    assert hasattr(base_res, "verified_pairs")  # native DedupResult
+    small = run_dedup_auto(docs, cfg, containment=True)
+    assert small.metrics["dedup_path"] == "scale"
+    assert small.metrics["n_docs"] == spec.n_docs
+    pd.testing.assert_frame_equal(_sorted(small), _sorted(scale))
 
-    scale_res = run_dedup_auto(
+    big = run_dedup_auto(
         docs, cfg.with_overrides(scale_min_docs=1), containment=True,
         num_buckets=16, n_shards=3,
     )
-    assert scale_res.metrics["dedup_path"] == "scale"
-    s = scale_res.clusters.to_pandas()
-    smap = dict(zip(s.doc_id, s.cluster_id))
-    vp = std.verified_pairs.to_pandas()
-    assert all(smap[a] == smap[b] for a, b in zip(vp.a, vp.b))
+    assert big.metrics["dedup_path"] == "scale"
+    pd.testing.assert_frame_equal(_sorted(big), _sorted(scale))
 
 
 def test_sig_skip_exact_members_is_cluster_identical(ray_session, small_corpus):
@@ -146,7 +152,7 @@ def test_stream_spill_phase1_is_cluster_identical(both_runs, tmp_path):
     and a second run REUSES the complete cache (marker contract)."""
     import os
 
-    paths, scale, std = both_runs
+    paths, scale = both_runs
     docs = pages_to_docs(read_pages(paths["pages"]))
     cfg = DedupConfig(batch_size=256)
     spill = str(tmp_path / "spill")
@@ -201,3 +207,42 @@ def test_run_dedup_auto_streams_above_threshold(ray_session, small_corpus, tmp_p
         res.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True),
         base.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True),
     )
+
+
+def test_scale_degenerate_inputs(ray_session):
+    """0 docs, 1 doc, all-empty texts and 3 tiny texts run on the engine:
+    a typed (doc_id, cluster_id, is_representative) assignment with one
+    row per doc, singletons for distinct docs, and exact copies (the
+    empty texts too) in one cluster."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from raydedup.stages.cluster_scale import ASSIGNMENT_SCHEMA
+    from raydedup.stages.extract import docs_identity_batch
+
+    def docs_of(texts):
+        t = pa.table(
+            {
+                "doc_id": pa.array(range(len(texts)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+            }
+        )
+        return rd.from_arrow(t).map_batches(docs_identity_batch, batch_format="pyarrow")
+
+    empty = run_dedup_scale(docs_of([]), DedupConfig())
+    assert empty.metrics["n_docs"] == 0 and empty.metrics["n_dup_docs"] == 0
+    assert empty.clusters.count() == 0
+    assert empty.clusters.schema().names == ASSIGNMENT_SCHEMA.names
+    assert list(empty.clusters.schema().types) == ASSIGNMENT_SCHEMA.types
+
+    for texts, want in [
+        (["just one doc"], [0]),
+        (["", "", ""], [0, 0, 0]),
+        (["a", "a", "b"], [0, 0, 2]),
+    ]:
+        res = run_dedup_scale(docs_of(texts), DedupConfig(), substring=True)
+        cl = _sorted(res)
+        assert cl.doc_id.tolist() == list(range(len(texts)))
+        assert cl.cluster_id.tolist() == want, texts
+        assert (cl.is_representative == (cl.doc_id == cl.cluster_id)).all()
+        assert res.metrics["n_dup_docs"] == len(texts) - len(set(want))

@@ -15,7 +15,7 @@ import pytest
 import ray.data as rd
 
 from raydedup.config import DedupConfig
-from raydedup.pipelines.dedup import run_dedup
+from raydedup.pipelines.dedup_scale import run_dedup_scale
 from raydedup.pipelines.increment import dedup_increment, increment_assignments
 from raydedup.sources.pages import pages_to_docs, read_pages
 from raydedup.stages.extract import doc_ids_from_urls
@@ -43,7 +43,7 @@ def split_corpus(ray_session, tmp_path_factory, small_corpus):
     cfg = DedupConfig(batch_size=256)
     build_index(base_dir, index_dir, cfg)
     base_docs = pages_to_docs(read_pages(base_dir))
-    res = run_dedup(base_docs, cfg, containment=False)
+    res = run_dedup_scale(base_docs, cfg, containment=False)
     res.clusters.write_parquet(clusters_dir)
     base_cl = res.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
     return paths, cfg, index_dir, clusters_dir, inc_dir, base_cl

@@ -9,7 +9,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from raydedup.config import DedupConfig
-from raydedup.pipelines.dedup import run_dedup
+from raydedup.pipelines.dedup_scale import run_dedup_scale
 from raydedup.sources.pages import pages_to_docs, read_pages
 from raydedup.stages.extract import doc_ids_from_urls
 
@@ -19,7 +19,7 @@ def dedup_run(ray_session, small_corpus):
     spec, paths = small_corpus
     docs = pages_to_docs(read_pages(paths["pages"]))
     cfg = DedupConfig(batch_size=256)
-    res = run_dedup(docs, cfg)
+    res = run_dedup_scale(docs, cfg, containment=False)
     cl = res.clusters.to_pandas()
     oc = pq.read_table(paths["oracle_clusters"]).to_pandas()
     op = pq.read_table(paths["oracle_pairs"]).to_pandas()
@@ -58,10 +58,50 @@ def test_no_boilerplate_false_merges(dedup_run):
     assert merges == 0
 
 
-def test_verified_pairs_above_tau(dedup_run):
-    res, *_ = dedup_run
-    vp = res.verified_pairs.to_pandas()
-    assert (vp.jaccard >= DedupConfig().jaccard_tau).all()
+def test_verified_pairs_above_tau(ray_session, small_corpus):
+    """The engine's verify kernels (make_attach_a, then
+    make_attach_b_verify) keep exactly the oracle pairs whose exact
+    shingle Jaccard is >= tau, each with that Jaccard."""
+    import pyarrow as pa
+
+    from raydedup.stages.verify import (
+        jaccard_sorted,
+        make_attach_a,
+        make_attach_b_verify,
+        packed_shingle_table,
+    )
+    from raydedup.util import to_arrow_table
+
+    spec, paths = small_corpus
+    cfg = DedupConfig()
+    docs = to_arrow_table(
+        pages_to_docs(read_pages(paths["pages"])).select_columns(["doc_id", "text"])
+    )
+    packed = packed_shingle_table(docs, cfg)
+    oc = pq.read_table(paths["oracle_clusters"]).to_pandas()
+    op = pq.read_table(paths["oracle_pairs"]).to_pandas()
+    url2id = dict(zip(oc.url, doc_ids_from_urls(oc.url.tolist())))
+    pairs = pa.table(
+        {
+            "a": pa.array([url2id[u] for u in op.a_url], pa.int64()),
+            "b": pa.array([url2id[u] for u in op.b_url], pa.int64()),
+        }
+    )
+    got = make_attach_b_verify(cfg.jaccard_tau)(make_attach_a()(pairs, packed), packed)
+    sets = dict(
+        zip(
+            packed.column("doc_id").to_pylist(),
+            (np.frombuffer(x, dtype=np.uint64) for x in packed.column("shingles").to_pylist()),
+        )
+    )
+    scored = [
+        (a, b, jaccard_sorted(sets[a], sets[b]))
+        for a, b in zip(pairs["a"].to_pylist(), pairs["b"].to_pylist())
+    ]
+    want = sorted(row for row in scored if row[2] >= cfg.jaccard_tau)
+    assert 0 < len(want) < pairs.num_rows  # the oracle pairs straddle tau
+    got_rows = zip(got["a"].to_pylist(), got["b"].to_pylist(), got["jaccard"].to_pylist())
+    assert sorted(got_rows) == want
 
 
 def test_uniques_stay_singletons(dedup_run):
@@ -73,17 +113,22 @@ def test_uniques_stay_singletons(dedup_run):
 
 
 def test_actor_clustering_matches_driver(ray_session, small_corpus, dedup_run):
-    """The run's edges through the scale path's forest task DAG (split
-    over 6 refs, 2 leaves + a merge) give UnionFind's components."""
-    res, cl, *_ = dedup_run
+    """The corpus's planted duplicate pairs (the oracle's edges) through
+    the engine's forest task DAG (split over 6 refs, 2 leaves + a merge)
+    give UnionFind's components."""
+    res, cl, oc, op, url2id, cmap = dedup_run
     import pyarrow as pa
     import ray
 
     from raydedup.stages.cluster import UnionFind
     from raydedup.stages.cluster_scale import cluster_edge_refs
 
-    edges = pa.concat_tables(
-        [res.verified_pairs.select(["a", "b"]), res.exact_edges.select(["a", "b"])]
+    dup = op[op.kind.isin(["exact", "near", "containment"])]
+    edges = pa.table(
+        {
+            "a": pa.array([url2id[u] for u in dup.a_url], pa.int64()),
+            "b": pa.array([url2id[u] for u in dup.b_url], pa.int64()),
+        }
     )
     uf = UnionFind()
     for a, b in zip(edges.column("a").to_pylist(), edges.column("b").to_pylist()):

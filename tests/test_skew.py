@@ -10,7 +10,8 @@ import pytest
 from raydedup.config import DedupConfig
 from raydedup.stages.candidates import band_postings, band_size_stats, postings_to_pairs
 from raydedup.stages.extract import docs_identity_batch
-from raydedup.pipelines.dedup import compute_signatures, run_dedup
+from raydedup.pipelines.dedup import compute_signatures
+from raydedup.pipelines.dedup_scale import run_dedup_scale
 
 
 def _docs_ds(rd, texts):
@@ -57,7 +58,7 @@ def test_exact_copies_do_not_trip_band_cap(ray_session):
     assert ((pairs["a"] == 0) & (pairs["b"] == 1500)).any()
     # and the copies connect to the rep via linear star edges, not O(n^2)
     assert len(pairs) <= 1500 + 10
-    res = run_dedup(docs, cfg)
+    res = run_dedup_scale(docs, cfg, containment=False)
     cl = res.clusters.to_pandas()
     assert cl.cluster_id.nunique() == 1  # everything one cluster
 
@@ -71,11 +72,12 @@ def test_large_exact_group_stays_cheap_and_correct(ray_session):
     uniq = [" ".join(f"u{i}_{j}" for j in range(40)) for i in range(50)]
     texts = [base] * 300 + uniq
     docs = _docs_ds(rd, texts)
-    res = run_dedup(docs, DedupConfig(batch_size=512))
+    res = run_dedup_scale(docs, DedupConfig(batch_size=512), containment=False)
     cl = res.clusters.to_pandas()
     copies = cl[cl.doc_id < 300]
     assert copies.cluster_id.nunique() == 1
-    assert res.metrics["exact_edges"] == 299
+    # 300 copies + 50 singletons: exactly 299 forest members
+    assert res.metrics["n_dup_docs"] == 299
     # candidate pairs exclude exact members -> no quadratic blowup
     assert res.metrics["candidate_pairs"] < 1000
     singles = cl[cl.doc_id >= 300]
@@ -122,7 +124,7 @@ def test_evaluate_against_oracle_helper(ray_session, small_corpus):
     from raydedup.sources.pages import pages_to_docs, read_pages
 
     spec, paths = small_corpus
-    res = run_dedup(
+    res = run_dedup_scale(
         pages_to_docs(read_pages(paths["pages"])), DedupConfig(batch_size=256), containment=True
     )
     report = evaluate_against_oracle(
@@ -148,16 +150,26 @@ def test_simhash_secondary_matcher_catches_reordered_dups(ray_session):
     texts = [base, reordered] + uniq
     docs = _docs_ds(rd, texts)
 
-    off = run_dedup(docs, DedupConfig(batch_size=64), use_simhash=False)
+    off = run_dedup_scale(docs, DedupConfig(batch_size=64), containment=False, use_simhash=False)
     cl_off = off.clusters.to_pandas().set_index("doc_id").cluster_id
     assert cl_off[0] != cl_off[1]
 
-    on = run_dedup(docs, DedupConfig(batch_size=64), use_simhash=True)
+    on = run_dedup_scale(docs, DedupConfig(batch_size=64), containment=False, use_simhash=True)
     cl_on = on.clusters.to_pandas().set_index("doc_id").cluster_id
     assert cl_on[0] == cl_on[1]
     assert on.metrics.get("simhash_accepted", 0) >= 1
     # unrelated docs stay singletons under the secondary matcher
     assert cl_on[range(2, 32)].nunique() == 30
+
+
+def test_simhash_matcher_rejects_signatures_and_ckpt():
+    """The secondary matcher reads text: precomputed signatures or a
+    checkpoint policy cannot be combined with it (checked before any
+    work is submitted)."""
+    with pytest.raises(ValueError):
+        run_dedup_scale(None, DedupConfig(), use_simhash=True, signatures=object())
+    with pytest.raises(ValueError):
+        run_dedup_scale(None, DedupConfig(), use_simhash=True, ckpt=object())
 
 
 def test_recover_hot_runs_restores_dropped_recall(ray_session):
@@ -177,7 +189,7 @@ def test_recover_hot_runs_restores_dropped_recall(ray_session):
     docs = _docs_ds(rd, texts + uniq)
 
     dropped_cfg = DedupConfig(batch_size=64, max_band_postings=8)
-    res_off = run_dedup(docs, dropped_cfg)
+    res_off = run_dedup_scale(docs, dropped_cfg, containment=False)
     cl_off = res_off.clusters.to_pandas().set_index("doc_id").cluster_id
     # default policy: the hot runs are dropped, family stays split
     assert cl_off[range(24)].nunique() > 1
@@ -185,7 +197,7 @@ def test_recover_hot_runs_restores_dropped_recall(ray_session):
     rec_cfg = DedupConfig(
         batch_size=64, max_band_postings=8, recover_hot_runs=True, hot_run_group=4
     )
-    res_on = run_dedup(docs, rec_cfg)
+    res_on = run_dedup_scale(docs, rec_cfg, containment=False)
     cl_on = res_on.clusters.to_pandas().set_index("doc_id").cluster_id
     assert cl_on[range(24)].nunique() == 1  # full family recovered
     # bounded fan-out: nowhere near the 24^2/2 all-pairs volume per run

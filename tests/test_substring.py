@@ -160,10 +160,9 @@ def _docs_with_sha(texts: list[str]) -> "rd.Dataset":
 
 
 def test_dedup_substring_flag_both_engines(ray_session):
-    """substring=True merges full-substring containments into clusters on
-    BOTH engines, and the two produce the same partition."""
+    """substring=True merges full-substring containments into clusters,
+    with the same partition at two exchange/clustering widths."""
     from raydedup import DedupConfig
-    from raydedup.pipelines.dedup import run_dedup
     from raydedup.pipelines.dedup_scale import run_dedup_scale
 
     rng = np.random.default_rng(23)
@@ -181,18 +180,22 @@ def test_dedup_substring_flag_both_engines(ray_session):
         groups = df.groupby("cluster_id")["doc_id"].apply(lambda s: tuple(sorted(s)))
         return sorted(g for g in groups if len(g) > 1)
 
-    r_base = run_dedup(docs, cfg, substring=True)
+    r_base = run_dedup_scale(
+        docs, cfg, containment=False, substring=True, num_buckets=3, n_shards=1
+    )
     c_base = r_base.clusters.to_pandas()
     m = dict(zip(c_base.doc_id, c_base.cluster_id))
     assert m[70] == m[3] and m[71] == m[7] and m[72] == m[10]
     assert r_base.metrics["substring_pairs"] >= 2
 
-    r_scale = run_dedup_scale(docs, cfg, substring=True, num_buckets=8, n_shards=4)
+    r_scale = run_dedup_scale(
+        docs, cfg, containment=False, substring=True, num_buckets=8, n_shards=4
+    )
     c_scale = r_scale.clusters.to_pandas()
     assert canon(c_base) == canon(c_scale)
 
     # without the flag the containments stay separate
-    r_off = run_dedup(docs, cfg, substring=False)
+    r_off = run_dedup_scale(docs, cfg, containment=False, substring=False)
     c_off = r_off.clusters.to_pandas()
     m_off = dict(zip(c_off.doc_id, c_off.cluster_id))
     assert m_off[70] != m_off[3] and m_off[72] != m_off[10]

@@ -85,7 +85,7 @@ def test_normalize_flag_collapses_typographic_neardups(ray_session):
     # '...': unnormalized shingle sets are disjoint (Jaccard 0); after
     # ingress normalization the texts are byte-identical.
     from raydedup.config import DedupConfig
-    from raydedup.pipelines.dedup import run_dedup
+    from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.stages.extract import sha256_of_utf8_array
 
     words = [f"tok{i}" for i in range(30)]
@@ -108,10 +108,14 @@ def test_normalize_flag_collapses_typographic_neardups(ray_session):
         cl = res.clusters.to_pandas().set_index("doc_id")["cluster_id"]
         return cl.loc[0], cl.loc[1]
 
-    c0, c1 = cluster_of(run_dedup(docs, DedupConfig(batch_size=64)))
+    c0, c1 = cluster_of(
+        run_dedup_scale(docs, DedupConfig(batch_size=64), containment=False)
+    )
     assert c0 != c1
     n0, n1 = cluster_of(
-        run_dedup(docs, DedupConfig(batch_size=64, normalize=True))
+        run_dedup_scale(
+            docs, DedupConfig(batch_size=64, normalize=True), containment=False
+        )
     )
     assert n0 == n1
 

@@ -16,7 +16,7 @@ import pytest
 import ray.data as rd
 
 from raydedup.config import DedupConfig
-from raydedup.pipelines.dedup import run_dedup
+from raydedup.pipelines.dedup_scale import run_dedup_scale
 from raydedup.pipelines.increment import dedup_increment, monitor_increments
 from raydedup.pipelines.query import build_index
 from raydedup.sources.pages import pages_to_docs, read_pages
@@ -48,7 +48,7 @@ def _fresh_base(root: str, base_shard: str, cfg: DedupConfig):
     index_dir = os.path.join(root, "index")
     clusters_dir = os.path.join(root, "clusters")
     build_index(base_dir, index_dir, cfg)
-    res = run_dedup(pages_to_docs(read_pages(base_dir)), cfg, containment=False)
+    res = run_dedup_scale(pages_to_docs(read_pages(base_dir)), cfg, containment=False)
     res.clusters.write_parquet(clusters_dir)
     return index_dir, clusters_dir
 
