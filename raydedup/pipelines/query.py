@@ -4,14 +4,28 @@ Transplant of ``panako store`` + ``panako query`` / ``panako monitor``
 (``cli/Store.java:56-90``, ``cli/Query.java:60-93``,
 ``OlafStrategy.java:286-353``): the "index" is a partitioned Parquet
 dataset of doc tables + signature tables (no KV server —
-``PanakoStorageKV.java`` becomes Parquet, per SURVEY §2 S3), and a
-query run computes the query docs' signatures, finds band collisions
-against the stored postings, verifies exact Jaccard, and emits ranked
-QueryResult-style rows.
+``PanakoStorageKV.java`` becomes Parquet, per SURVEY §2 S3).
+
+A query is one raw-task DAG over the index files:
+
+  candidate wave: one task per stored ``signatures/`` file and one per
+    group of query blocks (which signs them) emit side-tagged band
+    postings split on ``band_key``; one reduce per bucket emits the
+    (query, stored) pairs that share a band (stages/exchange helpers)
+  verify wave: one task per stored ``docs/`` file reads only the
+    candidate matches (``doc_id`` pushdown), shingles them, scores
+    exact Jaccard against the query side's sets (one broadcast ref) and
+    returns each hit with its url
+
+so every stored file is read once per query and no Ray Data plan runs
+over the index. The query and stored sides are keyed apart, so a query
+doc that shares a ``doc_id`` with a stored doc (a re-crawled url) is
+scored on its own text. The driver ranks the QueryResult-style rows.
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
@@ -25,7 +39,6 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.config import DedupConfig
-from raydedup.util import to_arrow_table
 
 
 def build_index(pages_path: str, index_dir: str, cfg: DedupConfig | None = None) -> dict:
@@ -127,6 +140,125 @@ def _cross_side_pairs(t: pa.Table, max_postings: int) -> pa.Table:
     )
 
 
+_RESULT_COLS = {
+    "query_doc_id": "int64",
+    "match_doc_id": "int64",
+    "match_url": "object",
+    "n_collisions": "int64",
+    "jaccard": "float64",
+    "rank": "int64",
+}
+_SEGMENT_COLS = {
+    "lcs_tokens": "int64",
+    "lcs_ratio": "float64",
+    "query_start_token": "int64",
+    "match_start_token": "int64",
+}
+
+
+def _parquet_files(path: str) -> list[str]:
+    """The files ``rd.read_parquet(path)`` reads: pyarrow dataset
+    discovery (recursive, names starting with "." or "_" skipped)."""
+    import pyarrow.dataset as pads
+
+    return sorted(pads.dataset(path, format="parquet").files)
+
+
+def _side_postings(sigs: pa.Table, n_bands: int, side: int) -> pa.Table:
+    """(doc_id, bands) -> (band_key, doc_id, side) postings."""
+    from raydedup.stages.candidates import band_postings_table
+
+    p = band_postings_table(sigs, n_bands).drop_columns(["sig"])
+    return p.append_column("side", pa.array(np.full(p.num_rows, side, dtype=np.int64)))
+
+
+@ray.remote
+def _stored_postings_split(path: str, n_bands: int, num_buckets: int) -> list[pa.Table]:
+    """Candidate wave, stored side: one ``signatures/`` file -> its band
+    postings (side 0), split on ``band_key``."""
+    from raydedup.stages.exchange import _split_table
+
+    sigs = pq.read_table(path, columns=["doc_id", "bands"])
+    return _split_table(_side_postings(sigs, n_bands, 0), "band_key", num_buckets)
+
+
+@ray.remote
+def _query_postings_split(cfg: DedupConfig, num_buckets: int, *blocks: pa.Table) -> list:
+    """Candidate wave, query side: sign a group of ``doc_id,text`` query
+    blocks -> band postings (side 1) split on ``band_key``, plus one
+    last return: the group's ``(doc_id, shingles)`` sets for the verify
+    wave."""
+    from raydedup.pipelines.dedup import _signature_fn
+    from raydedup.stages.exchange import _split_table
+
+    sigs = [_signature_fn(b, cfg, True) for b in blocks if b.num_rows]
+    sig = pa.concat_tables(sigs) if sigs else pa.table(
+        {"doc_id": pa.array([], pa.int64()), "shingles": pa.array([], pa.large_binary())}
+    )
+    postings = _side_postings(sig, cfg.n_bands, 1)
+    return [*_split_table(postings, "band_key", num_buckets), sig.select(["doc_id", "shingles"])]
+
+
+@ray.remote
+def _concat(*tables: pa.Table) -> pa.Table:
+    return pa.concat_tables(tables)
+
+
+@ray.remote(num_returns=2)
+def _verify_stored_file(
+    path: str, pairs: pa.Table, q_sets: pa.Table, cfg: DedupConfig, tau: float
+) -> tuple[pa.Table, pa.Table]:
+    """Verify wave: one ``docs/`` file. Reads only the candidate matches
+    (``doc_id`` pushdown), shingles them and scores the pairs whose match
+    is in this file against the query side's sets ``q_sets``: the two
+    sides are looked up apart, so a query doc that shares a ``doc_id``
+    with a stored doc is scored on its own text. Returns the ``(a, b,
+    n_collisions, jaccard, match_url)`` rows at ``jaccard >= tau`` and
+    the ``(doc_id, text)`` of their matches (for the segment pass)."""
+    from raydedup.stages.verify import _jaccard_packed, lookup_packed, packed_shingle_table
+
+    b_all = pairs.column("b").to_numpy(zero_copy_only=False)
+    docs = pq.read_table(
+        path, columns=["doc_id", "text", "url"], filters=[("doc_id", "in", np.unique(b_all))]
+    )
+    ids, first = np.unique(docs.column("doc_id").to_numpy(zero_copy_only=False), return_index=True)
+    docs = docs.take(pa.array(first))
+    pairs = pairs.filter(pa.array(np.isin(b_all, ids)))
+    b = pairs.column("b").to_numpy(zero_copy_only=False)
+    pos = pa.array(np.searchsorted(ids, b))
+    m_sets = packed_shingle_table(docs, cfg).column("shingles").take(pos)
+    q_sh = lookup_packed(q_sets, pairs.column("a").to_numpy(zero_copy_only=False))[0]
+    jac = _jaccard_packed(q_sh.to_pylist(), m_sets.to_pylist())
+    keep = pa.array(jac >= tau)
+    rows = pairs.append_column("jaccard", pa.array(jac, pa.float64())).append_column(
+        "match_url", docs.column("url").take(pos)
+    ).filter(keep)
+    matched = np.isin(ids, rows.column("b").to_numpy(zero_copy_only=False))
+    return rows, docs.select(["doc_id", "text"]).filter(pa.array(matched))
+
+
+@ray.remote
+def _segments_chunk(pairs: pa.Table, q_blocks: list, m_docs: list) -> pa.Table:
+    """Matched segments of a chunk of result rows, each side's token
+    sequences from its own docs: ``q_blocks`` (the query blocks) for
+    ``a``, ``m_docs`` (the verify wave's matched texts) for ``b``."""
+    from raydedup.stages.lcs import segment_table, sequence_getter, token_sequence_table
+    from raydedup.stages.verify import pack_sets
+
+    def side(refs: list, col: str):
+        t = pa.concat_tables([x for x in ray.get(refs) if x.num_rows])
+        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+        wanted = pairs.column(col).to_numpy(zero_copy_only=False)
+        return sequence_getter(*pack_sets(token_sequence_table(t.filter(pa.array(np.isin(ids, wanted))))))
+
+    return segment_table(pairs.column("a"), pairs.column("b"), side(q_blocks, "a"), side(m_docs, "b"))
+
+
+def _empty_result(with_segments: bool) -> pd.DataFrame:
+    cols = _RESULT_COLS | (_SEGMENT_COLS if with_segments else {})
+    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
+
+
 def query_index(
     index_dir: str,
     query_docs: Dataset,
@@ -143,137 +275,85 @@ def query_index(
     ``with_segments`` appends the matched-segment columns (lcs_tokens,
     lcs_ratio, query_start_token, match_start_token) — the reference's
     matched start/stop fields (``strategy/QueryResult.java:31-73``).
+    Runs as the task DAG described in the module docstring.
     """
-    from raydedup.pipelines.dedup import compute_signatures
-    from raydedup.stages.candidates import band_postings
-    from raydedup.stages.exchange import hash_exchange_apply
+    from raydedup.stages.exchange import _reduce_bucket, block_groups, default_buckets
     from raydedup.stages.pair_agg import reduce_pair_table
+    from raydedup.util import arrow_block_refs
 
     cfg = cfg or DedupConfig()
     tau = cfg.jaccard_tau if min_jaccard is None else min_jaccard
+    q_refs = arrow_block_refs(query_docs.select_columns(["doc_id", "text"]))
+    if not q_refs:
+        return _empty_result(with_segments)
 
-    # prune at the read: band_postings consumes only (doc_id, bands) —
-    # the simhash column never leaves storage (the 100-TB habit)
-    idx_sigs = rd.read_parquet(
-        os.path.join(index_dir, "signatures"), columns=["doc_id", "bands"]
-    )
-    q_sigs = compute_signatures(query_docs, cfg, keep_shingles=False)
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "side", pa.array(np.full(t.num_rows, side, dtype=np.int64))
-            )
-
-        return fn
-
-    postings = band_postings(idx_sigs, cfg).map_batches(tag(0), batch_format="pyarrow").union(
-        band_postings(q_sigs, cfg).map_batches(tag(1), batch_format="pyarrow")
-    )
-    partials = hash_exchange_apply(
-        postings, "band_key", lambda t: _cross_side_pairs(t, cfg.max_band_postings)
-    )
-    if partials.num_rows == 0:
-        return pd.DataFrame(
-            {"query_doc_id": pd.Series(dtype="int64"), "match_doc_id": pd.Series(dtype="int64"),
-             "match_url": pd.Series(dtype="object"), "n_collisions": pd.Series(dtype="int64"),
-             "jaccard": pd.Series(dtype="float64"), "rank": pd.Series(dtype="int64")}
-        )
+    nb = default_buckets()
+    stored = [
+        _stored_postings_split.options(num_returns=nb).remote(f, cfg.n_bands, nb)
+        for f in _parquet_files(os.path.join(index_dir, "signatures"))
+    ]
+    query = [
+        _query_postings_split.options(num_returns=nb + 1).remote(cfg, nb, *g)
+        for g in block_groups(q_refs)
+    ]
+    q_sets = _concat.remote(*[w[nb] for w in query])
+    kernel = functools.partial(_cross_side_pairs, max_postings=cfg.max_band_postings)
+    waves = stored + [w[:nb] for w in query]
+    partials = [
+        t
+        for t in ray.get([_reduce_bucket.remote(kernel, *[w[k] for w in waves]) for k in range(nb)])
+        if t.num_rows
+    ]
+    if not partials:
+        return _empty_result(with_segments)
     cand = reduce_pair_table(
-        partials.rename_columns(["a", "b", "n_partial"]), sum_cols=["n_partial"]
+        pa.concat_tables(partials).rename_columns(["a", "b", "n_partial"]),
+        sum_cols=["n_partial"],
     ).rename_columns(["a", "b", "n_collisions"])
 
-    # verify through the broadcast verify stage (no driver-side shingle
-    # loops): the pair table joins a UNION of query docs and the
-    # candidate index docs; texts are shingled in a parallel map and
-    # broadcast once as packed arrays
-    from raydedup.stages.verify import verify_pairs_small
-
-    m_ids = np.unique(cand.column("b").to_numpy(zero_copy_only=False))
-    q_ids = np.unique(cand.column("a").to_numpy(zero_copy_only=False))
-    pair_docs = np.union1d(m_ids, q_ids)
-    # only (doc_id, text, url) are consumed below (verify + url attach)
-    idx_docs = rd.read_parquet(
-        os.path.join(index_dir, "docs"), columns=["doc_id", "text", "url"]
-    )
-    ids_ref = ray.put(np.sort(m_ids))
-
-    def keep(t: pa.Table) -> pa.Table:
-        wanted = ray.get(ids_ref)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(np.isin(ids, wanted)))
-
-    idx_sub = idx_docs.select_columns(["doc_id", "text"]).map_batches(
-        keep, batch_format="pyarrow"
-    )
-    union_docs = query_docs.select_columns(["doc_id", "text"]).union(idx_sub)
-    vcfg = cfg.with_overrides(jaccard_tau=tau)
-    verified = to_arrow_table(
-        verify_pairs_small(rd.from_arrow(cand), union_docs, vcfg, pair_docs),
-        empty_schema=pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
-        ),
-    ).to_pandas()
-
-    df = cand.to_pandas().merge(verified, on=["a", "b"], how="inner")
+    cand_ref = ray.put(cand)
+    verified = [
+        _verify_stored_file.remote(f, cand_ref, q_sets, cfg, tau)
+        for f in _parquet_files(os.path.join(index_dir, "docs"))
+    ]
+    rows = [t for t in ray.get([v[0] for v in verified]) if t.num_rows]
+    if not rows:
+        return _empty_result(with_segments)
+    # a doc_id stored in two files is verified in both; keep the first
+    df = pa.concat_tables(rows).to_pandas().drop_duplicates(["a", "b"])
     df = df.rename(columns={"a": "query_doc_id", "b": "match_doc_id"})
-
-    # urls for surviving matches only
-    mm = np.sort(df["match_doc_id"].unique().astype(np.int64))
-    murl_ref = ray.put(mm)
-
-    def keep_urls(t: pa.Table) -> pa.Table:
-        wanted = ray.get(murl_ref)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(np.isin(ids, wanted)))
-
-    url_df = (
-        idx_docs.select_columns(["doc_id", "url"])
-        .map_batches(keep_urls, batch_format="pyarrow")
-        .to_pandas()
-    ) if len(df) else pd.DataFrame({"doc_id": [], "url": []})
-    urls = {int(d): u for d, u in zip(url_df["doc_id"], url_df["url"])}
-    df["match_url"] = df["match_doc_id"].map(lambda d: urls.get(int(d)))
     df = df.sort_values(
         ["query_doc_id", "jaccard", "match_doc_id"],
         ascending=[True, False, True],
         kind="mergesort",
     )
     df["rank"] = df.groupby("query_doc_id").cumcount() + 1
-    df = df[df["rank"] <= top_k].reset_index(drop=True)
-    cols = ["query_doc_id", "match_doc_id", "match_url", "n_collisions", "jaccard", "rank"]
-    seg_cols = ["lcs_tokens", "lcs_ratio", "query_start_token", "match_start_token"]
-    if with_segments and not len(df):
-        # stable output schema even with zero hits
-        for c in seg_cols:
-            df[c] = pd.Series(
-                dtype="float64" if c == "lcs_ratio" else "int64"
-            )
-        cols += seg_cols
-    if with_segments and len(df):
+    df = df[df["rank"] <= top_k].reset_index(drop=True)[list(_RESULT_COLS)]
+    if with_segments:
         # matched start/stop reporting (QueryResult.java:31-73): the
-        # longest verbatim token run per surviving hit, with its offset
-        # on both sides — computed only for the top-k rows
-        from raydedup.stages.lcs import matched_segments
-
-        seg_pairs = pa.table(
+        # longest verbatim token run per top-k row, with its offset on
+        # both sides
+        pairs = pa.table(
             {
                 "a": pa.array(df["query_doc_id"].to_numpy(dtype=np.int64)),
                 "b": pa.array(df["match_doc_id"].to_numpy(dtype=np.int64)),
             }
         )
-        seg = matched_segments(seg_pairs, union_docs, cfg).to_pandas()
-        seg = seg.rename(
-            columns={
-                "a": "query_doc_id",
-                "b": "match_doc_id",
-                "a_start": "query_start_token",
-                "b_start": "match_start_token",
-            }
-        ).drop_duplicates(["query_doc_id", "match_doc_id"])
-        df = df.merge(seg, on=["query_doc_id", "match_doc_id"], how="left")
-        cols += seg_cols
-    return df[cols]
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        n_chunks = min(2 * cpus, max(1, len(df) // 64))
+        bounds = np.linspace(0, len(df), n_chunks + 1).astype(int)
+        m_docs = [v[1] for v in verified]
+        seg = pa.concat_tables(
+            ray.get(
+                [
+                    _segments_chunk.remote(pairs.slice(lo, hi - lo), q_refs, m_docs)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
+            )
+        )
+        for c, s in zip(_SEGMENT_COLS, ("lcs_tokens", "lcs_ratio", "a_start", "b_start")):
+            df[c] = seg.column(s).to_numpy()
+    return df
 
 
 def monitor_text(

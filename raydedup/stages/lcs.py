@@ -155,6 +155,48 @@ def token_sequence_table(t: pa.Table) -> pa.Table:
     )
 
 
+def sequence_getter(bids: np.ndarray, boffs: np.ndarray, bdata: np.ndarray):
+    """doc id -> its token-hash sequence in ``verify.pack_sets``'s three
+    arrays (empty when the id is absent)."""
+
+    def seq(d: int) -> np.ndarray:
+        i = int(np.searchsorted(bids, d))
+        if i >= bids.shape[0] or bids[i] != d:
+            return np.empty(0, dtype=U64)
+        return bdata[boffs[i] : boffs[i + 1]]
+
+    return seq
+
+
+def segment_table(a, b, seq_a, seq_b) -> pa.Table:
+    """(a, b) id columns -> ``_SEGMENT_SCHEMA`` rows. ``seq_a`` and
+    ``seq_b`` map an id to its token-hash sequence on that side of the
+    pair, so the two sides may come from different doc sets."""
+    an = a.to_numpy(zero_copy_only=False)
+    bn = b.to_numpy(zero_copy_only=False)
+    m = an.shape[0]
+    lcs = np.zeros(m, dtype=np.int64)
+    ratio = np.zeros(m, dtype=np.float64)
+    astart = np.full(m, -1, dtype=np.int64)
+    bstart = np.full(m, -1, dtype=np.int64)
+    for i in range(m):
+        ha, hb = seq_a(int(an[i])), seq_b(int(bn[i]))
+        L, a0, b0 = token_lcs(ha, hb)
+        lcs[i], astart[i], bstart[i] = L, a0, b0
+        denom = min(ha.shape[0], hb.shape[0])
+        ratio[i] = L / denom if denom else 0.0
+    return pa.table(
+        {
+            "a": a,
+            "b": b,
+            "lcs_tokens": pa.array(lcs, type=pa.int64()),
+            "lcs_ratio": pa.array(ratio, type=pa.float64()),
+            "a_start": pa.array(astart, type=pa.int64()),
+            "b_start": pa.array(bstart, type=pa.int64()),
+        }
+    )
+
+
 def matched_segments(
     pairs: Dataset | pa.Table,
     docs: Dataset,
@@ -217,39 +259,8 @@ def matched_segments(
 
     def _make_lcs_batch(bids_ref, offs_ref, data_ref):
         def lcs_batch(t: pa.Table) -> pa.Table:
-            bids = ray.get(bids_ref)
-            boffs = ray.get(offs_ref)
-            bdata = ray.get(data_ref)
-
-            def seq(d: int) -> np.ndarray:
-                i = int(np.searchsorted(bids, d))
-                if i >= bids.shape[0] or bids[i] != d:
-                    return np.empty(0, dtype=U64)
-                return bdata[boffs[i] : boffs[i + 1]]
-
-            a = t.column("a").to_numpy(zero_copy_only=False)
-            b = t.column("b").to_numpy(zero_copy_only=False)
-            m = a.shape[0]
-            lcs = np.zeros(m, dtype=np.int64)
-            ratio = np.zeros(m, dtype=np.float64)
-            astart = np.full(m, -1, dtype=np.int64)
-            bstart = np.full(m, -1, dtype=np.int64)
-            for i in range(m):
-                ha, hb = seq(int(a[i])), seq(int(b[i]))
-                L, a0, b0 = token_lcs(ha, hb)
-                lcs[i], astart[i], bstart[i] = L, a0, b0
-                denom = min(ha.shape[0], hb.shape[0])
-                ratio[i] = L / denom if denom else 0.0
-            return pa.table(
-                {
-                    "a": t.column("a"),
-                    "b": t.column("b"),
-                    "lcs_tokens": pa.array(lcs, type=pa.int64()),
-                    "lcs_ratio": pa.array(ratio, type=pa.float64()),
-                    "a_start": pa.array(astart, type=pa.int64()),
-                    "b_start": pa.array(bstart, type=pa.int64()),
-                }
-            )
+            seq = sequence_getter(ray.get(bids_ref), ray.get(offs_ref), ray.get(data_ref))
+            return segment_table(t.column("a"), t.column("b"), seq, seq)
 
         return lcs_batch
 

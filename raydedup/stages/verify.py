@@ -48,12 +48,9 @@ def jaccard_sorted(a: np.ndarray, b: np.ndarray) -> float:
 import ray as _ray
 
 
-@_ray.remote
-def _pack_shingle_broadcast(*tables: pa.Table):
-    """Concat + doc_id-sort + flatten the candidate shingle blocks into
-    the three flat numpy broadcast arrays (sorted ids, offsets, packed
-    shingle data). Runs as a task so the bytes never visit the driver;
-    plasma serves the numpy results zero-copy to every verify task."""
+def pack_sets(*tables: pa.Table):
+    """Concat + doc_id-sort + flatten ``(doc_id, n, shingles)`` blocks
+    into three flat numpy arrays (sorted ids, offsets, packed data)."""
     nonempty = [t for t in tables if t.num_rows]
     if not nonempty:
         return (
@@ -75,6 +72,11 @@ def _pack_shingle_broadcast(*tables: pa.Table):
     offs = np.zeros(lens.shape[0] + 1, dtype=np.int64)
     np.cumsum(lens, out=offs[1:])
     return ids_sorted, offs, np.ascontiguousarray(flat_all)
+
+
+# pack_sets as a task, so the bytes never visit the driver; plasma
+# serves the numpy results zero-copy to every verify task
+_pack_shingle_broadcast = _ray.remote(pack_sets)
 
 
 def verify_pairs_small(

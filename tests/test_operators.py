@@ -381,6 +381,57 @@ def test_store_then_query_roundtrip(rd, small_corpus, tmp_path):
         assert c in empty.columns
 
 
+def _word_jaccard(a: str, b: str, k: int = 5) -> float:
+    """Exact word k-gram Jaccard, tokenized like the engine."""
+
+    def grams(t: str) -> set:
+        toks = t.lower().split()
+        return {tuple(toks[i : i + k]) for i in range(len(toks) - k + 1)} if len(toks) >= k else {t}
+
+    sa, sb = grams(a), grams(b)
+    return len(sa & sb) / len(sa | sb)
+
+
+def test_query_recrawl_at_stored_url_scores_its_own_text(rd, small_corpus, tmp_path):
+    """A query doc re-crawled at a stored url has the stored doc's
+    doc_id but edited text: every returned Jaccard must be the exact one
+    between the query text and the matched stored text, not 1.0 from
+    scoring one of the two texts against itself."""
+    import pyarrow.parquet as pq
+
+    from raydedup.pipelines.query import build_index, query_index
+    from raydedup.stages.extract import doc_ids_from_urls
+
+    spec, paths = small_corpus
+    idx = str(tmp_path / "idx")
+    build_index(paths["pages"], idx)
+    stored = pq.read_table(os.path.join(idx, "docs"), columns=["doc_id", "text", "url"]).to_pandas()
+    text_of = dict(zip(stored.doc_id, stored.text))
+    oc = pq.read_table(paths["oracle_clusters"]).to_pandas()
+    unique = stored[stored.url.isin(oc.url[oc.variant == "unique"])].head(12)
+
+    urls, texts = [], []
+    for i, (url, text) in enumerate(zip(unique.url, unique.text)):
+        toks = text.split()
+        # 2 or 8 substituted tokens: about 0.95 and 0.8 exact Jaccard
+        for j, p in enumerate(np.linspace(10, len(toks) - 10, 2 if i % 2 else 8).astype(int)):
+            toks[p] = f"recrawl{i}x{j}"
+        edited = " ".join(toks)
+        urls += [url, f"https://fresh.example/{i}"]
+        texts += [edited, edited]
+    q_ids = doc_ids_from_urls(urls)
+    q_text = dict(zip(q_ids.tolist(), texts))
+    q = rd.from_arrow(pa.table({"doc_id": pa.array(q_ids), "text": pa.array(texts)}))
+
+    df = query_index(idx, q, top_k=5)
+    exact = [_word_jaccard(q_text[a], text_of[b]) for a, b in zip(df.query_doc_id, df.match_doc_id)]
+    assert np.allclose(df.jaccard, exact, rtol=0, atol=1e-12)
+    assert (np.array(exact) >= 0.8).all()
+    # the same-url re-crawls that pass tau are matched to their own stored
+    # version, so the aliased pairs are in the checked rows
+    assert (df.query_doc_id == df.match_doc_id).sum() >= 3
+
+
 def test_monitor_finds_stored_doc_window(rd, small_corpus, tmp_path):
     """``panako monitor`` analog (OlafStrategy.java:437-453): a window
     cut from a STORED doc, embedded in unrelated text, must match that
