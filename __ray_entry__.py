@@ -268,12 +268,17 @@ def _q_engine_agreement(sf_dir: str):
 
 def _q_dedup_increment(sf_dir: str):
     """Incremental dedup (pipelines/increment.py): docs with doc_id <
-    4n/5 form the frozen base (standard dedup, containment off); the
+    4n/5 form the frozen base (standard dedup, containment off), written
+    to a temp dir in the store layout (``docs``, ``signatures``); the
     remaining fifth arrives as an increment — deduped among itself,
-    matched against the base (LSH cross-candidates + sha path, exact-
-    Jaccard verified), each new component attached to the old cluster of
-    its best match (max jaccard, tie -> min cluster_id) or rooted at its
-    minimal new doc id."""
+    matched against the stored base by the query waves (LSH
+    cross-candidates + sha path, exact-Jaccard verified), each new
+    component attached to the old cluster of its best match (max
+    jaccard, tie -> min cluster_id) or rooted at its minimal new doc
+    id."""
+    import shutil
+    import tempfile
+
     import pyarrow as pa
 
     from raydedup.config import DedupConfig
@@ -284,6 +289,7 @@ def _q_dedup_increment(sf_dir: str):
         cross_verified_pairs,
         increment_assignments,
     )
+    from raydedup.pipelines.query import _parquet_files
 
     cfg = DedupConfig(batch_size=1024)
     docs = _docs(sf_dir).materialize()
@@ -296,18 +302,29 @@ def _q_dedup_increment(sf_dir: str):
 
         return fn
 
+    def _store_cols(t: pa.Table) -> pa.Table:
+        t = t.select(["doc_id", "text", "text_sha256"])
+        return t.append_column("url", pa.nulls(t.num_rows, pa.string()))
+
     base = docs.map_batches(_keep(np.iinfo(np.int64).min, thr), batch_format="pyarrow").materialize()
     new = docs.map_batches(_keep(thr, np.iinfo(np.int64).max), batch_format="pyarrow").materialize()
 
     base_cl = run_dedup_scale(base, cfg, containment=False).clusters.to_pandas()
     nn = cluster_star_edges(run_dedup_scale(new, cfg, containment=False).clusters)
-    cross = cross_verified_pairs(
-        compute_signatures(base, cfg, keep_shingles=False),
-        compute_signatures(new, cfg, keep_shingles=False),
-        base,
-        new,
-        cfg,
-    )
+    d = tempfile.mkdtemp(prefix="raydedup_incr_")
+    try:
+        base.map_batches(_store_cols, batch_format="pyarrow").write_parquet(os.path.join(d, "docs"))
+        compute_signatures(base, cfg, keep_shingles=False).select_columns(
+            ["doc_id", "bands"]
+        ).write_parquet(os.path.join(d, "signatures"))
+        cross = cross_verified_pairs(
+            _parquet_files(os.path.join(d, "signatures")),
+            _parquet_files(os.path.join(d, "docs")),
+            new,
+            cfg,
+        )
+    finally:
+        shutil.rmtree(d, ignore_errors=True)
     new_ids = new.select_columns(["doc_id"]).to_pandas()["doc_id"].to_numpy(np.int64)
     assign = increment_assignments(
         new_ids, nn, cross, base_cl[["doc_id", "cluster_id"]]

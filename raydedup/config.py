@@ -45,11 +45,9 @@ class DedupConfig:
     # OlafStrategy.java:331-453; here: exact Jaccard >= tau)
     jaccard_tau: float = 0.80
     min_band_collisions: int = 1  # analog of MIN_HITS_UNFILTERED (Key.java:187)
-    # candidate-doc count below which the increment fold's cross
-    # verification broadcasts the texts (one zero-copy plasma object,
-    # copied once per node) instead of the two-round hash-exchange join,
-    # and the per-broadcast doc bound of stages/lcs.py; the dedup engine
-    # always uses the exchange
+    # docs per broadcast in stages/lcs.py's matched-segment pass (one
+    # zero-copy plasma object, copied once per node); larger pair sets
+    # run in waves of one broadcast each
     verify_broadcast_max_docs: int = 150_000
 
     # --- ingress normalization (M8 canonical-format surface on text;

@@ -97,16 +97,6 @@ def _count_rows(t: pa.Table, flag: str | None = None) -> int:
     return int(pa.compute.sum(t.column(flag)).as_py() or 0)
 
 
-def _flatten_refs(refs: list) -> list:
-    out = []
-    for r in refs:
-        if isinstance(r, list):
-            out.extend(_flatten_refs(r))
-        else:
-            out.append(r)
-    return out
-
-
 # --- module-level stage kernels of run_dedup_scale's stage graph --------
 
 
@@ -472,25 +462,6 @@ def run_dedup_scale(
     t0 = time.perf_counter()
     metrics: dict[str, Any] = {}
 
-    # RAYDEDUP_SCALE_PROFILE=1: ray.wait-barrier after each stage and
-    # record its wall time in metrics["t_stage_*"]. Barriers REMOVE the
-    # pipeline's deliberate overlap, so profiled totals exceed real runs;
-    # use only to locate byte/compute hot spots.
-    _profile = os.environ.get("RAYDEDUP_SCALE_PROFILE") == "1"
-    _pt = [time.perf_counter()]
-
-    def _mark(name: str, refs: list) -> None:
-        if not _profile:
-            return
-        import ray as _ray
-
-        flat = _flatten_refs(refs)
-        if flat:
-            _ray.wait(flat, num_returns=len(flat), fetch_local=False)
-        now = time.perf_counter()
-        metrics[f"t_stage_{name}"] = now - _pt[0]
-        _pt[0] = now
-
     if cfg.normalize:
         from raydedup.stages.textnorm import normalized_docs
 
@@ -582,7 +553,7 @@ def run_dedup_scale(
         # consumes it. Launching its tasks before the signature stage
         # overlaps the text movement with signature compute instead of
         # paying for it serially after the candidate barrier.
-        _mark("text_split", get_dsplit())
+        get_dsplit()
 
     # --- stage: exact sha edges (refs) --------------------------------
     def _exact() -> list:
@@ -594,7 +565,6 @@ def run_dedup_scale(
         )
 
     exact_refs = stage("exact", _exact)
-    _mark("exact", exact_refs)
 
     # --- stage: LSH candidates (refs) ---------------------------------
     # One wave of raw tasks over the text (or signature) block refs,
@@ -633,7 +603,6 @@ def run_dedup_scale(
     # the split and wave tasks hold the text blocks now; without the
     # driver's refs the store frees them as soon as both waves finish
     get_text_refs.cache_clear()
-    _mark("sig_candidates", cand_refs)
     # NOTE: counted BEFORE the exact-member drop below — the drop
     # happens implicitly at the attach joins, so the raw LSH candidate
     # volume is the meaningful refs-only metric. Count tasks are
@@ -653,7 +622,7 @@ def run_dedup_scale(
     # found-mask. Connectivity is unchanged while member shingle
     # payloads never enter the verify exchanges.
     if ckpt is None:
-        _mark("member_split", get_msplit())
+        get_msplit()
         # containment explode, OVERLAPPED with verify + clustering: the
         # winnowing text scan only needs docs minus EXACT members (known
         # now); near-dup members found by LSH are dropped from the
@@ -664,7 +633,7 @@ def run_dedup_scale(
         # scan runs while the verify and clustering exchanges are in
         # flight.
         if containment:
-            _mark("fp_explode", get_fp_expl())
+            get_fp_expl()
 
     # --- stage: verified edges: refs-only semi-join + packed shingles -
     # The candidate doc-id DEMAND is itself exchanged (never broadcast —
@@ -682,13 +651,11 @@ def run_dedup_scale(
         idsplit = [
             reduce_join_split(idsplit, get_msplit(), _drop_member_ids, num_buckets)
         ]
-        _mark("demand_ids", idsplit)
         # per-bucket packed candidate shingles, already partitioned by
         # hash(doc_id) — usable directly as the right side of both joins
         shingled_refs = reduce_join_split(
             idsplit, get_dsplit(), make_filter_and_shingle(cfg, use_simhash), num_buckets
         )
-        _mark("demand_shingle", shingled_refs)
         # attach round 1 re-splits its output on ``b`` in-task (fused),
         # so round 2 consumes the pieces without a separate split wave;
         # pairs whose doc has no shingle row (exact members) drop at
@@ -697,7 +664,6 @@ def run_dedup_scale(
         r1 = reduce_join_resplit(
             psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
         )
-        _mark("attach_a", r1)
         max_hamming = cfg.simhash_max_hamming if use_simhash else None
         return reduce_join_split(
             r1,
@@ -712,7 +678,6 @@ def run_dedup_scale(
     ver_count = row_count("verified", verified_refs)
     if use_simhash:
         sim_futs = [_count_rows.remote(r, "simhash_hit") for r in verified_refs]
-    _mark("attach_b_verify", verified_refs)
 
     # --- stage: round-1 forest: exact + verified LSH edges ------------
     # a leaf-and-merge task DAG (stages/cluster_scale), submitted
@@ -720,7 +685,6 @@ def run_dedup_scale(
     forest1_refs = stage(
         "forest1", lambda: cluster_edge_refs(verified_refs + exact_refs, n_shards)
     )
-    _mark("cluster_r1", forest1_refs)
 
     # --- stage: containment over cluster REPRESENTATIVES only ---------
     # The round-1 forest (exact + near-dup members) filters the
@@ -766,7 +730,6 @@ def run_dedup_scale(
             ]
 
         cont_refs = stage("containment", _containment)
-        _mark("containment_pairs", cont_refs)
         cont_count = row_count("containment", cont_refs)
         extra_edge_refs += cont_refs
 

@@ -8,11 +8,12 @@ files are ``panako store``d into the running index and matched with
 once assigned, never changes. The transplant keeps that contract:
 
   OLD cluster assignments are FROZEN. New docs are matched against the
-  old index (LSH band collisions + sha256 exact path, exact-Jaccard
-  verified), clustered among THEMSELVES, and each new component joins
-  the old cluster of its best match (max jaccard, ties -> min
-  cluster_id — the QueryResult ranking rule) or becomes a fresh
-  cluster rooted at its minimal new doc id.
+  old index by ``query_index``'s candidate and verify waves (LSH band
+  collisions, exact-Jaccard verified) plus a sha256 exact path, exactly
+  as a query would match them; they are clustered among THEMSELVES,
+  and each new component joins the old cluster of its best match (max
+  jaccard, ties -> min cluster_id — the QueryResult ranking rule) or
+  becomes a fresh cluster rooted at its minimal new doc id.
 
 Semantics note (documented divergence from a full re-cluster): a new
 doc that bridges two old clusters does NOT merge them — old ids are
@@ -20,8 +21,10 @@ immutable, the component takes the single best attachment. That is the
 reference's behavior too (a query matching two stored songs returns
 ranked matches; it never rewrites the store).
 
-Driver memory is INCREMENT-proportional (new edges + new components);
-the old index/clusters are only ever streamed or semi-join-filtered.
+Driver memory is INCREMENT-proportional (new edges + new components).
+Each old index file and each clusters file is read by one raw task:
+every old signature file is scanned for band postings, but only the
+matched old docs' texts and cluster rows are read.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Any
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
@@ -46,110 +50,59 @@ _EMPTY_CROSS = pa.schema(
 )
 
 
+@ray.remote
+def _sha_pairs(path: str, new_sha: pa.Table) -> pa.Table:
+    """Exact path: one stored ``docs/`` file's ``(doc_id, text_sha256)``
+    joined with the new docs' ``new_sha`` (``a, text_sha256``) -> the
+    ``(a=new, b=old, n_collisions=0)`` pairs of identical texts."""
+    old = pq.read_table(path, columns=["doc_id", "text_sha256"])
+    m = new_sha.join(
+        old.rename_columns(["b", "text_sha256"]), "text_sha256", join_type="inner"
+    )
+    return pa.table(
+        {"a": m.column("a"), "b": m.column("b"),
+         "n_collisions": pa.array(np.zeros(m.num_rows, dtype=np.int64))}
+    )
+
+
 def cross_verified_pairs(
-    old_sigs: Dataset,
-    new_sigs: Dataset,
-    old_docs: Dataset,
+    sig_files: list[str],
+    doc_files: list[str],
     new_docs: Dataset,
     cfg: DedupConfig,
 ) -> pa.Table:
-    """Verified (a=new_doc, b=old_doc, jaccard) pairs across the two
-    corpora: LSH band collisions restricted to cross-side runs
-    (``_cross_side_pairs``), plus a sha256 exact path (identical texts
-    always attach even if their band run is hot-capped), exact-Jaccard
-    verified at cfg.jaccard_tau through the broadcast verify stage."""
-    from raydedup.pipelines.query import _cross_side_pairs
-    from raydedup.stages.candidates import band_postings
-    from raydedup.stages.exchange import hash_exchange_apply
+    """Verified (a=new_doc, b=old_doc, jaccard) pairs of ``new_docs``
+    (``doc_id, text, text_sha256``) against the stored ``sig_files`` /
+    ``doc_files``: ``query_index``'s candidate and verify waves at
+    cfg.jaccard_tau, plus a sha256 exact path (identical texts always
+    attach even if their band run is hot-capped) — one raw task per
+    stored docs file, its pairs unioned into the candidates."""
+    from raydedup.pipelines.query import _candidate_pairs, _verify_wave
     from raydedup.stages.pair_agg import reduce_pair_table
-    from raydedup.stages.verify import verify_pairs_exchange, verify_pairs_small
+    from raydedup.util import arrow_block_refs
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "side", pa.array(np.full(t.num_rows, side, dtype=np.int64))
-            )
-
-        return fn
-
-    postings = (
-        band_postings(old_sigs, cfg)
-        .map_batches(tag(0), batch_format="pyarrow")
-        .union(band_postings(new_sigs, cfg).map_batches(tag(1), batch_format="pyarrow"))
-    )
-    partials = hash_exchange_apply(
-        postings, "band_key", lambda t: _cross_side_pairs(t, cfg.max_band_postings)
-    )
-
-    # sha exact path: the increment is the SMALL side — broadcast its
-    # (sha, doc_id) table once and hash-join inside a map over old docs
-    new_sha = (
-        new_docs.select_columns(["doc_id", "text_sha256"])
-        .to_pandas()
-        .rename(columns={"doc_id": "a"})
-    )
-    sha_ref = ray.put(new_sha)
-
-    def find_exact(t: pa.Table) -> pa.Table:
-        ns = ray.get(sha_ref)
-        df = t.select(["doc_id", "text_sha256"]).to_pandas()
-        m = df.merge(ns, on="text_sha256", how="inner")
-        return pa.table(
-            {
-                "a": pa.array(m["a"].to_numpy(dtype=np.int64), type=pa.int64()),
-                "b": pa.array(m["doc_id"].to_numpy(dtype=np.int64), type=pa.int64()),
-            }
-        )
-
-    exact_ab = to_arrow_table(
-        old_docs.select_columns(["doc_id", "text_sha256"]).map_batches(
-            find_exact, batch_format="pyarrow"
-        ),
-        empty_schema=pa.schema([("a", pa.int64()), ("b", pa.int64())]),
-    )
-
-    if partials.num_rows:
-        cand = reduce_pair_table(
-            partials.rename_columns(["a", "b", "n_partial"]), sum_cols=["n_partial"]
-        ).select(["a", "b"])
-    else:
-        cand = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    cand = pa.concat_tables([cand, exact_ab])
-    if cand.num_rows == 0:
+    q_refs = arrow_block_refs(new_docs.select_columns(["doc_id", "text"]))
+    if not q_refs:
         return _EMPTY_CROSS.empty_table()
-    # dedupe (a, b) between the LSH and sha paths
-    a = cand.column("a").to_numpy(zero_copy_only=False)
-    b = cand.column("b").to_numpy(zero_copy_only=False)
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    first = np.empty(a.shape[0], dtype=bool)
-    first[0] = True
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    cand = pa.table(
-        {"a": pa.array(a[first], type=pa.int64()), "b": pa.array(b[first], type=pa.int64())}
-    )
-
-    pair_docs = np.union1d(np.unique(a), np.unique(b))
-    old_ref = ray.put(np.unique(b))
-
-    def keep_old(t: pa.Table) -> pa.Table:
-        wanted = ray.get(old_ref)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(np.isin(ids, wanted)))
-
-    union_docs = new_docs.select_columns(["doc_id", "text"]).union(
-        old_docs.select_columns(["doc_id", "text"]).map_batches(
-            keep_old, batch_format="pyarrow"
+    new_sha = ray.put(
+        to_arrow_table(new_docs.select_columns(["doc_id", "text_sha256"])).rename_columns(
+            ["a", "text_sha256"]
         )
     )
-    # adaptive switch: broadcast lookup for small candidate-doc sets,
-    # hash-partitioned exchange join for big ones
-    if pair_docs.shape[0] <= cfg.verify_broadcast_max_docs:
-        return to_arrow_table(
-            verify_pairs_small(rd.from_arrow(cand), union_docs, cfg, pair_docs),
-            empty_schema=_EMPTY_CROSS,
-        )
-    return verify_pairs_exchange(rd.from_arrow(cand), union_docs, cfg, pair_docs)
+    exact = [_sha_pairs.remote(f, new_sha) for f in doc_files]
+    cand, q_sets = _candidate_pairs(sig_files, q_refs, cfg)
+    cand = reduce_pair_table(
+        pa.concat_tables([cand, *ray.get(exact)]), sum_cols=["n_collisions"]
+    )
+    if not cand.num_rows:
+        return _EMPTY_CROSS.empty_table()
+    verified = _verify_wave(doc_files, cand, q_sets, cfg, cfg.jaccard_tau)
+    rows = [t for t in ray.get([v[0] for v in verified]) if t.num_rows]
+    if not rows:
+        return _EMPTY_CROSS.empty_table()
+    # a doc_id stored in two files is verified in both; keep the first
+    df = pa.concat_tables(rows).to_pandas().drop_duplicates(["a", "b"])
+    return pa.Table.from_pandas(df[["a", "b", "jaccard"]], preserve_index=False)
 
 
 _EDGES = pa.schema([("a", pa.int64()), ("b", pa.int64())])
@@ -372,6 +325,18 @@ def monitor_increments(
     return totals
 
 
+@ray.remote(num_returns=2)
+def _frozen_rows(
+    path: str, matched_old: np.ndarray, new_ids: np.ndarray
+) -> tuple[pa.Table, np.ndarray]:
+    """One clusters file, read once: the ``(doc_id, cluster_id)`` rows
+    of the ``matched_old`` docs, and the mask of ``new_ids`` that
+    already have a frozen row here."""
+    t = pq.read_table(path, columns=["doc_id", "cluster_id"])
+    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+    return t.filter(pa.array(np.isin(ids, matched_old))), np.isin(new_ids, ids)
+
+
 def dedup_increment(
     index_dir: str,
     clusters_path: str,
@@ -385,7 +350,10 @@ def dedup_increment(
     2. dedup the NEW docs among themselves (``run_dedup_scale``,
        containment off — window containment is a corpus-level pass,
        rerun it on the full store when needed);
-    3. match new vs OLD (``cross_verified_pairs``);
+    3. match new vs OLD (``cross_verified_pairs``: the query waves over
+       the files stored before this fold), then read each clusters file
+       once for the matched old docs' rows and the new ids that already
+       have one;
     4. frozen-cluster assignment (``increment_assignments``), appended
        to ``clusters_path`` as one new parquet shard (atomic write).
 
@@ -404,7 +372,6 @@ def dedup_increment(
     before_docs, before_sigs = _files("docs"), _files("signatures")
     store_info = build_index(new_pages_path, index_dir, cfg)
     new_doc_files = sorted(_files("docs") - before_docs)
-    new_sig_files = sorted(_files("signatures") - before_sigs)
 
     out = {
         **store_info,
@@ -417,12 +384,15 @@ def dedup_increment(
         return out
 
     # prune at the read: the fold consumes only identity + content
-    # columns (dedup / cross verify) and (doc_id, bands) postings
+    # columns (dedup / cross verify)
     new_docs = rd.read_parquet(
         new_doc_files, columns=["doc_id", "text", "text_sha256"]
     ).materialize()
-    new_sigs = rd.read_parquet(new_sig_files, columns=["doc_id", "bands"])
-    have_old = bool(before_docs)
+    new_ids = np.unique(
+        to_arrow_table(new_docs.select_columns(["doc_id"]))
+        .column("doc_id")
+        .to_numpy(zero_copy_only=False)
+    )
 
     # new-vs-new edges: the dedup engine on the increment only
     nn_edges = cluster_star_edges(
@@ -431,59 +401,21 @@ def dedup_increment(
 
     cross = _EMPTY_CROSS.empty_table()
     old_assign = pd.DataFrame({"doc_id": [], "cluster_id": []})
-    if have_old:
-        old_docs = rd.read_parquet(
-            sorted(before_docs), columns=["doc_id", "text", "text_sha256"]
-        )
-        old_sigs = rd.read_parquet(sorted(before_sigs), columns=["doc_id", "bands"])
-        cross = cross_verified_pairs(old_sigs, new_sigs, old_docs, new_docs, cfg)
-        if cross.num_rows:
-            matched_old = np.unique(cross.column("b").to_numpy(zero_copy_only=False))
-            m_ref = ray.put(matched_old)
-
-            def keep(t: pa.Table) -> pa.Table:
-                wanted = ray.get(m_ref)
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                return t.filter(pa.array(np.isin(ids, wanted)))
-
-            old_assign = (
-                rd.read_parquet(clusters_path, columns=["doc_id", "cluster_id"])
-                .map_batches(keep, batch_format="pyarrow")
-                .to_pandas()
-            )
-
-    new_ids = (
-        new_docs.select_columns(["doc_id"])
-        .to_pandas()["doc_id"]
-        .to_numpy(dtype=np.int64)
-    )
-    assign = increment_assignments(new_ids, nn_edges, cross, old_assign)
-
-    # drop ids that already have a frozen row (re-crawled identical url)
-    if have_old:
-
-        @ray.remote
-        def _seen_mask(path_list: list[str], ids_sorted: np.ndarray) -> np.ndarray:
-            import pyarrow.parquet as pq
-
-            hits = np.zeros(ids_sorted.shape[0], dtype=bool)
-            for p in path_list:
-                old = pq.read_table(p, columns=["doc_id"]).column("doc_id").to_numpy(
-                    zero_copy_only=False
-                )
-                pos = np.minimum(
-                    np.searchsorted(ids_sorted, old), ids_sorted.shape[0] - 1
-                )
-                hits[pos[ids_sorted[pos] == old]] = True
-            return hits
-
+    seen = np.zeros(new_ids.shape[0], dtype=bool)
+    if before_docs:
+        cross = cross_verified_pairs(sorted(before_sigs), sorted(before_docs), new_docs, cfg)
         cl_files = sorted(glob.glob(os.path.join(clusters_path, "*.parquet")))
         if cl_files:
-            ids_sorted = np.sort(assign["doc_id"].to_numpy(dtype=np.int64))
-            seen = ray.get(_seen_mask.remote(cl_files, ids_sorted))
-            dup_ids = set(ids_sorted[seen].tolist())
-            if dup_ids:
-                assign = assign[~assign["doc_id"].isin(dup_ids)].reset_index(drop=True)
+            matched_old = ray.put(np.unique(cross.column("b").to_numpy(zero_copy_only=False)))
+            ids_ref = ray.put(new_ids)
+            parts = [_frozen_rows.remote(f, matched_old, ids_ref) for f in cl_files]
+            old_assign = pa.concat_tables(ray.get([p[0] for p in parts])).to_pandas()
+            seen = np.logical_or.reduce(ray.get([p[1] for p in parts]))
+
+    assign = increment_assignments(new_ids, nn_edges, cross, old_assign)
+    # drop ids that already have a frozen row (re-crawled identical url);
+    # assign rows are in new_ids order
+    assign = assign[~seen].reset_index(drop=True)
 
     os.makedirs(clusters_path, exist_ok=True)
     tag = "-".join(

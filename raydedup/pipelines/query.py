@@ -21,6 +21,11 @@ so every stored file is read once per query and no Ray Data plan runs
 over the index. The query and stored sides are keyed apart, so a query
 doc that shares a ``doc_id`` with a stored doc (a re-crawled url) is
 scored on its own text. The driver ranks the QueryResult-style rows.
+
+The two waves are ``_candidate_pairs`` and ``_verify_wave``. The
+increment's new-vs-old match (``pipelines/increment.cross_verified_pairs``)
+runs the same two waves over the files stored before its fold, so one
+code path matches docs against stored files.
 """
 
 from __future__ import annotations
@@ -237,6 +242,55 @@ def _verify_stored_file(
     return rows, docs.select(["doc_id", "text"]).filter(pa.array(matched))
 
 
+_CAND_SCHEMA = pa.schema(
+    [("a", pa.int64()), ("b", pa.int64()), ("n_collisions", pa.int64())]
+)
+
+
+def _candidate_pairs(sig_files: list[str], q_refs: list, cfg: DedupConfig):
+    """Candidate wave: the stored ``sig_files`` and the ``doc_id,text``
+    query blocks ``q_refs`` -> ``(a=query, b=stored, n_collisions)``
+    pairs that share a band, and the ref of the query side's
+    ``(doc_id, shingles)`` sets for the verify wave."""
+    from raydedup.stages.exchange import _reduce_bucket, block_groups, default_buckets
+    from raydedup.stages.pair_agg import reduce_pair_table
+
+    nb = default_buckets()
+    stored = [
+        _stored_postings_split.options(num_returns=nb).remote(f, cfg.n_bands, nb)
+        for f in sig_files
+    ]
+    query = [
+        _query_postings_split.options(num_returns=nb + 1).remote(cfg, nb, *g)
+        for g in block_groups(q_refs)
+    ]
+    q_sets = _concat.remote(*[w[nb] for w in query])
+    kernel = functools.partial(_cross_side_pairs, max_postings=cfg.max_band_postings)
+    waves = stored + [w[:nb] for w in query]
+    partials = [
+        t
+        for t in ray.get([_reduce_bucket.remote(kernel, *[w[k] for w in waves]) for k in range(nb)])
+        if t.num_rows
+    ]
+    if not partials:
+        return _CAND_SCHEMA.empty_table(), q_sets
+    cand = reduce_pair_table(
+        pa.concat_tables(partials).rename_columns(["a", "b", "n_collisions"]),
+        sum_cols=["n_collisions"],
+    )
+    return cand, q_sets
+
+
+def _verify_wave(
+    doc_files: list[str], cand: pa.Table, q_sets, cfg: DedupConfig, tau: float
+) -> list:
+    """Verify wave: one ``_verify_stored_file`` task per stored
+    ``docs/`` file over the candidate pairs ``cand``; returns each
+    task's (rows, matched docs) ref pair."""
+    cand_ref = ray.put(cand)
+    return [_verify_stored_file.remote(f, cand_ref, q_sets, cfg, tau) for f in doc_files]
+
+
 @ray.remote
 def _segments_chunk(pairs: pa.Table, q_blocks: list, m_docs: list) -> pa.Table:
     """Matched segments of a chunk of result rows, each side's token
@@ -277,8 +331,6 @@ def query_index(
     matched start/stop fields (``strategy/QueryResult.java:31-73``).
     Runs as the task DAG described in the module docstring.
     """
-    from raydedup.stages.exchange import _reduce_bucket, block_groups, default_buckets
-    from raydedup.stages.pair_agg import reduce_pair_table
     from raydedup.util import arrow_block_refs
 
     cfg = cfg or DedupConfig()
@@ -287,35 +339,14 @@ def query_index(
     if not q_refs:
         return _empty_result(with_segments)
 
-    nb = default_buckets()
-    stored = [
-        _stored_postings_split.options(num_returns=nb).remote(f, cfg.n_bands, nb)
-        for f in _parquet_files(os.path.join(index_dir, "signatures"))
-    ]
-    query = [
-        _query_postings_split.options(num_returns=nb + 1).remote(cfg, nb, *g)
-        for g in block_groups(q_refs)
-    ]
-    q_sets = _concat.remote(*[w[nb] for w in query])
-    kernel = functools.partial(_cross_side_pairs, max_postings=cfg.max_band_postings)
-    waves = stored + [w[:nb] for w in query]
-    partials = [
-        t
-        for t in ray.get([_reduce_bucket.remote(kernel, *[w[k] for w in waves]) for k in range(nb)])
-        if t.num_rows
-    ]
-    if not partials:
+    cand, q_sets = _candidate_pairs(
+        _parquet_files(os.path.join(index_dir, "signatures")), q_refs, cfg
+    )
+    if not cand.num_rows:
         return _empty_result(with_segments)
-    cand = reduce_pair_table(
-        pa.concat_tables(partials).rename_columns(["a", "b", "n_partial"]),
-        sum_cols=["n_partial"],
-    ).rename_columns(["a", "b", "n_collisions"])
-
-    cand_ref = ray.put(cand)
-    verified = [
-        _verify_stored_file.remote(f, cand_ref, q_sets, cfg, tau)
-        for f in _parquet_files(os.path.join(index_dir, "docs"))
-    ]
+    verified = _verify_wave(
+        _parquet_files(os.path.join(index_dir, "docs")), cand, q_sets, cfg, tau
+    )
     rows = [t for t in ray.get([v[0] for v in verified]) if t.num_rows]
     if not rows:
         return _empty_result(with_segments)

@@ -15,8 +15,8 @@ is bit-comparable; the one division for ``sim`` is raw IEEE.
 Scale shape: candidate pairs are output-bounded (post-LSH, post-gate);
 the pair docs' texts are semi-join-filtered and broadcast ONCE as three
 flat numpy arrays (sorted ids, byte offsets, utf-8 bytes) — plasma
-serves numpy zero-copy per task, the same pattern as
-``verify_pairs_small``. Per-pair work is an O(min_len) loop of
+serves numpy buffers zero-copy to every task, so no task deserializes
+its own copy of the texts. Per-pair work is an O(min_len) loop of
 vectorized numpy row updates (the DP row, including the insertion
 prefix-min, is computed with whole-row kernels — no per-cell Python).
 """
@@ -103,7 +103,7 @@ def fuzzy_pairs(
     """pairs(a, b) x docs(doc_id, text) -> (a, b, dist, sim) per pair,
     keeping ``sim >= min_sim``. Streams: output is a Dataset; the only
     materialized state is the pair docs' text broadcast (output-bounded
-    candidate set — the documented assumption, as in verify_pairs_small).
+    candidate set — the documented assumption of this module).
     """
     ids_ref = ray.put(np.sort(np.asarray(pair_doc_ids, dtype=I64)))
 

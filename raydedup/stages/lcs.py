@@ -20,14 +20,16 @@ inflate the answer. Ties resolve to the smallest ``a_start``, then the
 smallest ``b_start`` — the deterministic-ranking rule the rest of the
 engine uses.
 
-Distribution shape = ``verify_pairs_small``: the candidate docs'
-ORDERED token-hash sequences are packed into three flat numpy arrays
-by one remote task and broadcast (plasma serves them zero-copy); the
-pair table is repartitioned across the pool and each task gathers by
-``searchsorted``. Driver holds only ObjectRefs. Bounded by the same
-``cfg.verify_broadcast_max_docs`` contract as verification — for pair
-sets beyond it, split the pair table and run per shard (segments are
-per-pair, so sharding is embarrassing).
+Distribution shape: a broadcast. The candidate docs' ORDERED
+token-hash sequences are semi-join-filtered from the docs table and
+packed into three flat numpy arrays (sorted ids, offsets, hashes) by
+one remote task; plasma serves them zero-copy to every task, so no
+task deserializes its own copy. The pair table is repartitioned across
+the pool and each task gathers both sides by ``searchsorted``. The
+driver holds only ObjectRefs. ``cfg.verify_broadcast_max_docs`` bounds
+the docs in one broadcast: larger pair sets run in waves of pair
+blocks, one broadcast each (segments are per-pair, so the waves are
+independent).
 """
 
 from __future__ import annotations

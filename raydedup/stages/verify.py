@@ -8,11 +8,12 @@ docs' shingle sets with threshold tau, optionally OR a SimHash Hamming
 gate (the reference's histogram-fallback secondary matcher,
 ``OlafStrategy.java:462-541``).
 
-Two shapes: a broadcast of the candidate docs' texts for small
-candidate sets (``verify_pairs_small``), and two hash-exchange join
-rounds over packed shingle sets (``make_attach_a`` then
-``make_attach_b_verify``) — the dedup engine's and
-``verify_pairs_exchange``'s path.
+One shape: two hash-exchange join rounds over packed shingle sets
+(``make_attach_a`` then ``make_attach_b_verify``) — the dedup engine's
+and ``verify_pairs_exchange``'s path. Matching against stored index
+files (``query_index`` and the increment) scores the pairs inside one
+task per stored docs file instead (``pipelines/query._verify_wave``),
+with the same packed-set kernels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from raydedup.config import DedupConfig
-from raydedup.util import arrow_block_refs
 
 I64 = np.int64
 
@@ -77,106 +77,6 @@ def pack_sets(*tables: pa.Table):
 # pack_sets as a task, so the bytes never visit the driver; plasma
 # serves the numpy results zero-copy to every verify task
 _pack_shingle_broadcast = _ray.remote(pack_sets)
-
-
-def verify_pairs_small(
-    pairs: Dataset,
-    docs: Dataset,
-    cfg: DedupConfig,
-    pair_doc_ids: np.ndarray,
-) -> Dataset:
-    """Broadcast-side verification: the candidate docs' TEXTS are
-    semi-join-filtered from the docs table and broadcast ONCE as three
-    flat numpy arrays (sorted ids, utf8 offsets, utf8 bytes) — plasma
-    serves numpy buffers zero-copy, so every verify task reads the
-    shared broadcast without per-task deserialization (a dict broadcast
-    re-pickles per task). Shingle sets are recomputed inside the verify
-    tasks (cached per batch); shingle payloads are never materialized or
-    shuffled. The exchange path below is the 10^12-doc scale path —
-    broadcast bytes are copied once per NODE on a real cluster, so the
-    switch threshold (cfg.verify_broadcast_max_docs) bounds that copy.
-    """
-    import ray
-
-    from raydedup.stages.signatures import batch_shingle_sets
-
-    ids_ref = ray.put(np.sort(pair_doc_ids))
-
-    def shingle_candidates(t: pa.Table) -> pa.Table:
-        # semi-join filter + per-doc shingle-set computation, PARALLEL in
-        # the map stage — verify tasks then do pure set intersection
-        wanted = ray.get(ids_ref)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(np.isin(ids, wanted)))
-        sets = batch_shingle_sets(
-            t.column("text").combine_chunks()
-            if isinstance(t.column("text"), pa.ChunkedArray)
-            else t.column("text"),
-            cfg,
-        )
-        lens = np.fromiter((s.shape[0] for s in sets), dtype=np.int64, count=len(sets))
-        flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.uint64)
-        return pa.table(
-            {
-                "doc_id": t.column("doc_id"),
-                "n": pa.array(lens, type=pa.int64()),
-                "shingles": pa.LargeListArray.from_arrays(
-                    np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
-                    pa.array(flat.view(np.int64), type=pa.int64()),
-                ),
-            }
-        )
-
-    # pack (concat + sort + flatten) in ONE remote task: the driver holds
-    # only the three ObjectRefs — collecting ~|candidate docs| x |shingle
-    # set| bytes to the driver and re-putting them was a fixed driver
-    # cost (~seconds at 500k docs) that does not shrink with cluster size
-    shingle_blocks = list(
-        arrow_block_refs(
-            docs.select_columns(["doc_id", "text"])
-            .map_batches(shingle_candidates, batch_format="pyarrow")
-        )
-    )
-    bids_ref, offs_ref, data_ref = _pack_shingle_broadcast.options(
-        num_returns=3
-    ).remote(*shingle_blocks)
-    tau = cfg.jaccard_tau
-
-    def verify_batch(t: pa.Table) -> pa.Table:
-        bids = ray.get(bids_ref)
-        boffs = ray.get(offs_ref)
-        bdata = ray.get(data_ref)
-
-        def sset(d: int) -> np.ndarray:
-            i = int(np.searchsorted(bids, d))
-            return bdata[boffs[i] : boffs[i + 1]]
-
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        jac = np.empty(a.shape[0], dtype=np.float64)
-        for i in range(a.shape[0]):
-            jac[i] = jaccard_sorted(sset(int(a[i])), sset(int(b[i])))
-        keep = jac >= tau
-        return pa.table(
-            {
-                "a": t.column("a"),
-                "b": t.column("b"),
-                "jaccard": pa.array(jac, type=pa.float64()),
-            }
-        ).filter(pa.array(keep))
-
-    # candidates arrive as one driver-built block (from_arrow): split so
-    # verification parallelizes across the pool
-    work = pairs.select_columns(["a", "b"])
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    n_rows = work.count()
-    target = int(min(2 * cpus, max(1, n_rows // 256)))
-    if target > 1:
-        work = work.repartition(target)
-    return work.map_batches(verify_batch, batch_format="pyarrow")
 
 
 def packed_shingle_table(docs_tbl: pa.Table, cfg: DedupConfig) -> pa.Table:

@@ -194,17 +194,22 @@ def test_increment_bootstraps_empty_index(ray_session, split_corpus, tmp_path_fa
     assert (reps.doc_id == reps.cluster_id).all()
 
 
-def test_cross_verify_exchange_path_matches_broadcast(ray_session):
-    """cross_verified_pairs picks broadcast vs exchange verification on
-    cfg.verify_broadcast_max_docs; both paths must emit the same verified
-    cross edges. Planted: near-dup (old 1 ~ new 101), exact dup (old 2 ==
-    new 102), and unrelated texts."""
+def test_cross_verify_scores_each_side_on_its_own_text(ray_session, tmp_path):
+    """cross_verified_pairs matches new docs against stored docs/ and
+    signatures/ files. Planted: near-dup (old 1 ~ new 101), exact dup
+    (old 2 == new 102), unrelated texts, and an edited re-crawl of old
+    doc 4 at the same doc_id (true Jaccard ~0.74, below tau). Every
+    reported jaccard is the exact one of the two texts, so the re-crawl
+    is not scored against itself and (4, 4) is not returned."""
     import hashlib
 
     import pyarrow as pa
 
     from raydedup.pipelines.dedup import compute_signatures
     from raydedup.pipelines.increment import cross_verified_pairs
+    from raydedup.stages.signatures import batch_shingle_sets
+    from raydedup.stages.verify import jaccard_sorted
+    from raydedup.util import to_arrow_table
 
     words = [f"w{i}" for i in range(400)]
 
@@ -215,6 +220,7 @@ def test_cross_verify_exchange_path_matches_broadcast(ray_session):
     base_text = text(300, 1)
     near = base_text + " " + text(12, 2)  # high-Jaccard variant
     exact = text(250, 3)
+    recrawl = " ".join(text(300, 6).split()[:-45] + text(45, 7).split())
 
     def tbl(ids, texts):
         return pa.table(
@@ -225,29 +231,34 @@ def test_cross_verify_exchange_path_matches_broadcast(ray_session):
                     [hashlib.sha256(t.encode()).digest() for t in texts],
                     pa.binary(),
                 ),
+                "url": pa.array([f"https://x.example/{i}" for i in ids]),
             }
         )
 
-    old_docs = rd.from_arrow(
-        tbl([1, 2, 3], [base_text, exact, text(280, 4)])
-    ).materialize()
-    new_docs = rd.from_arrow(
-        tbl([101, 102, 103], [near, exact, text(260, 5)])
-    ).materialize()
     cfg = DedupConfig(batch_size=64)
-    old_sigs = compute_signatures(old_docs, cfg, keep_shingles=False)
-    new_sigs = compute_signatures(new_docs, cfg, keep_shingles=False)
+    old = tbl([1, 2, 3, 4], [base_text, exact, text(280, 4), text(300, 6)])
+    new = tbl([101, 102, 103, 4], [near, exact, text(260, 5), recrawl])
+    text_of = {("old", i): t for i, t in zip(old["doc_id"].to_pylist(), old["text"].to_pylist())}
+    text_of |= {("new", i): t for i, t in zip(new["doc_id"].to_pylist(), new["text"].to_pylist())}
 
-    def run(c):
-        t = cross_verified_pairs(old_sigs, new_sigs, old_docs, new_docs, c)
-        return (
-            t.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-        )
+    def exact_jaccard(a_text, b_text):
+        sa, sb = batch_shingle_sets(pa.array([a_text, b_text]), cfg)
+        return jaccard_sorted(sa, sb)
 
-    broad = run(cfg)
-    exch = run(cfg.with_overrides(verify_broadcast_max_docs=1))
-    assert set(zip(broad.a, broad.b)) >= {(101, 1), (102, 2)}
-    pd.testing.assert_frame_equal(broad, exch)
+    assert exact_jaccard(recrawl, text(300, 6)) < cfg.jaccard_tau
+    for sub in ("docs", "signatures"):
+        (tmp_path / sub).mkdir()
+    doc_file, sig_file = str(tmp_path / "docs" / "0.parquet"), str(tmp_path / "signatures" / "0.parquet")
+    pq.write_table(old, doc_file)
+    sigs = to_arrow_table(compute_signatures(rd.from_arrow(old), cfg, keep_shingles=False))
+    pq.write_table(sigs.select(["doc_id", "bands"]), sig_file)
+
+    got = cross_verified_pairs([sig_file], [doc_file], rd.from_arrow(new).materialize(), cfg)
+    pairs = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
+    assert pairs >= {(101, 1), (102, 2)}
+    assert (4, 4) not in pairs
+    for a, b, j in zip(got["a"].to_pylist(), got["b"].to_pylist(), got["jaccard"].to_pylist()):
+        assert j == exact_jaccard(text_of[("new", a)], text_of[("old", b)])
 
 
 def test_increment_assignments_unit():

@@ -71,6 +71,9 @@ def test_load_is_idempotent_and_query_spans_both(rd, two_indexes):
     from raydedup.sources.pages import pages_to_docs
 
     idx_a, idx_b, files = two_indexes
+    # first load (a no-op when an earlier test already loaded), so the
+    # test holds when selected alone
+    load_index(idx_a, idx_b)
     # second load: manifest anti-join skips every source shard
     out2 = load_index(idx_a, idx_b)
     assert out2["loaded_shards"] == 0 and out2["skipped_shards"] == 2
