@@ -147,8 +147,9 @@ class DedupConfig:
     # N-actor pool) of compute_signatures and the index/query paths;
     # batch_size is also the phase-1 extract batch of
     # run_dedup_checkpointed. The dedup engine (run_dedup_scale) ignores
-    # both: its signature stage is one raw task per group of input
-    # blocks, the kernel called once per block.
+    # both: its signature stage is one raw task per group of corpus
+    # blocks, the band-keys-only kernel (SignatureKernel.band_table)
+    # called once per block.
     batch_size: int = 4096
     target_block_rows: int = 65536
     signature_concurrency: int | None = None

@@ -4,9 +4,9 @@
   text digest, ``sha_emit_table`` turns one hash bucket into (group
   min, member) edges (``Deduplication.java:66-88``), and
   ``exact_dedup_edges`` runs the pair over a Dataset;
-- signatures: ``_signature_fn`` is the per-process cached MinHash +
-  SimHash kernel (``OlafEventPointProcessor.java`` et al.),
-  ``compute_signatures`` maps it over a Dataset, and
+- signatures: ``_kernel`` is the per-process cached MinHash + SimHash
+  kernel (``OlafEventPointProcessor.java`` et al.), ``_signature_fn``
+  calls it, ``compute_signatures`` maps that over a Dataset, and
   ``_filter_excluded`` drops exact-dup members ahead of it.
 """
 
@@ -126,22 +126,26 @@ def _filter_excluded(batch: pa.Table, exclude_ref) -> pa.Table:
     return batch.filter(pa.array(em[pos] != ids))
 
 
+def _kernel(cfg: DedupConfig, keep_shingles: bool) -> SignatureKernel:
+    # per-worker-process kernel cache: permutation tables + word-hash cache
+    # built once per process, reused across task invocations (stateless-task
+    # variant of the actor-pool pattern)
+    key = (cfg, keep_shingles)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        kernel = _KERNELS[key] = SignatureKernel(cfg, keep_shingles=keep_shingles)
+    return kernel
+
+
 def _signature_fn(
     batch: pa.Table,
     cfg: DedupConfig,
     keep_shingles: bool,
     exclude_ref=None,
 ) -> pa.Table:
-    # per-worker-process kernel cache: permutation tables + word-hash cache
-    # built once per process, reused across task invocations (stateless-task
-    # variant of the actor-pool pattern)
     if exclude_ref is not None:
         batch = _filter_excluded(batch, exclude_ref)
-    key = (cfg, keep_shingles)
-    kernel = _KERNELS.get(key)
-    if kernel is None:
-        kernel = _KERNELS[key] = SignatureKernel(cfg, keep_shingles=keep_shingles)
-    return kernel(batch)
+    return _kernel(cfg, keep_shingles)(batch)
 
 
 def compute_signatures(

@@ -8,8 +8,8 @@ verified edges or the component map:
 
   exact dedup: sha256 hash exchange -> (group min, member) edges
     (``Deduplication.java:66-88``; kernels in pipelines/dedup.py)
-  signatures -> band postings -> band_key split: one wave of raw tasks
-    over the docs' block refs, submitted without a driver wait
+  band keys -> band postings -> band_key split: one wave of raw tasks
+    over the materialized corpus blocks, submitted without a driver wait
   postings -> exchange (refs) -> pair combine exchange (refs): the
     inverted near-hash lookup (``PanakoStorageKV.java:293-379``)
   verification: two co-partitioned exchange joins against the docs
@@ -59,7 +59,7 @@ from raydedup.stages.cluster_scale import (
     cluster_edge_refs,
 )
 from raydedup.stages.containment import _emit_fp_pairs, fingerprint_postings_table
-from raydedup.stages.exchange import _split_table, block_groups, hash_exchange_apply
+from raydedup.stages.exchange import _split_table, block_groups
 from raydedup.util import arrow_block_refs
 
 if TYPE_CHECKING:
@@ -106,6 +106,11 @@ def _member_table(t: pa.Table) -> pa.Table:
     return pa.table({"m": t.column("b")})
 
 
+def _doc_text(b: pa.Table) -> pa.Table:
+    """A corpus block's ``doc_id,text`` projection."""
+    return b.select(["doc_id", "text"])
+
+
 @ray.remote
 def _signature_postings_split(
     cfg: DedupConfig,
@@ -114,27 +119,35 @@ def _signature_postings_split(
     use_simhash: bool,
     *blocks: pa.Table,
 ) -> list[pa.Table]:
-    """One task of the signature wave: blocks -> MinHash signatures ->
-    band postings, hash-split on ``band_key`` into ``num_buckets``
-    tables (one split task's row of split_dataset's wave shape). A
-    ``doc_id,text`` block is signed here, once per block, so the
-    kernel's working set is a block, whatever the group size; a block
-    without ``text`` already holds signatures (``doc_id,bands``, the
-    phase-1 signature parquet) and is used as it is. ``use_simhash``
-    adds the SimHash pigeonhole block postings of each signed block
-    (same schema, same pair exchange). ``exclude`` is ``[]`` or
+    """One task of the signature wave: blocks -> band keys -> band
+    postings, hash-split on ``band_key`` into ``num_buckets`` tables
+    (one split task's row of split_dataset's wave shape). A block with
+    ``text`` (a corpus block, any other columns ignored) is signed here,
+    once per block, so the kernel's working set is a block, whatever
+    the group size; only its band keys are computed
+    (SignatureKernel.band_table). A block without ``text`` already
+    holds signatures (``doc_id,bands``, the phase-1 signature parquet)
+    and is used as it is. ``use_simhash`` signs with the full kernel
+    and adds the SimHash pigeonhole block postings of each signed
+    block (same schema, same pair exchange). ``exclude`` is ``[]`` or
     ``[member-array ref]``; nested in a list, the ref reaches the task
     unresolved and each block's ray.get in _filter_excluded waits on
     the sha exchange inside the task, not on the driver."""
-    from raydedup.pipelines.dedup import _filter_excluded, _signature_fn
+    from raydedup.pipelines.dedup import _filter_excluded, _kernel
     from raydedup.stages.candidates import simhash_postings_table
 
     exclude_ref = exclude[0] if exclude else None
 
     def signed(b: pa.Table) -> pa.Table:
-        if "text" in b.column_names:
-            return _signature_fn(b, cfg, False, exclude_ref)
-        return b if exclude_ref is None else _filter_excluded(b, exclude_ref)
+        text = "text" in b.column_names
+        if text:
+            b = _doc_text(b)
+        if exclude_ref is not None:
+            b = _filter_excluded(b, exclude_ref)
+        if not text:
+            return b
+        kernel = _kernel(cfg, False)
+        return kernel(b) if use_simhash else kernel.band_table(b)
 
     parts = []
     for b in blocks:
@@ -154,8 +167,8 @@ def _signature_wave(
     exclude_ref=None,
     use_simhash: bool = False,
 ) -> list:
-    """Submit the fused signature -> band postings -> band_key split wave
-    over ``doc_id,text`` (or ``doc_id,bands`` signature) block refs,
+    """Submit the fused band keys -> band postings -> band_key split wave
+    over corpus (or ``doc_id,bands`` signature) block refs,
     grouped like split_dataset, without waiting on it. Returns the wave
     (``wave[i][k]``) for candidate_pair_refs's exchange-1 reduce."""
     exclude = [exclude_ref] if exclude_ref is not None else []
@@ -412,7 +425,7 @@ def run_dedup_scale(
     already committed loads its buckets from disk, a computed one
     commits its buckets before the next stage starts, so a crash resumes
     from the last committed exchange. The inputs several stages share
-    (text block refs, doc and member splits, containment explode) are
+    (corpus block refs, doc and member splits, containment explode) are
     built on first use: a resume builds only what its remaining stages
     need, and without a checkpoint each is built up front where its
     work overlaps the signature stage. Clustering is a task DAG
@@ -423,14 +436,20 @@ def run_dedup_scale(
     pass a Dataset that is cheap to re-read (the phase-1 parquet) or
     already materialized.
 
-    The signature stage is one wave of raw tasks (signatures, band
-    postings and the band_key split fused per task, grouped like
-    split_dataset), so ``cfg.batch_size`` and ``cfg.signature_concurrency``
-    do not shape it. ``signatures`` (doc_id, bands; the phase-1
-    signature parquet) feeds that wave precomputed signatures instead of
-    text; they must be signed over the text the run dedups, so not over
-    raw text with ``cfg.normalize``. ``stream_spill_dir`` caches the
-    input projection to parquet once (see _spill_docs_to_parquet).
+    Without a checkpoint or ``stream_spill_dir`` no Ray Data plan runs
+    after ``docs.materialize()``: the materialized block refs are taken
+    as they are, and the text split, the sha split and the signature
+    wave project the columns they read inside their own tasks. With
+    either, the input is parquet, read once as its ``doc_id, text,
+    text_sha256`` projection. The signature stage is one wave of raw
+    tasks (band keys only, band postings and the band_key split fused
+    per task, grouped like split_dataset), so ``cfg.batch_size`` and
+    ``cfg.signature_concurrency`` do not shape it. ``signatures``
+    (doc_id, bands; the phase-1 signature parquet) feeds that wave
+    precomputed signatures instead of text; they must be signed over
+    the text the run dedups, so not over raw text with
+    ``cfg.normalize``. ``stream_spill_dir`` caches the input projection
+    to parquet once (see _spill_docs_to_parquet).
 
     ``use_simhash`` turns on the SimHash secondary matcher: the
     signature wave also posts each doc's simhash pigeonhole blocks, so
@@ -522,14 +541,19 @@ def run_dedup_scale(
 
     # --- shared stage inputs, built on first use -------------------------
     @functools.cache
-    def get_text_refs() -> list:
-        # one projection pass: the doc_id,text block refs feed both the
-        # corpus text split and the signature wave
-        return arrow_block_refs(docs.select_columns(["doc_id", "text"]))
+    def get_block_refs() -> list:
+        # the corpus blocks feed the text split, the sha split and the
+        # signature wave, whose tasks each project the columns they
+        # read: a materialized corpus hands over its block refs with no
+        # Ray Data plan; a parquet input (checkpoint, stream spill) is
+        # read once, pruned to the columns those stages read
+        if ckpt is None and stream_spill_dir is None:
+            return arrow_block_refs(docs)
+        return arrow_block_refs(docs.select_columns(["doc_id", "text", "text_sha256"]))
 
     @functools.cache
     def get_dsplit() -> list:
-        return split_dataset(get_text_refs(), "doc_id", num_buckets)
+        return split_dataset(get_block_refs(), "doc_id", num_buckets, prep=_doc_text)
 
     @functools.cache
     def get_msplit() -> list:
@@ -556,19 +580,21 @@ def run_dedup_scale(
         get_dsplit()
 
     # --- stage: exact sha edges (refs) --------------------------------
+    # its own split wave over the corpus blocks (keyed in-task by
+    # sha_key_table), not a return of the signature tasks: with
+    # cfg.sig_skip_exact_members those wait on this stage's members
     def _exact() -> list:
-        keyed = docs.select_columns(["doc_id", "text_sha256"]).map_batches(
-            sha_key_table, batch_format="pyarrow"
-        )
-        return hash_exchange_apply(
-            keyed, "sha_key", sha_emit_table, num_buckets, collect=False
-        )
+        split = split_dataset(get_block_refs(), "sha_key", num_buckets, prep=sha_key_table)
+        return [
+            _reduce_bucket.remote(sha_emit_table, *[s[k] for s in split])
+            for k in range(num_buckets)
+        ]
 
     exact_refs = stage("exact", _exact)
 
     # --- stage: LSH candidates (refs) ---------------------------------
-    # One wave of raw tasks over the text (or signature) block refs,
-    # grouped like split_dataset: each task computes signatures,
+    # One wave of raw tasks over the corpus (or signature) block refs,
+    # grouped like split_dataset: each task computes band keys,
     # explodes band postings and splits them on band_key in-task, so
     # exchange 1 of the fused candidate chain consumes the wave
     # directly. Nothing waits on it: every stage below is submitted
@@ -589,7 +615,7 @@ def run_dedup_scale(
             else None
         )
         blocks = (
-            get_text_refs()
+            get_block_refs()
             if signatures is None
             else arrow_block_refs(signatures.select_columns(["doc_id", "bands"]))
         )
@@ -600,9 +626,9 @@ def run_dedup_scale(
         )
 
     cand_refs = stage("candidates", _candidates)
-    # the split and wave tasks hold the text blocks now; without the
-    # driver's refs the store frees them as soon as both waves finish
-    get_text_refs.cache_clear()
+    # the split and wave tasks hold the corpus blocks now; without the
+    # driver's refs the store frees them as soon as the waves finish
+    get_block_refs.cache_clear()
     # NOTE: counted BEFORE the exact-member drop below — the drop
     # happens implicitly at the attach joins, so the raw LSH candidate
     # volume is the meaningful refs-only metric. Count tasks are

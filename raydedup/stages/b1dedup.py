@@ -46,27 +46,14 @@ OUT_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("hamming", pa.int
 N_BANDS = 8  # 8 bands x 16 bits over the 128-bit pack
 
 
-def _kernel_cache(cfg: DedupConfig):
-    """Per-worker-process SignatureKernel cache (perm tables + word-hash
-    cache survive across batches — same pattern as pipelines/dedup)."""
-    from raydedup.pipelines import dedup as _d
-
-    kern = _d._KERNELS.get((cfg, False))
-    if kern is None:
-        from raydedup.stages.signatures import SignatureKernel
-
-        kern = _d._KERNELS[(cfg, False)] = SignatureKernel(cfg, keep_shingles=False)
-    return kern
-
-
 def _b1_postings(t: pa.Table, cfg: DedupConfig) -> pa.Table:
     """batch(doc_id, text) -> 8 band postings per doc carrying the pack."""
-    from raydedup.stages.signatures import SignatureKernel, pack_b1
+    from raydedup.pipelines.dedup import _kernel
+    from raydedup.stages.signatures import pack_b1
 
     if t.num_rows == 0 or t.num_columns == 0:
         return _POST_SCHEMA.empty_table()
-    kern = _kernel_cache(cfg)
-    sig_t = kern(t)
+    sig_t = _kernel(cfg, False)(t)
     if sig_t.num_rows == 0:
         return _POST_SCHEMA.empty_table()
     ids = sig_t.column("doc_id").to_numpy(zero_copy_only=False).astype(I64)

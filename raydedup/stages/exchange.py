@@ -79,11 +79,18 @@ def _schema_donor(parts) -> pa.Table | None:
 
 
 @ray.remote
-def _split_blocks(key_col: str, num_buckets: int, *blocks: pa.Table) -> list[pa.Table]:
+def _split_blocks(
+    key_col: str,
+    num_buckets: int,
+    prep: Callable[[pa.Table], pa.Table] | None,
+    *blocks: pa.Table,
+) -> list[pa.Table]:
     # several input blocks per split task: the object count is
     # O(split_tasks x buckets), not O(input_blocks x buckets) — tens of
-    # thousands of tiny plasma objects serialize on the raylet otherwise
-    nonempty = [b for b in blocks if b.num_rows]
+    # thousands of tiny plasma objects serialize on the raylet otherwise.
+    # ``prep`` (a column projection, a key kernel) maps each non-empty
+    # block first, so the input can be whole corpus blocks
+    nonempty = [b if prep is None else prep(b) for b in blocks if b.num_rows]
     if not nonempty:
         donor = _schema_donor(blocks)
         empty = donor.slice(0, 0) if donor is not None else pa.table({})
@@ -224,17 +231,24 @@ def block_groups(refs: list) -> list[list]:
     return [refs[i : i + group] for i in range(0, len(refs), group)]
 
 
-def split_dataset(x: Dataset | list, key: str, num_buckets: int | None = None) -> list:
+def split_dataset(
+    x: Dataset | list,
+    key: str,
+    num_buckets: int | None = None,
+    prep: Callable[[pa.Table], pa.Table] | None = None,
+) -> list:
     """Hash-partition a Dataset (or list of block refs) on ``key`` into
     ``num_buckets`` buckets. Returns a list of per-split-task lists of
     bucket ObjectRefs (``splits[i][k]`` = split task i's bucket k) that
     can be fed to multiple reduce rounds WITHOUT re-splitting — reuse
-    this when the same table joins on the same key more than once."""
+    this when the same table joins on the same key more than once.
+    ``prep`` maps each non-empty block inside the split tasks before it
+    is split (it must produce ``key``)."""
     if num_buckets is None:
         num_buckets = default_buckets()
     refs = arrow_block_refs(x) if isinstance(x, Dataset) else list(x)
     return [
-        _split_blocks.options(num_returns=num_buckets).remote(key, num_buckets, *g)
+        _split_blocks.options(num_returns=num_buckets).remote(key, num_buckets, prep, *g)
         for g in block_groups(refs)
     ]
 

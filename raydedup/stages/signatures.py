@@ -230,6 +230,10 @@ def minhash_batch(
     # AND 12-way concurrent on this host)
     group_shingles = 512
     ends = np.append(offsets[1:], allsh.shape[0])
+    # one permuted-values buffer for every group, written in place: a
+    # group stops at the first doc that reaches group_shingles, so it
+    # never holds more than that plus one doc's shingles
+    buf = np.empty((group_shingles + int(lens.max()), n_perms), dtype=U64)
     d0 = 0
     while d0 < n_docs:
         d1 = d0 + 1
@@ -237,9 +241,12 @@ def minhash_batch(
         while d1 < n_docs and ends[d1 - 1] - base < group_shingles:
             d1 += 1
         seg = allsh[base : ends[d1 - 1]]
-        vals = seg[:, None] * a[None, :] + b[None, :]  # u64 wraparound
+        vals = buf[: seg.shape[0]]
+        np.multiply(seg[:, None], a[None, :], out=vals)  # u64 wraparound
+        np.add(vals, b[None, :], out=vals)
         mins = np.minimum.reduceat(vals, offsets[d0:d1] - base, axis=0)
-        sig[d0:d1, :] = (mins >> U64(32)).astype(np.uint32)
+        mins >>= U64(32)
+        sig[d0:d1, :] = mins
         d0 = d1
     return sig
 
@@ -360,6 +367,13 @@ class SignatureKernel:
     Output columns: doc_id, minhash (fixed list u32 x n_perms), simhash
     (u64), band keys (list u64 x n_bands), shingles (list u64, sorted
     unique), n_shingles (u32).
+
+    ``band_table`` is the same kernel cut to the LSH index keys: it
+    returns only (doc_id, bands), bit-identical to ``__call__``'s, and
+    skips SimHash and the per-doc shingle dedup (a minimum does not
+    change when a shingle repeats). The dedup engine's signature wave
+    uses it; everything that stores or compares signatures uses
+    ``__call__``.
     """
 
     def __init__(self, cfg: DedupConfig | None = None, keep_shingles: bool = True):
@@ -367,20 +381,20 @@ class SignatureKernel:
         self.a, self.b = minhash_perms(self.cfg)
         self.keep_shingles = keep_shingles
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _shingles(self, arr: pa.Array, full: bool) -> tuple[list, list | None]:
+        """Per-doc shingle hashes of a null-filled text array (the front
+        half shared by both entry points). With ``full``: sorted unique
+        sets, plus each doc's (unique word hash, count) pairs for
+        SimHash. Without: the raw window hashes, repeats kept."""
         import pyarrow.compute as pc
 
         cfg = self.cfg
-        doc_ids = batch.column("doc_id")
-        col = batch.column("text")
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        arr = pc.fill_null(arr, "")
-        texts: list[str] | None = None
+        uniq = np.unique if full else (lambda h: h)
         # hash each doc's words ONCE; shingles and simhash tokens both
         # derive from the same word-hash array
         n = len(arr)
         sets: list = [None] * n
-        toks: list = [None] * n
+        toks: list | None = [None] * n if full else None
         char_mode = cfg.shingle_mode == "char"
         k = cfg.shingle_k
         empty_tok = (np.array([fnv1a64(b"")], dtype=U64), np.ones(1, dtype=np.int64))
@@ -406,9 +420,10 @@ class SignatureKernel:
                     if hw.shape[0] == 0:
                         t = fallback_texts[pos]
                         hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-                    sets[d] = np.unique(hw)
-                    wh = flat[offs[pos] : offs[pos + 1]]
-                    toks[d] = np.unique(wh, return_counts=True) if wh.shape[0] else empty_tok
+                    sets[d] = uniq(hw)
+                    if full:
+                        wh = flat[offs[pos] : offs[pos + 1]]
+                        toks[d] = np.unique(wh, return_counts=True) if wh.shape[0] else empty_tok
             slow_idx = np.flatnonzero(~ascii_mask)
         else:
             slow_idx = np.arange(n)
@@ -416,35 +431,57 @@ class SignatureKernel:
             texts = arr.to_pylist()
             for d in slow_idx:
                 t = texts[d]
-                words = tokenize(t)
-                wh = _WORD_CACHE.hash_words(words) if words else None
+                wh = None
+                if full or not char_mode:
+                    words = tokenize(t)
+                    wh = _WORD_CACHE.hash_words(words) if words else None
                 if char_mode:
                     sets[d] = shingle_hashes(t, cfg)
                 else:
                     hh = rolling_hash_u64(wh, k) if wh is not None else np.empty(0, U64)
                     if hh.shape[0] == 0:
                         hh = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-                    sets[d] = np.unique(hh)
-                if wh is None:
-                    toks[d] = empty_tok
-                else:
-                    toks[d] = np.unique(wh, return_counts=True)
-        if cfg.minhash_scheme == "oph":
-            sig = oph_minhash_batch(sets, cfg.n_perms)
-        else:
-            sig = minhash_batch(sets, self.a, self.b)
-        sim = simhash_batch(toks)
-        bands = band_keys(sig, cfg)
+                    sets[d] = uniq(hh)
+                if full:
+                    toks[d] = empty_tok if wh is None else np.unique(wh, return_counts=True)
+        return sets, toks
+
+    def _minhash(self, batch: pa.Table, full: bool) -> tuple[list, list | None, np.ndarray]:
+        """(shingle sets, SimHash token pairs, MinHash matrix) of one
+        batch's ``text`` (see _shingles for ``full``)."""
+        import pyarrow.compute as pc
+
+        col = batch.column("text")
+        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        sets, toks = self._shingles(pc.fill_null(arr, ""), full)
+        if self.cfg.minhash_scheme == "oph":
+            return sets, toks, oph_minhash_batch(sets, self.cfg.n_perms)
+        return sets, toks, minhash_batch(sets, self.a, self.b)
+
+    def _band_column(self, sig: np.ndarray) -> pa.Array:
+        return pa.FixedSizeListArray.from_arrays(
+            pa.array(band_keys(sig, self.cfg).reshape(-1), type=pa.uint64()),
+            self.cfg.n_bands,
+        )
+
+    def band_table(self, batch: pa.Table) -> pa.Table:
+        """docs batch -> (doc_id, bands) only."""
+        sig = self._minhash(batch, full=False)[2]
+        return pa.table(
+            {"doc_id": batch.column("doc_id").cast(pa.int64()), "bands": self._band_column(sig)}
+        )
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        cfg = self.cfg
+        sets, toks, sig = self._minhash(batch, full=True)
         cols: dict[str, pa.Array] = {}
-        cols["doc_id"] = doc_ids.cast(pa.int64())
+        cols["doc_id"] = batch.column("doc_id").cast(pa.int64())
         cols["minhash"] = pa.FixedSizeListArray.from_arrays(
             pa.array(sig.reshape(-1), type=pa.uint32()), cfg.n_perms
         )
-        cols["simhash"] = pa.array(sim, type=pa.uint64())
-        cols["bands"] = pa.FixedSizeListArray.from_arrays(
-            pa.array(bands.reshape(-1), type=pa.uint64()), cfg.n_bands
-        )
-        lens = np.fromiter((s.shape[0] for s in sets), dtype=np.int64, count=n)
+        cols["simhash"] = pa.array(simhash_batch(toks), type=pa.uint64())
+        cols["bands"] = self._band_column(sig)
+        lens = np.fromiter((s.shape[0] for s in sets), dtype=np.int64, count=len(sets))
         if self.keep_shingles:
             # packed little-endian uint64 bytes: Arrow acero joins support
             # binary payloads but not list columns; np.frombuffer restores

@@ -122,6 +122,33 @@ def test_sig_skip_exact_members_is_cluster_identical(ray_session, small_corpus):
     assert on.metrics["candidate_pairs"] < off.metrics["candidate_pairs"]
 
 
+def test_no_ray_data_plan_after_materialize(ray_session, small_corpus, monkeypatch):
+    """On an already-materialized corpus the engine runs no Ray Data
+    plan: the text split, the sha split and the signature wave take the
+    materialized block refs and project their columns in-task. The
+    same holds with sig_skip_exact_members, whose signature tasks wait
+    on the exact stage's members, and the clusters are equal."""
+    from ray.data import Dataset
+
+    docs = pages_to_docs(read_pages(small_corpus[1]["pages"])).materialize()
+    calls = []
+    frames = []
+    for skip in (False, True):
+        with monkeypatch.context() as m:
+            for name in ("select_columns", "map_batches"):
+                orig = getattr(Dataset, name)
+
+                def record(self, *a, _name=name, _orig=orig, **kw):
+                    calls.append(_name)
+                    return _orig(self, *a, **kw)
+
+                m.setattr(Dataset, name, record)
+            res = run_dedup_scale(docs, DedupConfig(sig_skip_exact_members=skip))
+        frames.append(_sorted(res))
+    assert calls == []
+    pd.testing.assert_frame_equal(frames[0], frames[1])
+
+
 def test_sig_skip_honors_actor_pool_concurrency(ray_session, small_corpus):
     """signature_concurrency + sig_skip_exact_members must not silently
     fall back to stateless tasks (review finding): the actor-pool path

@@ -69,15 +69,24 @@ def test_minhash_identical_sets_identical_sigs():
 
 
 def test_minhash_deterministic_across_batching():
-    """Signature of a doc must not depend on which batch it lands in."""
+    """Signature of a doc must not depend on which batch it lands in,
+    nor on repeated shingles, and must equal the per-doc formula, also
+    for docs that overrun a kernel doc-group (512 shingles)."""
     rng = np.random.Generator(np.random.PCG64(3))
     sets = [
-        np.unique(rng.integers(0, 2**63, size=50, dtype=np.uint64)) for _ in range(5)
+        np.unique(rng.integers(0, 2**63, size=n, dtype=np.uint64))
+        for n in (50, 700, 1, 2000, 50, 3)
     ]
     a, b = minhash_perms(CFG)
     whole = minhash_batch(sets, a, b)
     solo = np.vstack([minhash_batch([s], a, b) for s in sets])
     np.testing.assert_array_equal(whole, solo)
+    ref = np.vstack(
+        [((s[:, None] * a[None, :] + b[None, :]) >> np.uint64(32)).min(axis=0) for s in sets]
+    ).astype(np.uint32)
+    np.testing.assert_array_equal(whole, ref)
+    repeated = minhash_batch([np.concatenate([s, s[::-1]]) for s in sets], a, b)
+    np.testing.assert_array_equal(repeated, whole)
 
 
 def test_simhash_similar_docs_close():
@@ -184,3 +193,47 @@ def test_pack_b1_bits_and_estimator():
 
     with pytest.raises(ValueError):
         pack_b1(np.zeros((1, 200), dtype=np.uint32))
+
+
+_BAND_TEXTS = {
+    "ascii": [
+        "alpha beta gamma delta epsilon zeta eta theta",
+        "Alpha  beta gamma delta epsilon zeta eta iota alpha beta gamma delta",
+        "repeat repeat repeat repeat repeat repeat repeat repeat",
+    ],
+    "non_ascii": [
+        "über straße naïve café déjà vu résumé jalapeño",
+        "İstanbul ĞÜŞ über straße naïve café déjà vu",
+        "über straße naïve café über straße naïve café",
+    ],
+    "short": ["one", "two words", "three short words", "four words are here"],
+    "empty_null": ["", None, "   ", "a b c d e f g"],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"shingle_mode": "char"}, {"minhash_scheme": "oph"}],
+    ids=["word", "char", "oph"],
+)
+def test_band_table_is_bit_identical_to_kernel_bands(overrides):
+    """SignatureKernel.band_table skips SimHash and the per-doc shingle
+    dedup; its band keys must equal the full kernel's, on every path of
+    the shared front half (ASCII fast path, per-doc non-ASCII path,
+    whole-text hash of docs shorter than shingle_k, empty and null)."""
+    cfg = DedupConfig(**overrides)
+    k = SignatureKernel(cfg, keep_shingles=False)
+    texts = [t for group in _BAND_TEXTS.values() for t in group]
+    batches = [list(g) for g in _BAND_TEXTS.values()] + [texts]
+    for batch_texts in batches:
+        batch = pa.table(
+            {
+                "doc_id": pa.array(range(len(batch_texts)), pa.int64()),
+                "text": pa.array(batch_texts, pa.string()),
+            }
+        )
+        got = k.band_table(batch)
+        assert got.column_names == ["doc_id", "bands"]
+        want = SignatureKernel(cfg)(batch)
+        assert got.column("doc_id").equals(want.column("doc_id"))
+        assert got.column("bands").equals(want.column("bands"))
