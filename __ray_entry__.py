@@ -289,7 +289,7 @@ def _q_dedup_increment(sf_dir: str):
         cross_verified_pairs,
         increment_assignments,
     )
-    from raydedup.pipelines.query import _parquet_files
+    from raydedup.state.checkpoint import store_files
 
     cfg = DedupConfig(batch_size=1024)
     docs = _docs(sf_dir).materialize()
@@ -318,8 +318,8 @@ def _q_dedup_increment(sf_dir: str):
             ["doc_id", "bands"]
         ).write_parquet(os.path.join(d, "signatures"))
         cross = cross_verified_pairs(
-            _parquet_files(os.path.join(d, "signatures")),
-            _parquet_files(os.path.join(d, "docs")),
+            store_files(d, "signatures"),
+            store_files(d, "docs"),
             new,
             cfg,
         )

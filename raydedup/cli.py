@@ -101,6 +101,12 @@ def _cfg_from_args(args: argparse.Namespace):
 
 
 
+def _input_files(path: str) -> list[str]:
+    """An input path as files: the sorted ``*.parquet`` files of a
+    directory, else the path itself (a file)."""
+    return sorted(glob.glob(os.path.join(path, "*.parquet"))) or [path]
+
+
 def _write_parquet_counted(ds, out_dir: str) -> int:
     """write_parquet + row count of exactly the files THIS call wrote.
 
@@ -169,9 +175,8 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     _init_ray()
     from raydedup.state.checkpoint import run_dedup_checkpointed
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
     out = run_dedup_checkpointed(
-        files, args.checkpoint, _cfg_from_args(args),
+        _input_files(args.pages), args.checkpoint, _cfg_from_args(args),
         containment=not args.no_containment, substring=args.substring,
     )
     print(json.dumps({"clusters_dir": out["clusters_path"], **out["metrics"]}, default=str))
@@ -314,12 +319,12 @@ def cmd_metadata(args: argparse.Namespace) -> int:
     import pyarrow.dataset as pads
 
     from raydedup.stages.extract import doc_ids_from_urls
+    from raydedup.state.checkpoint import store_files
 
-    docs_dir = os.path.join(args.index, "docs")
-    if not os.path.isdir(docs_dir):
+    if not os.path.isdir(os.path.join(args.index, "docs")):
         raise SystemExit(f"{args.index}: not an index dir (no docs/)")
     ids = doc_ids_from_urls(list(args.urls))
-    dset = pads.dataset(docs_dir, format="parquet")
+    dset = pads.dataset(store_files(args.index, "docs"), format="parquet")
     cols = [c for c in dset.schema.names if c != "text"]
     tbl = dset.to_table(
         columns=cols, filter=pads.field("doc_id").isin(ids.tolist())
@@ -343,8 +348,7 @@ def cmd_passages(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.passages import hot_passages
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     tbl = hot_passages(docs, min_docs=args.min_docs, k=args.k, limit=args.top)
     for s, n in zip(tbl.column("shingle").to_pylist(), tbl.column("n_docs").to_pylist()):
         print(f"{n}\t{s}")
@@ -359,8 +363,7 @@ def cmd_lines(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.lines import dedup_lines, hot_lines
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     if args.out:
         import pyarrow.parquet as pq
 
@@ -381,8 +384,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.textnorm import normalized_docs
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     out = normalized_docs(docs)
     if args.out:
         out.write_parquet(args.out)
@@ -420,8 +422,7 @@ def cmd_quality(args: argparse.Namespace) -> int:
         gopher_rules_batch,
     )
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
 
     import pyarrow as pa
 
@@ -468,8 +469,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.search import search_terms
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     df = search_terms(docs, args.terms, mode=args.mode).to_pandas()
     if df.empty:
         # an all-empty Ray result can arrive column-less (0-row blocks
@@ -492,8 +492,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.chunking import chunk_documents
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     chunks = chunk_documents(docs, chunk_tokens=args.tokens, overlap=args.overlap)
     n = _write_parquet_counted(chunks, args.out)
     print(json.dumps({"chunks": n, "out": args.out}))
@@ -510,8 +509,7 @@ def cmd_scrub(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.passagededup import scrub_passages
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     out = scrub_passages(
         docs, DedupConfig(), chunk_tokens=args.tokens, containment=not args.no_containment
     )
@@ -529,8 +527,7 @@ def cmd_shuffle(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.shuffleorder import DEFAULT_SHUFFLE_SEED, shuffle_positions
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     seed = args.seed if args.seed is not None else DEFAULT_SHUFFLE_SEED
     out = shuffle_positions(docs, seed=seed, n_shards=args.shards)
     n = _write_parquet_counted(out, args.out)
@@ -553,8 +550,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         largest_clusters,
     )
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files)).materialize()
+    docs = pages_to_docs(read_pages(_input_files(args.pages))).materialize()
     res = run_dedup_auto(docs, _cfg_from_args(args), containment=not args.no_containment)
     clusters = res.clusters
     hist = cluster_size_histogram(clusters).to_pydict()
@@ -590,8 +586,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.packing import pack_sequences
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     tbl = pack_sequences(docs, budget=args.budget, n_buckets=args.buckets)
     pq.write_table(tbl, args.out)
     n_packs = len(
@@ -650,10 +645,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     _init_ray()
     import ray.data as rd
 
+    from raydedup.state.checkpoint import store_files
     from raydedup.stages.candidates import band_postings, band_size_stats
 
-    sigs = rd.read_parquet(os.path.join(args.index, "signatures"))
-    docs = rd.read_parquet(os.path.join(args.index, "docs"))
+    sigs = rd.read_parquet(store_files(args.index, "signatures"))
+    docs = rd.read_parquet(store_files(args.index, "docs"))
     cfg = _cfg_from_args(args)
     stats = {
         "n_docs": docs.count(),
@@ -676,8 +672,7 @@ def cmd_domains(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.domains import cap_per_domain, domain_stats
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
 
     def with_len(t):
         if t.num_rows == 0 or t.num_columns == 0:
@@ -722,8 +717,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     from raydedup.stages.crawldiff import crawl_diff
 
     def side(path):
-        files = sorted(glob.glob(os.path.join(path, "*.parquet"))) or [path]
-        docs = pages_to_docs(read_pages(files))
+        docs = pages_to_docs(read_pages(_input_files(path)))
 
         def prep(t: pa.Table) -> pa.Table:
             if t.num_rows == 0 or t.num_columns == 0:
@@ -750,8 +744,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         from raydedup.stages.contentdrift import content_drift
 
         def docs_side(path):
-            files = sorted(glob.glob(os.path.join(path, "*.parquet"))) or [path]
-            return p2d(rp(files)).select_columns(["url", "text"])
+            return p2d(rp(_input_files(path))).select_columns(["url", "text"])
 
         t = content_drift(docs_side(args.old), docs_side(args.new))
         changed = sum(1 for j in t.column("jaccard").to_pylist() if j < 1.0)
@@ -786,8 +779,7 @@ def cmd_dupngrams(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.dupngrams import dup_ngram_fraction
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     df = dup_ngram_fraction(docs, k=args.k, min_docs=args.min_docs).to_pandas()
     if df.empty:
         return 0
@@ -807,8 +799,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.export import export_shards
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
-    docs = pages_to_docs(read_pages(files))
+    docs = pages_to_docs(read_pages(_input_files(args.pages)))
     print(json.dumps(export_shards(docs, args.out, n_shards=args.shards)))
     return 0
 
@@ -837,7 +828,7 @@ def _docs_with_host(pages_glob: str):
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.domains import add_host
 
-    files = sorted(glob.glob(os.path.join(pages_glob, "*.parquet"))) or [pages_glob]
+    files = _input_files(pages_glob)
     return add_host(pages_to_docs(read_pages(files)), url_col="url", out_col="host")
 
 
@@ -920,9 +911,8 @@ def cmd_b1dedup(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.b1dedup import b1_neardup_pairs
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
     t = b1_neardup_pairs(
-        pages_to_docs(read_pages(files)),
+        pages_to_docs(read_pages(_input_files(args.pages))),
         _cfg_from_args(args),
         hamming_max=args.hamming_max,
     )
@@ -952,9 +942,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.dsir import dsir_weights
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
     out = dsir_weights(
-        pages_to_docs(read_pages(files)),
+        pages_to_docs(read_pages(_input_files(args.pages))),
         target_col=args.target_col,
         target_value=args.target_value,
     )
@@ -981,9 +970,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.nbayes import nb_classify
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
     out = nb_classify(
-        pages_to_docs(read_pages(files)),
+        pages_to_docs(read_pages(_input_files(args.pages))),
         class_col=args.class_col,
         test_mod=args.test_mod,
     )
@@ -1004,7 +992,7 @@ def cmd_pplbucket(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.lm import perplexity_buckets
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
+    files = _input_files(args.pages)
     out = perplexity_buckets(
         pages_to_docs(read_pages(files)), n_buckets=args.buckets, model=args.model
     )
@@ -1026,7 +1014,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     from raydedup.sources.pages import pages_to_docs, read_pages
     from raydedup.stages.embed import embed_docs
 
-    files = sorted(glob.glob(os.path.join(args.pages, "*.parquet"))) or [args.pages]
+    files = _input_files(args.pages)
     out = embed_docs(
         pages_to_docs(read_pages(files)), dim=args.dim, n_buckets=args.buckets
     )
@@ -1058,11 +1046,8 @@ def cmd_semdedup(args: argparse.Namespace) -> int:
 
     from raydedup.stages.semdedup import semdedup
 
-    files = sorted(glob.glob(os.path.join(args.embeddings, "*.parquet"))) or [
-        args.embeddings
-    ]
     out = semdedup(
-        rd.read_parquet(files),
+        rd.read_parquet(_input_files(args.embeddings)),
         threshold=args.threshold,
         n_bucket_bits=args.bits,
     )
@@ -1091,9 +1076,7 @@ def cmd_protoprune(args: argparse.Namespace) -> int:
 
     from raydedup.stages.embsketch import prototype_prune
 
-    files = sorted(glob.glob(os.path.join(args.embeddings, "*.parquet"))) or [
-        args.embeddings
-    ]
+    files = _input_files(args.embeddings)
     out = prototype_prune(rd.read_parquet(files), threshold=args.threshold)
     if args.out:
         print(json.dumps({"vectors": _write_parquet_counted(out, args.out), "out": args.out}))
@@ -1116,9 +1099,7 @@ def cmd_embstore(args: argparse.Namespace) -> int:
 
     from raydedup.pipelines.embindex import build_emb_index
 
-    files = sorted(glob.glob(os.path.join(args.embeddings, "*.parquet"))) or [
-        args.embeddings
-    ]
+    files = _input_files(args.embeddings)
     man = build_emb_index(
         rd.read_parquet(files), args.index, n_centroids=args.centroids
     )
@@ -1134,9 +1115,7 @@ def cmd_embadd(args: argparse.Namespace) -> int:
 
     from raydedup.pipelines.embindex import add_to_emb_index
 
-    files = sorted(glob.glob(os.path.join(args.embeddings, "*.parquet"))) or [
-        args.embeddings
-    ]
+    files = _input_files(args.embeddings)
     print(json.dumps(add_to_emb_index(args.index, rd.read_parquet(files))))
     return 0
 
@@ -1169,9 +1148,7 @@ def cmd_embquery(args: argparse.Namespace) -> int:
 
     from raydedup.pipelines.embindex import query_emb_index
 
-    files = sorted(glob.glob(os.path.join(args.queries, "*.parquet"))) or [
-        args.queries
-    ]
+    files = _input_files(args.queries)
     import pyarrow as pa
 
     t = pa.concat_tables([pq.read_table(f) for f in files])

@@ -37,8 +37,8 @@ class DedupConfig:
     n_bands: int = 16
     rows_per_band: int = 8  # n_bands * rows_per_band == n_perms
 
-    # --- SimHash (secondary near-hash family; Hamming verify via util/Hamming.java:74-83)
-    simhash_bits: int = 64
+    # --- SimHash (secondary near-hash family, 64 bits wide in
+    # stages/signatures.py; Hamming verify via util/Hamming.java:74-83)
     simhash_max_hamming: int = 3
 
     # --- verification (analog of min-hit + geometric verification gates,
@@ -124,38 +124,14 @@ class DedupConfig:
     scale_stream_min_docs: int = 5_000_000
     stream_spill_dir: str | None = None
 
-    # --- exact-dup-aware signature skip (scale path only, opt-in):
-    # barrier the (cheap) sha exchange, broadcast the sorted member-id
-    # array, and drop exact-dup MEMBERS inside the signature kernel —
-    # signature + posting + pair work then scales with UNIQUE texts
-    # (members reattach via the sha edges; clusters are identical by
-    # the same representative-mirror argument as the demand-side drop).
-    # Measured (500k docs, 32 CPUs, min-of-3 interleaved, BASELINE.md):
-    # at the bench corpus's 12.6% member share the effect is within
-    # host noise (12.8 vs 12.3 s); at a recrawl-heavy 35% share the
-    # flag is 1.17x end-to-end (12.26 -> 10.52 s) with candidate
-    # volume down 56%. Default OFF: the win only appears above the
-    # bench mix's dup rate, and the conservative default keeps the
-    # candidate-volume metrics comparable across rounds. The broadcast
-    # is 8 B/member — beyond ~10^9 members route the drop through the
-    # existing co-partitioned demand-side filter instead.
-    sig_skip_exact_members: bool = False
-
     # --- execution
-    # batch_size and signature_concurrency shape the Ray Data signature
-    # stage (map_batches rows per call; None -> stateless tasks, N -> an
-    # N-actor pool) of compute_signatures and the index/query paths;
-    # batch_size is also the phase-1 extract batch of
-    # run_dedup_checkpointed. The dedup engine (run_dedup_scale) ignores
-    # both: its signature stage is one raw task per group of corpus
-    # blocks, the band-keys-only kernel (SignatureKernel.band_table)
-    # called once per block.
+    # batch_size is the rows per map_batches call of compute_signatures
+    # and b1dedup's postings, and the extract + signature batch of the
+    # phase-1 store (build_index, run_dedup_checkpointed). The dedup
+    # engine (run_dedup_scale) ignores it: its signature stage is one
+    # raw task per group of corpus blocks, the band-keys-only kernel
+    # (SignatureKernel.band_table) called once per block.
     batch_size: int = 4096
-    target_block_rows: int = 65536
-    signature_concurrency: int | None = None
-
-    # --- corpus / ids
-    id_seed: int = 0x5EED_0002
 
     def __post_init__(self) -> None:
         if self.n_bands * self.rows_per_band != self.n_perms:

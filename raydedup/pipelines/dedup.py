@@ -6,8 +6,8 @@
   ``exact_dedup_edges`` runs the pair over a Dataset;
 - signatures: ``_kernel`` is the per-process cached MinHash + SimHash
   kernel (``OlafEventPointProcessor.java`` et al.), ``_signature_fn``
-  calls it, ``compute_signatures`` maps that over a Dataset, and
-  ``_filter_excluded`` drops exact-dup members ahead of it.
+  calls it, and ``compute_signatures`` maps that over a Dataset (one
+  ``map_batches`` of stateless tasks, ``cfg.batch_size`` rows a call).
 """
 
 from __future__ import annotations
@@ -108,24 +108,6 @@ def exact_dedup_edges(docs: Dataset, num_buckets: int | None = None) -> Dataset:
 _KERNELS: dict[Any, SignatureKernel] = {}
 
 
-def _filter_excluded(batch: pa.Table, exclude_ref) -> pa.Table:
-    """Drop exact-dup MEMBER rows (cfg.sig_skip_exact_members): their
-    representative has a byte-identical text, so skipping them in the
-    signature kernel changes no downstream result — the local ray.get
-    resolves from plasma (zero-copy) and pipelines each task behind the
-    sha exchange without a driver barrier."""
-    if batch.num_rows == 0:
-        return batch
-    import ray
-
-    em = ray.get(exclude_ref)
-    if em.shape[0] == 0:
-        return batch
-    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-    pos = np.minimum(np.searchsorted(em, ids), em.shape[0] - 1)
-    return batch.filter(pa.array(em[pos] != ids))
-
-
 def _kernel(cfg: DedupConfig, keep_shingles: bool) -> SignatureKernel:
     # per-worker-process kernel cache: permutation tables + word-hash cache
     # built once per process, reused across task invocations (stateless-task
@@ -137,55 +119,14 @@ def _kernel(cfg: DedupConfig, keep_shingles: bool) -> SignatureKernel:
     return kernel
 
 
-def _signature_fn(
-    batch: pa.Table,
-    cfg: DedupConfig,
-    keep_shingles: bool,
-    exclude_ref=None,
-) -> pa.Table:
-    if exclude_ref is not None:
-        batch = _filter_excluded(batch, exclude_ref)
+def _signature_fn(batch: pa.Table, cfg: DedupConfig, keep_shingles: bool) -> pa.Table:
     return _kernel(cfg, keep_shingles)(batch)
 
 
 def compute_signatures(
-    docs: Dataset,
-    cfg: DedupConfig,
-    keep_shingles: bool = True,
-    exclude_ids_ref=None,
+    docs: Dataset, cfg: DedupConfig, keep_shingles: bool = True
 ) -> Dataset:
-    src = docs.select_columns(["doc_id", "text"])
-    if exclude_ids_ref is not None:
-        if cfg.signature_concurrency:
-            # actor-pool path: apply the member drop as a separate
-            # (cheap, row-filter-only) stage so the configured actor
-            # pool and its once-per-actor state are preserved
-            def _drop(t: pa.Table) -> pa.Table:
-                return _filter_excluded(t, exclude_ids_ref)
-
-            src = src.map_batches(_drop, batch_format="pyarrow")
-        else:
-            # stateless-task path: fuse the drop into the kernel call
-            return src.map_batches(
-                _signature_fn,
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-                fn_kwargs={
-                    "cfg": cfg,
-                    "keep_shingles": keep_shingles,
-                    "exclude_ref": exclude_ids_ref,
-                },
-            )
-    if cfg.signature_concurrency:
-        # explicit actor pool (ST1 analog: state loaded once per actor)
-        return src.map_batches(
-            SignatureKernel,
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            fn_constructor_kwargs={"cfg": cfg, "keep_shingles": keep_shingles},
-            concurrency=cfg.signature_concurrency,
-        )
-    return src.map_batches(
+    return docs.select_columns(["doc_id", "text"]).map_batches(
         _signature_fn,
         batch_format="pyarrow",
         batch_size=cfg.batch_size,

@@ -73,20 +73,6 @@ class DedupScaleResult:
 
 
 @ray.remote
-def _sorted_member_array(*edge_tables: pa.Table) -> np.ndarray:
-    """sha edge tables -> sorted unique exact-dup MEMBER ids (the ``b``
-    side), packed in a task for broadcast (8 B/member)."""
-    arrs = [
-        t.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        for t in edge_tables
-        if t.num_rows
-    ]
-    if not arrs:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(arrs))
-
-
-@ray.remote
 def _count_rows(t: pa.Table, flag: str | None = None) -> int:
     """Rows of ``t``, or with ``flag`` its rows whose boolean column
     ``flag`` is true (0 when a typed-empty table lacks it)."""
@@ -113,11 +99,7 @@ def _doc_text(b: pa.Table) -> pa.Table:
 
 @ray.remote
 def _signature_postings_split(
-    cfg: DedupConfig,
-    num_buckets: int,
-    exclude: list,
-    use_simhash: bool,
-    *blocks: pa.Table,
+    cfg: DedupConfig, num_buckets: int, use_simhash: bool, *blocks: pa.Table
 ) -> list[pa.Table]:
     """One task of the signature wave: blocks -> band keys -> band
     postings, hash-split on ``band_key`` into ``num_buckets`` tables
@@ -129,24 +111,15 @@ def _signature_postings_split(
     holds signatures (``doc_id,bands``, the phase-1 signature parquet)
     and is used as it is. ``use_simhash`` signs with the full kernel
     and adds the SimHash pigeonhole block postings of each signed
-    block (same schema, same pair exchange). ``exclude`` is ``[]`` or
-    ``[member-array ref]``; nested in a list, the ref reaches the task
-    unresolved and each block's ray.get in _filter_excluded waits on
-    the sha exchange inside the task, not on the driver."""
-    from raydedup.pipelines.dedup import _filter_excluded, _kernel
+    block (same schema, same pair exchange)."""
+    from raydedup.pipelines.dedup import _kernel
     from raydedup.stages.candidates import simhash_postings_table
 
-    exclude_ref = exclude[0] if exclude else None
-
     def signed(b: pa.Table) -> pa.Table:
-        text = "text" in b.column_names
-        if text:
-            b = _doc_text(b)
-        if exclude_ref is not None:
-            b = _filter_excluded(b, exclude_ref)
-        if not text:
+        if "text" not in b.column_names:
             return b
         kernel = _kernel(cfg, False)
+        b = _doc_text(b)
         return kernel(b) if use_simhash else kernel.band_table(b)
 
     parts = []
@@ -161,20 +134,15 @@ def _signature_postings_split(
 
 
 def _signature_wave(
-    block_refs: list,
-    cfg: DedupConfig,
-    num_buckets: int,
-    exclude_ref=None,
-    use_simhash: bool = False,
+    block_refs: list, cfg: DedupConfig, num_buckets: int, use_simhash: bool = False
 ) -> list:
     """Submit the fused band keys -> band postings -> band_key split wave
     over corpus (or ``doc_id,bands`` signature) block refs,
     grouped like split_dataset, without waiting on it. Returns the wave
     (``wave[i][k]``) for candidate_pair_refs's exchange-1 reduce."""
-    exclude = [exclude_ref] if exclude_ref is not None else []
     return [
         _signature_postings_split.options(num_returns=num_buckets).remote(
-            cfg, num_buckets, exclude, use_simhash, *g
+            cfg, num_buckets, use_simhash, *g
         )
         for g in block_groups(block_refs)
     ]
@@ -443,8 +411,8 @@ def run_dedup_scale(
     either, the input is parquet, read once as its ``doc_id, text,
     text_sha256`` projection. The signature stage is one wave of raw
     tasks (band keys only, band postings and the band_key split fused
-    per task, grouped like split_dataset), so ``cfg.batch_size`` and
-    ``cfg.signature_concurrency`` do not shape it. ``signatures``
+    per task, grouped like split_dataset), so ``cfg.batch_size`` does
+    not shape it. ``signatures``
     (doc_id, bands; the phase-1 signature parquet) feeds that wave
     precomputed signatures instead of text; they must be signed over
     the text the run dedups, so not over raw text with
@@ -581,8 +549,9 @@ def run_dedup_scale(
 
     # --- stage: exact sha edges (refs) --------------------------------
     # its own split wave over the corpus blocks (keyed in-task by
-    # sha_key_table), not a return of the signature tasks: with
-    # cfg.sig_skip_exact_members those wait on this stage's members
+    # sha_key_table), not a return of the signature tasks: a checkpoint
+    # commits ``exact`` as its own stage, and a resume that loads it
+    # must not re-run the signature wave for it
     def _exact() -> list:
         split = split_dataset(get_block_refs(), "sha_key", num_buckets, prep=sha_key_table)
         return [
@@ -603,26 +572,13 @@ def run_dedup_scale(
     # refs would block the driver until the last one ends). Per-bucket
     # (a, b, n_collisions) tables, never collected.
     def _candidates() -> list:
-        # opt-in (cfg.sig_skip_exact_members): signature/posting/pair
-        # work scales with UNIQUE texts — each signature task waits on
-        # the sha exchange via its broadcast ref (pipelined, no driver
-        # barrier) and drops exact-dup members in-kernel; members
-        # reattach through the sha edges so clusters are identical
-        # (measured crossover vs the lost overlap in BASELINE.md).
-        exclude_ref = (
-            _sorted_member_array.remote(*exact_refs)
-            if cfg.sig_skip_exact_members
-            else None
-        )
         blocks = (
             get_block_refs()
             if signatures is None
             else arrow_block_refs(signatures.select_columns(["doc_id", "bands"]))
         )
         return candidate_pair_refs(
-            _signature_wave(blocks, cfg, num_buckets, exclude_ref, use_simhash),
-            cfg,
-            num_buckets,
+            _signature_wave(blocks, cfg, num_buckets, use_simhash), cfg, num_buckets
         )
 
     cand_refs = stage("candidates", _candidates)

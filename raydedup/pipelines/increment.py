@@ -362,16 +362,14 @@ def dedup_increment(
     are not re-emitted."""
     from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.pipelines.query import build_index
-    from raydedup.state.checkpoint import _atomic_write_table
+    from raydedup.state.checkpoint import _atomic_write_table, store_files
 
     cfg = cfg or DedupConfig()
 
-    def _files(sub: str) -> set[str]:
-        return set(glob.glob(os.path.join(index_dir, sub, "*.parquet")))
-
-    before_docs, before_sigs = _files("docs"), _files("signatures")
+    before_docs = store_files(index_dir, "docs")
+    before_sigs = store_files(index_dir, "signatures")
     store_info = build_index(new_pages_path, index_dir, cfg)
-    new_doc_files = sorted(_files("docs") - before_docs)
+    new_doc_files = sorted(set(store_files(index_dir, "docs")) - set(before_docs))
 
     out = {
         **store_info,
@@ -403,7 +401,7 @@ def dedup_increment(
     old_assign = pd.DataFrame({"doc_id": [], "cluster_id": []})
     seen = np.zeros(new_ids.shape[0], dtype=bool)
     if before_docs:
-        cross = cross_verified_pairs(sorted(before_sigs), sorted(before_docs), new_docs, cfg)
+        cross = cross_verified_pairs(before_sigs, before_docs, new_docs, cfg)
         cl_files = sorted(glob.glob(os.path.join(clusters_path, "*.parquet")))
         if cl_files:
             matched_old = ray.put(np.unique(cross.column("b").to_numpy(zero_copy_only=False)))

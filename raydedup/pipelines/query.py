@@ -44,6 +44,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.config import DedupConfig
+from raydedup.state.checkpoint import store_files
 
 
 def build_index(pages_path: str, index_dir: str, cfg: DedupConfig | None = None) -> dict:
@@ -159,14 +160,6 @@ _SEGMENT_COLS = {
     "query_start_token": "int64",
     "match_start_token": "int64",
 }
-
-
-def _parquet_files(path: str) -> list[str]:
-    """The files ``rd.read_parquet(path)`` reads: pyarrow dataset
-    discovery (recursive, names starting with "." or "_" skipped)."""
-    import pyarrow.dataset as pads
-
-    return sorted(pads.dataset(path, format="parquet").files)
 
 
 def _side_postings(sigs: pa.Table, n_bands: int, side: int) -> pa.Table:
@@ -340,12 +333,12 @@ def query_index(
         return _empty_result(with_segments)
 
     cand, q_sets = _candidate_pairs(
-        _parquet_files(os.path.join(index_dir, "signatures")), q_refs, cfg
+        store_files(index_dir, "signatures"), q_refs, cfg
     )
     if not cand.num_rows:
         return _empty_result(with_segments)
     verified = _verify_wave(
-        _parquet_files(os.path.join(index_dir, "docs")), cand, q_sets, cfg, tau
+        store_files(index_dir, "docs"), cand, q_sets, cfg, tau
     )
     rows = [t for t in ray.get([v[0] for v in verified]) if t.num_rows]
     if not rows:
@@ -437,7 +430,7 @@ def monitor_text(
     )
 
     idx_docs = rd.read_parquet(
-        os.path.join(index_dir, "docs"), columns=["doc_id", "text", "url"]
+        store_files(index_dir, "docs"), columns=["doc_id", "text", "url"]
     )
     idx_post = fingerprint_postings(
         idx_docs.select_columns(["doc_id", "text"]), cfg
@@ -578,7 +571,7 @@ def load_index(
                 "configs (pass force=True to import anyway)"
             )
 
-    src_docs = sorted(glob.glob(os.path.join(src_index_dir, "docs", "*.parquet")))
+    src_docs = store_files(src_index_dir, "docs")
     if not src_docs:
         raise FileNotFoundError(f"no docs/*.parquet under {src_index_dir}")
 
@@ -588,7 +581,7 @@ def load_index(
         t = pq.read_table(path, columns=["doc_id"])
         return np.unique(t.column("doc_id").to_numpy(zero_copy_only=False))
 
-    dest_files = sorted(glob.glob(os.path.join(index_dir, "docs", "*.parquet")))
+    dest_files = store_files(index_dir, "docs")
     parts = ray.get([_ids_of.remote(f) for f in dest_files])
     present = (
         np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
@@ -665,7 +658,7 @@ def delete_from_index(index_dir: str, urls: list[str]) -> dict:
     removed = 0
     touched = 0
     for sub in ("docs", "signatures"):
-        for f in sorted(glob.glob(os.path.join(index_dir, sub, "*.parquet"))):
+        for f in store_files(index_dir, sub):
             t = pq.read_table(f)
             ids = t.column("doc_id").to_numpy(zero_copy_only=False)
             mask = np.fromiter((int(i) not in victim_ids for i in ids), dtype=bool, count=ids.shape[0])

@@ -359,14 +359,15 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class SignatureKernel:
-    """Actor-pool batched kernel: docs batch -> signatures table.
+    """Batched kernel: docs batch -> signatures table.
 
-    Stateful per-actor setup (permutation tables + word-hash cache) runs
-    once in ``__init__`` (actor-pool pattern); ``__call__`` handles one
-    Arrow batch. Input columns: ``doc_id`` (uint64), ``text`` (string).
-    Output columns: doc_id, minhash (fixed list u32 x n_perms), simhash
-    (u64), band keys (list u64 x n_bands), shingles (list u64, sorted
-    unique), n_shingles (u32).
+    The setup (permutation tables + word-hash cache) runs once in
+    ``__init__``, and pipelines/dedup._kernel keeps one kernel per
+    worker process; ``__call__`` handles one Arrow batch. Input
+    columns: ``doc_id`` (uint64), ``text`` (string). Output columns:
+    doc_id, minhash (fixed list u32 x n_perms), simhash (u64), band
+    keys (list u64 x n_bands), shingles (list u64, sorted unique),
+    n_shingles (u32).
 
     ``band_table`` is the same kernel cut to the LSH index keys: it
     returns only (doc_id, bands), bit-identical to ``__call__``'s, and

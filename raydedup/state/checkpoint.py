@@ -30,6 +30,7 @@ hash is part of the lineage).
 from __future__ import annotations
 
 import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -53,6 +54,15 @@ def _atomic_write_table(table: pa.Table, path: str) -> None:
     tmp = path + ".tmp"
     pq.write_table(table, tmp)
     os.replace(tmp, path)
+
+
+def store_files(store_dir: str, sub: str) -> list[str]:
+    """The sorted ``*.parquet`` files of ``store_dir/<sub>`` (``docs``
+    or ``signatures`` of an index or a checkpoint). Every reader of a
+    store lists it here and hands Ray Data the files, not the
+    directory, so the ``.parquet.tmp`` of a write killed before its
+    rename (_atomic_write_table) is never read."""
+    return sorted(glob.glob(os.path.join(store_dir, sub, "*.parquet")))
 
 
 class CheckpointManager:
@@ -374,7 +384,6 @@ def run_dedup_checkpointed(
 
     Returns {"clusters_path", "metrics"} when complete.
     """
-    import glob as _glob
     import shutil
 
     import ray.data as rd
@@ -418,13 +427,15 @@ def run_dedup_checkpointed(
         exch.input_fp = f"shards={fp}"
         exch.fail_after_stage = fail_after_stage
         res = run_dedup_scale(
-            rd.read_parquet(mgr.path("docs")),
+            rd.read_parquet(store_files(mgr.dir, "docs")),
             cfg,
             ckpt=exch,
             containment=containment,
             substring=substring,
             signatures=(
-                None if cfg.normalize else rd.read_parquet(mgr.path("signatures"))
+                None
+                if cfg.normalize
+                else rd.read_parquet(store_files(mgr.dir, "signatures"))
             ),
         )
         # partitioned output (one file per block, streamed by the
@@ -437,7 +448,7 @@ def run_dedup_checkpointed(
         os.replace(tmp_dir, clusters_dir)
         n_out = sum(
             pq.ParquetFile(p).metadata.num_rows
-            for p in _glob.glob(os.path.join(clusters_dir, "*.parquet"))
+            for p in glob.glob(os.path.join(clusters_dir, "*.parquet"))
         )
         counts = {k: v for k, v in res.metrics.items() if isinstance(v, (int, float))}
         mgr.mark_stage("scale_clusters", **{**counts, "n_docs": n_out})

@@ -471,13 +471,9 @@ def test_checkpointed_normalize_matches_engine(ray_session, tmp_path):
     pd.testing.assert_frame_equal(_clusters_df(out)[direct.columns], direct)
 
 
-@pytest.mark.parametrize(
-    "containment,substring,sig_skip",
-    [(True, False, False), (True, True, False), (True, False, True)],
-    ids=["containment", "substring", "sig_skip_exact_members"],
-)
+@pytest.mark.parametrize("substring", [False, True], ids=["containment", "substring"])
 def test_checkpoint_policy_is_cluster_identical(
-    ray_session, small_corpus, tmp_path, cfg, containment, substring, sig_skip
+    ray_session, small_corpus, tmp_path, cfg, substring
 ):
     """The checkpoint is a per-stage policy on one stage graph: with an
     ExchangeCheckpoint, run_dedup_scale gives the frame and the counts
@@ -488,9 +484,8 @@ def test_checkpoint_policy_is_cluster_identical(
     from raydedup.state.checkpoint import ExchangeCheckpoint
 
     spec, paths = small_corpus
-    run_cfg = cfg.with_overrides(sig_skip_exact_members=sig_skip)
     docs = pages_to_docs(read_pages(paths["pages"])).materialize()
-    kw = dict(containment=containment, substring=substring)
+    kw = dict(containment=True, substring=substring)
     keys = ["candidate_pairs", "verified_pairs", "containment_pairs", "n_dup_docs"]
     if substring:
         keys.append("substring_pairs")
@@ -498,12 +493,12 @@ def test_checkpoint_policy_is_cluster_identical(
     def frame(res):
         return res.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
-    ref = run_dedup_scale(docs, run_cfg, **kw)
+    ref = run_dedup_scale(docs, cfg, **kw)
     want = frame(ref)
 
     d = str(tmp_path / "ck")
-    ck1 = ExchangeCheckpoint(CheckpointManager(d, run_cfg))
-    first = run_dedup_scale(docs, run_cfg, ckpt=ck1, **kw)
+    ck1 = ExchangeCheckpoint(CheckpointManager(d, cfg))
+    first = run_dedup_scale(docs, cfg, ckpt=ck1, **kw)
     pd.testing.assert_frame_equal(frame(first), want)
     assert {k: first.metrics[k] for k in keys} == {k: ref.metrics[k] for k in keys}
     assert first.metrics["resumed_exchanges"] == []
@@ -511,8 +506,8 @@ def test_checkpoint_policy_is_cluster_identical(
     assert stages[:5] == ["exact", "candidates", "verified", "forest1", "containment"]
     assert ("substring_edges" in stages) == substring
 
-    ck2 = ExchangeCheckpoint(CheckpointManager(d, run_cfg))
-    second = run_dedup_scale(docs, run_cfg, ckpt=ck2, **kw)
+    ck2 = ExchangeCheckpoint(CheckpointManager(d, cfg))
+    second = run_dedup_scale(docs, cfg, ckpt=ck2, **kw)
     assert ck2.loaded_stages == stages and ck2.invalidated_stages == []
     assert second.metrics["resumed_exchanges"] == stages
     pd.testing.assert_frame_equal(frame(second), want)

@@ -101,75 +101,26 @@ def test_run_dedup_auto_routes_by_doc_count(both_runs, small_corpus):
     pd.testing.assert_frame_equal(_sorted(big), _sorted(scale))
 
 
-def test_sig_skip_exact_members_is_cluster_identical(ray_session, small_corpus):
-    """cfg.sig_skip_exact_members: exact-dup members get no signature
-    (they reattach via sha edges), so clusters must be frame-identical
-    to the default path while the raw LSH candidate volume drops."""
-    spec, paths = small_corpus
-    cfg = DedupConfig(batch_size=256)
-    docs = pages_to_docs(read_pages(paths["pages"])).materialize()
-
-    off = run_dedup_scale(docs, cfg, num_buckets=16, n_shards=3)
-    on = run_dedup_scale(
-        docs, cfg.with_overrides(sig_skip_exact_members=True),
-        num_buckets=16, n_shards=3,
-    )
-    a = off.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = on.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    # members produce no postings -> strictly fewer raw candidates
-    # (the small_corpus plants exact-dup groups, so the drop is real)
-    assert on.metrics["candidate_pairs"] < off.metrics["candidate_pairs"]
-
-
-def test_no_ray_data_plan_after_materialize(ray_session, small_corpus, monkeypatch):
+def test_no_ray_data_plan_after_materialize(both_runs, monkeypatch):
     """On an already-materialized corpus the engine runs no Ray Data
     plan: the text split, the sha split and the signature wave take the
-    materialized block refs and project their columns in-task. The
-    same holds with sig_skip_exact_members, whose signature tasks wait
-    on the exact stage's members, and the clusters are equal."""
+    materialized block refs and project their columns in-task."""
     from ray.data import Dataset
 
-    docs = pages_to_docs(read_pages(small_corpus[1]["pages"])).materialize()
-    calls = []
-    frames = []
-    for skip in (False, True):
-        with monkeypatch.context() as m:
-            for name in ("select_columns", "map_batches"):
-                orig = getattr(Dataset, name)
-
-                def record(self, *a, _name=name, _orig=orig, **kw):
-                    calls.append(_name)
-                    return _orig(self, *a, **kw)
-
-                m.setattr(Dataset, name, record)
-            res = run_dedup_scale(docs, DedupConfig(sig_skip_exact_members=skip))
-        frames.append(_sorted(res))
-    assert calls == []
-    pd.testing.assert_frame_equal(frames[0], frames[1])
-
-
-def test_sig_skip_honors_actor_pool_concurrency(ray_session, small_corpus):
-    """signature_concurrency + sig_skip_exact_members must not silently
-    fall back to stateless tasks (review finding): the actor-pool path
-    applies the member drop as a separate filter stage and the clusters
-    stay frame-identical."""
-    spec, paths = small_corpus
+    paths, scale = both_runs
     docs = pages_to_docs(read_pages(paths["pages"])).materialize()
-    base = run_dedup_scale(
-        docs, DedupConfig(batch_size=256), num_buckets=16, n_shards=3
-    )
-    pooled = run_dedup_scale(
-        docs,
-        DedupConfig(
-            batch_size=256, sig_skip_exact_members=True, signature_concurrency=2
-        ),
-        num_buckets=16,
-        n_shards=3,
-    )
-    a = base.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = pooled.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
+    calls = []
+    for name in ("select_columns", "map_batches"):
+        orig = getattr(Dataset, name)
+
+        def record(self, *a, _name=name, _orig=orig, **kw):
+            calls.append(_name)
+            return _orig(self, *a, **kw)
+
+        monkeypatch.setattr(Dataset, name, record)
+    res = run_dedup_scale(docs, DedupConfig())
+    assert calls == []
+    pd.testing.assert_frame_equal(_sorted(res), _sorted(scale))
 
 
 def test_stream_spill_phase1_is_cluster_identical(both_runs, tmp_path):

@@ -220,3 +220,41 @@ def test_query_after_delete_and_load(rd, store, tmp_path):
     assert not oracle.match_url.isin(["https://stored.example/1-copy", "https://stored.example/2-e1"]).any()
     assert (oracle.match_url == "https://extra.example/0").sum() == 1
     _assert_oracle(df, oracle, cfg)
+
+
+def test_partial_tmp_file_is_not_read(rd, store, tmp_path, capsys, monkeypatch):
+    """A store write killed between its write and its rename leaves a
+    partial ``shard=X.parquet.tmp`` in ``docs/`` and ``signatures/``.
+    Every reader lists the same ``*.parquet`` files: the query frames
+    equal the clean index's, and monitor_text and ``stats`` read it."""
+    import glob
+    import json
+
+    import raydedup.cli as cli
+    from raydedup import DedupConfig
+    from raydedup.pipelines.query import build_index, monitor_text, query_index
+
+    pages, base, root = store
+    idx = str(tmp_path / "idx")
+    build_index(pages, idx)
+    cfg = DedupConfig()
+    urls, texts = _mixed_batch(base)
+    q, _ = _queries(rd, urls, texts)
+    clean = query_index(idx, q, cfg, top_k=10)
+    assert len(clean) > 0
+    n_stored = len(_stored(idx))
+    for sub in ("docs", "signatures"):
+        src = sorted(glob.glob(os.path.join(idx, sub, "*.parquet")))[0]
+        with open(src, "rb") as f:
+            data = f.read()
+        with open(os.path.join(idx, sub, "shard=partial.parquet.tmp"), "wb") as f:
+            f.write(data[: len(data) // 2])
+
+    pd.testing.assert_frame_equal(query_index(idx, q, cfg, top_k=10), clean)
+    hits = monitor_text(idx, texts[1] + " " + " ".join(base[7]), cfg)
+    assert len(hits) > 0
+    monkeypatch.setattr(cli, "_shutdown_ray", lambda: None)
+    capsys.readouterr()
+    assert cli.main(["stats", idx]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["n_docs"] == stats["n_signatures"] == n_stored

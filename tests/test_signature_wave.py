@@ -20,8 +20,7 @@ NB = 8
 @pytest.fixture(scope="module")
 def corpus(ray_session, small_corpus):
     """The planted corpus plus non-ASCII near-dup pairs (they take the
-    kernel's per-doc slow path) as one (doc_id, text) table, and the
-    sorted exact-dup member ids (every doc of a text group but its min)."""
+    kernel's per-doc slow path) as one (doc_id, text) table."""
     spec, paths = small_corpus
     t = pages_to_docs(read_pages(paths["pages"])).select_columns(["doc_id", "text"])
     df = t.to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -36,10 +35,7 @@ def corpus(ray_session, small_corpus):
     )
     df = pd.concat([df, extra], ignore_index=True)
     df["doc_id"] = df.doc_id.astype(np.int64)
-    mins = df.groupby("text").doc_id.transform("min")
-    members = np.sort(df.doc_id[df.doc_id != mins].to_numpy())
-    assert members.shape[0] > 0  # the corpus plants exact-dup groups
-    return pa.Table.from_pandas(df, preserve_index=False), members
+    return pa.Table.from_pandas(df, preserve_index=False)
 
 
 def _blocks(table: pa.Table, n: int) -> list[pa.Table]:
@@ -62,47 +58,40 @@ def _pairs(refs) -> pd.DataFrame:
     )
 
 
-def _reference(blocks, cfg, exclude_ref):
+def _reference(blocks, cfg):
     import ray.data as rd
 
     docs = rd.from_arrow([b for b in blocks if b.num_rows])
-    sigs = compute_signatures(docs, cfg, keep_shingles=False, exclude_ids_ref=exclude_ref)
+    sigs = compute_signatures(docs, cfg, keep_shingles=False)
     return _pairs(candidate_pair_refs(band_postings(sigs, cfg), cfg, NB))
 
 
-def _wave(blocks, cfg, exclude_ref):
+def _wave(blocks, cfg):
     import ray
 
     refs = [ray.put(b) for b in blocks]
-    return _pairs(candidate_pair_refs(_signature_wave(refs, cfg, NB, exclude_ref), cfg, NB))
+    return _pairs(candidate_pair_refs(_signature_wave(refs, cfg, NB), cfg, NB))
 
 
-@pytest.mark.parametrize("skip_members", [False, True], ids=["all", "skip_members"])
 @pytest.mark.parametrize("layout", ["many_blocks", "one_block", "empty_blocks"])
-def test_wave_matches_dataset_chain(corpus, layout, skip_members):
-    import ray
-
-    table, members = corpus
+def test_wave_matches_dataset_chain(corpus, layout):
     if layout == "many_blocks":
-        blocks = _blocks(table, 13)
+        blocks = _blocks(corpus, 13)
     elif layout == "one_block":
-        blocks = [table]
+        blocks = [corpus]
     else:
         # a typed 0-row block and a 0-column one (Ray 2.49 passes 0-row
         # blocks through map stages as schema-less empties)
-        parts = _blocks(table, 4)
-        blocks = [parts[0], table.slice(0, 0), parts[1], pa.table({}), parts[2], parts[3]]
-    cfg = DedupConfig(batch_size=256, sig_skip_exact_members=skip_members)
-    exclude_ref = ray.put(members) if skip_members else None
-    want = _reference(blocks, cfg, exclude_ref)
-    got = _wave(blocks, cfg, exclude_ref)
+        parts = _blocks(corpus, 4)
+        blocks = [parts[0], corpus.slice(0, 0), parts[1], pa.table({}), parts[2], parts[3]]
+    cfg = DedupConfig(batch_size=256)
+    want = _reference(blocks, cfg)
+    got = _wave(blocks, cfg)
     assert len(want) > 0
     pd.testing.assert_frame_equal(got, want)
     ids = set(want.a) | set(want.b)
     # the non-ASCII near-dup pairs made it through the slow path
     assert any(i >= (1 << 40) for i in ids)
-    if skip_members:
-        assert not ids & set(members.tolist())
 
 
 def test_wave_of_only_empty_blocks_is_empty(ray_session):
