@@ -648,7 +648,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from raydedup.state.checkpoint import store_files
     from raydedup.stages.candidates import band_postings, band_size_stats
 
-    sigs = rd.read_parquet(store_files(args.index, "signatures"))
+    sigs = rd.read_parquet(store_files(args.index, "signatures"), columns=["doc_id", "bands"])
     docs = rd.read_parquet(store_files(args.index, "docs"))
     cfg = _cfg_from_args(args)
     stats = {

@@ -126,11 +126,12 @@ class DedupConfig:
 
     # --- execution
     # batch_size is the rows per map_batches call of compute_signatures
-    # and b1dedup's postings, and the extract + signature batch of the
-    # phase-1 store (build_index, run_dedup_checkpointed). The dedup
-    # engine (run_dedup_scale) ignores it: its signature stage is one
-    # raw task per group of corpus blocks, the band-keys-only kernel
-    # (SignatureKernel.band_table) called once per block.
+    # and b1dedup's postings, and the extract + band-key batch of the
+    # phase-1 store (build_index, dedup_increment,
+    # run_dedup_checkpointed; SignatureKernel.band_table). The dedup
+    # engine (run_dedup_scale) and the query side of query_index ignore
+    # it: they sign once per block, in raw tasks over groups of blocks.
+    # Execution only: the checkpoint/index lineage hash leaves it out.
     batch_size: int = 4096
 
     def __post_init__(self) -> None:

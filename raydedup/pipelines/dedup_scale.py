@@ -206,10 +206,10 @@ def make_filter_and_shingle(cfg: DedupConfig, use_simhash: bool = False):
             docs_tbl = docs_tbl.slice(0, 0)
         packed = packed_shingle_table(docs_tbl, cfg)
         if use_simhash:
-            from raydedup.pipelines.dedup import _signature_fn
+            from raydedup.pipelines.dedup import _kernel
 
             sim = (
-                _signature_fn(docs_tbl, cfg, False).column("simhash")
+                _kernel(cfg, False).simhash_column(docs_tbl)
                 if docs_tbl.num_rows
                 else pa.array([], pa.uint64())
             )

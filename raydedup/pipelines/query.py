@@ -8,10 +8,14 @@ dataset of doc tables + signature tables (no KV server —
 
 A query is one raw-task DAG over the index files:
 
-  candidate wave: one task per stored ``signatures/`` file and one per
-    group of query blocks (which signs them) emit side-tagged band
-    postings split on ``band_key``; one reduce per bucket emits the
-    (query, stored) pairs that share a band (stages/exchange helpers)
+  candidate wave: one task per group of query blocks signs them (band
+    keys plus packed shingle sets, one shingle pass) and one task per
+    stored ``signatures/`` file reads its ``doc_id, bands``; both emit
+    side-tagged band postings split on ``band_key``. The query-side
+    tasks are submitted first, since they do the most work. One reduce
+    per bucket, one bucket per CPU, so the reduces run as one wave,
+    emits the (query, stored) pairs that share a band (stages/exchange
+    helpers)
   verify wave: one task per stored ``docs/`` file reads only the
     candidate matches (``doc_id`` pushdown), shingles them, scores
     exact Jaccard against the query side's sets (one broadcast ref) and
@@ -185,11 +189,13 @@ def _query_postings_split(cfg: DedupConfig, num_buckets: int, *blocks: pa.Table)
     """Candidate wave, query side: sign a group of ``doc_id,text`` query
     blocks -> band postings (side 1) split on ``band_key``, plus one
     last return: the group's ``(doc_id, shingles)`` sets for the verify
-    wave."""
-    from raydedup.pipelines.dedup import _signature_fn
+    wave. Both come from one shingle pass
+    (SignatureKernel.band_set_table)."""
+    from raydedup.pipelines.dedup import _kernel
     from raydedup.stages.exchange import _split_table
 
-    sigs = [_signature_fn(b, cfg, True) for b in blocks if b.num_rows]
+    kernel = _kernel(cfg, False)
+    sigs = [kernel.band_set_table(b) for b in blocks if b.num_rows]
     sig = pa.concat_tables(sigs) if sigs else pa.table(
         {"doc_id": pa.array([], pa.int64()), "shingles": pa.array([], pa.large_binary())}
     )
@@ -244,18 +250,23 @@ def _candidate_pairs(sig_files: list[str], q_refs: list, cfg: DedupConfig):
     """Candidate wave: the stored ``sig_files`` and the ``doc_id,text``
     query blocks ``q_refs`` -> ``(a=query, b=stored, n_collisions)``
     pairs that share a band, and the ref of the query side's
-    ``(doc_id, shingles)`` sets for the verify wave."""
-    from raydedup.stages.exchange import _reduce_bucket, block_groups, default_buckets
+    ``(doc_id, shingles)`` sets for the verify wave.
+
+    The query-side tasks are submitted first: they sign, so they take
+    longest, and the stored side reads band keys only. The exchange is
+    one bucket per CPU, so its reduces run as one wave."""
+    from raydedup.stages.exchange import _reduce_bucket, block_groups
     from raydedup.stages.pair_agg import reduce_pair_table
 
-    nb = default_buckets()
-    stored = [
-        _stored_postings_split.options(num_returns=nb).remote(f, cfg.n_bands, nb)
-        for f in sig_files
-    ]
+    # at least 2: a task with num_returns=1 returns its list as one object
+    nb = max(2, int(ray.cluster_resources().get("CPU", 8)))
     query = [
         _query_postings_split.options(num_returns=nb + 1).remote(cfg, nb, *g)
         for g in block_groups(q_refs)
+    ]
+    stored = [
+        _stored_postings_split.options(num_returns=nb).remote(f, cfg.n_bands, nb)
+        for f in sig_files
     ]
     q_sets = _concat.remote(*[w[nb] for w in query])
     kernel = functools.partial(_cross_side_pairs, max_postings=cfg.max_band_postings)
@@ -599,7 +610,7 @@ def load_index(
         if n_new == 0:
             return 0, n_skip
         _atomic_write_table(dt.filter(pa.array(keep)), dst_docs)
-        st = pq.read_table(sigs_f)
+        st = pq.read_table(sigs_f, columns=["doc_id", "bands"])
         sids = st.column("doc_id").to_numpy(zero_copy_only=False)
         _atomic_write_table(st.filter(pa.array(~np.isin(sids, pres))), dst_sigs)
         return n_new, n_skip

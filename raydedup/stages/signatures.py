@@ -369,12 +369,19 @@ class SignatureKernel:
     keys (list u64 x n_bands), shingles (list u64, sorted unique),
     n_shingles (u32).
 
-    ``band_table`` is the same kernel cut to the LSH index keys: it
-    returns only (doc_id, bands), bit-identical to ``__call__``'s, and
-    skips SimHash and the per-doc shingle dedup (a minimum does not
-    change when a shingle repeats). The dedup engine's signature wave
-    uses it; everything that stores or compares signatures uses
-    ``__call__``.
+    The other entry points are the same kernel cut to what their
+    callers read, each bit-identical to ``__call__``'s columns:
+
+    - ``band_table``: (doc_id, bands). It skips SimHash and the per-doc
+      shingle dedup (a minimum does not change when a shingle repeats).
+      The dedup engine's signature wave and the index store use it.
+    - ``band_set_table``: (doc_id, bands, shingles), the packed sorted
+      unique sets from the same shingle pass, no SimHash. The query
+      side of ``query_index`` and the increment's cross pass use it.
+    - ``simhash_column``: the SimHash alone (word hashes, no shingles,
+      no MinHash), for the dedup engine's ``use_simhash`` matcher.
+
+    ``compute_signatures`` (and so the registry rows) uses ``__call__``.
     """
 
     def __init__(self, cfg: DedupConfig | None = None, keep_shingles: bool = True):
@@ -382,24 +389,27 @@ class SignatureKernel:
         self.a, self.b = minhash_perms(self.cfg)
         self.keep_shingles = keep_shingles
 
-    def _shingles(self, arr: pa.Array, full: bool) -> tuple[list, list | None]:
-        """Per-doc shingle hashes of a null-filled text array (the front
-        half shared by both entry points). With ``full``: sorted unique
-        sets, plus each doc's (unique word hash, count) pairs for
-        SimHash. Without: the raw window hashes, repeats kept."""
+    def _shingles(
+        self, arr: pa.Array, sets: str | None, toks: bool
+    ) -> tuple[list | None, list | None]:
+        """The front half shared by every entry point, over a
+        null-filled text array. ``sets``: ``"unique"`` for each doc's
+        sorted unique shingle set, ``"raw"`` for its window hashes with
+        repeats kept, None for none. ``toks``: each doc's (unique word
+        hash, count) pairs for SimHash."""
         import pyarrow.compute as pc
 
         cfg = self.cfg
-        uniq = np.unique if full else (lambda h: h)
+        uniq = np.unique if sets == "unique" else (lambda h: h)
         # hash each doc's words ONCE; shingles and simhash tokens both
         # derive from the same word-hash array
         n = len(arr)
-        sets: list = [None] * n
-        toks: list | None = [None] * n if full else None
-        char_mode = cfg.shingle_mode == "char"
+        out_sets: list | None = [None] * n if sets else None
+        out_toks: list | None = [None] * n if toks else None
+        char_sets = sets is not None and cfg.shingle_mode == "char"
         k = cfg.shingle_k
         empty_tok = (np.array([fnv1a64(b"")], dtype=U64), np.ones(1, dtype=np.int64))
-        if not char_mode:
+        if not char_sets:
             # vectorized front half for the ASCII docs (the bulk of web
             # text); non-ASCII docs take the per-doc path below, and the
             # routing is a per-doc property so results never depend on
@@ -409,22 +419,20 @@ class SignatureKernel:
                 fast_idx = np.flatnonzero(ascii_mask)
                 fast_arr = arr.filter(pa.array(ascii_mask))
                 flat, offs = batch_word_hashes(fast_arr)
-                h, ws, we = rolling_hash_segments(flat, offs, k)
-                need_text = np.flatnonzero(we - ws == 0)
-                fallback_texts = (
-                    {int(j): fast_arr[int(j)].as_py() for j in need_text}
-                    if need_text.shape[0]
-                    else {}
-                )
+                if sets:
+                    h, ws, we = rolling_hash_segments(flat, offs, k)
+                    need_text = np.flatnonzero(we - ws == 0)
+                    fallback_texts = {int(j): fast_arr[int(j)].as_py() for j in need_text}
                 for pos, d in enumerate(fast_idx):
-                    hw = h[ws[pos] : we[pos]]
-                    if hw.shape[0] == 0:
-                        t = fallback_texts[pos]
-                        hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-                    sets[d] = uniq(hw)
-                    if full:
+                    if sets:
+                        hw = h[ws[pos] : we[pos]]
+                        if hw.shape[0] == 0:
+                            t = fallback_texts[pos]
+                            hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
+                        out_sets[d] = uniq(hw)
+                    if toks:
                         wh = flat[offs[pos] : offs[pos + 1]]
-                        toks[d] = np.unique(wh, return_counts=True) if wh.shape[0] else empty_tok
+                        out_toks[d] = np.unique(wh, return_counts=True) if wh.shape[0] else empty_tok
             slow_idx = np.flatnonzero(~ascii_mask)
         else:
             slow_idx = np.arange(n)
@@ -433,28 +441,32 @@ class SignatureKernel:
             for d in slow_idx:
                 t = texts[d]
                 wh = None
-                if full or not char_mode:
+                if toks or not char_sets:
                     words = tokenize(t)
                     wh = _WORD_CACHE.hash_words(words) if words else None
-                if char_mode:
-                    sets[d] = shingle_hashes(t, cfg)
-                else:
+                if char_sets:
+                    out_sets[d] = shingle_hashes(t, cfg)
+                elif sets:
                     hh = rolling_hash_u64(wh, k) if wh is not None else np.empty(0, U64)
                     if hh.shape[0] == 0:
                         hh = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-                    sets[d] = uniq(hh)
-                if full:
-                    toks[d] = empty_tok if wh is None else np.unique(wh, return_counts=True)
-        return sets, toks
+                    out_sets[d] = uniq(hh)
+                if toks:
+                    out_toks[d] = empty_tok if wh is None else np.unique(wh, return_counts=True)
+        return out_sets, out_toks
 
-    def _minhash(self, batch: pa.Table, full: bool) -> tuple[list, list | None, np.ndarray]:
-        """(shingle sets, SimHash token pairs, MinHash matrix) of one
-        batch's ``text`` (see _shingles for ``full``)."""
+    @staticmethod
+    def _text(batch: pa.Table) -> pa.Array:
         import pyarrow.compute as pc
 
         col = batch.column("text")
         arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        sets, toks = self._shingles(pc.fill_null(arr, ""), full)
+        return pc.fill_null(arr, "")
+
+    def _minhash(self, batch: pa.Table, sets: str, toks: bool) -> tuple[list, list | None, np.ndarray]:
+        """(shingle sets, SimHash token pairs, MinHash matrix) of one
+        batch's ``text`` (see _shingles for ``sets`` and ``toks``)."""
+        sets, toks = self._shingles(self._text(batch), sets, toks)
         if self.cfg.minhash_scheme == "oph":
             return sets, toks, oph_minhash_batch(sets, self.cfg.n_perms)
         return sets, toks, minhash_batch(sets, self.a, self.b)
@@ -465,16 +477,38 @@ class SignatureKernel:
             self.cfg.n_bands,
         )
 
+    @staticmethod
+    def _packed(sets: list) -> pa.Array:
+        # packed little-endian uint64 bytes: Arrow acero joins support
+        # binary payloads but not list columns; np.frombuffer restores
+        # the sorted set zero-copy on the verify side
+        return pa.array([s.tobytes() for s in sets], type=pa.large_binary())
+
     def band_table(self, batch: pa.Table) -> pa.Table:
         """docs batch -> (doc_id, bands) only."""
-        sig = self._minhash(batch, full=False)[2]
+        sig = self._minhash(batch, "raw", False)[2]
         return pa.table(
             {"doc_id": batch.column("doc_id").cast(pa.int64()), "bands": self._band_column(sig)}
         )
 
+    def band_set_table(self, batch: pa.Table) -> pa.Table:
+        """docs batch -> (doc_id, bands, shingles) only."""
+        sets, _, sig = self._minhash(batch, "unique", False)
+        return pa.table(
+            {
+                "doc_id": batch.column("doc_id").cast(pa.int64()),
+                "bands": self._band_column(sig),
+                "shingles": self._packed(sets),
+            }
+        )
+
+    def simhash_column(self, batch: pa.Table) -> pa.Array:
+        """docs batch -> its SimHash (u64) only."""
+        return pa.array(simhash_batch(self._shingles(self._text(batch), None, True)[1]), pa.uint64())
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
-        sets, toks, sig = self._minhash(batch, full=True)
+        sets, toks, sig = self._minhash(batch, "unique", True)
         cols: dict[str, pa.Array] = {}
         cols["doc_id"] = batch.column("doc_id").cast(pa.int64())
         cols["minhash"] = pa.FixedSizeListArray.from_arrays(
@@ -484,10 +518,7 @@ class SignatureKernel:
         cols["bands"] = self._band_column(sig)
         lens = np.fromiter((s.shape[0] for s in sets), dtype=np.int64, count=len(sets))
         if self.keep_shingles:
-            # packed little-endian uint64 bytes: Arrow acero joins support
-            # binary payloads but not list columns; np.frombuffer restores
-            # the sorted set zero-copy on the verify side
-            cols["shingles"] = pa.array([s.tobytes() for s in sets], type=pa.large_binary())
+            cols["shingles"] = self._packed(sets)
         cols["n_shingles"] = pa.array(lens.astype(np.uint32), type=pa.uint32())
         return pa.table(cols)
 

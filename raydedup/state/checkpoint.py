@@ -13,7 +13,9 @@ Layout under ``ckpt_dir``:
                                   per-stage status + row counts
   docs/shard=<i>.parquet          extracted docs (doc_id, url, text,
                                   text_sha256, lang) per input shard
-  signatures/shard=<i>.parquet    per-shard signature table
+  signatures/shard=<i>.parquet    per-shard LSH band keys (doc_id,
+                                  bands): all that a reader of the
+                                  store reads
   clusters/                       final assignment parquet
   exchanges/<stage>/bucket=<i>.parquet
                                   per-exchange bucket outputs of the
@@ -24,7 +26,8 @@ Resume = anti-join of input shards against the manifest (phase 1) and
 load of committed exchange stages (phase 2). All writes go through a
 temp-file + atomic rename; a crash mid-write leaves no partial shard
 marked complete. A config change invalidates everything (the config
-hash is part of the lineage).
+hash is part of the lineage), except a change to an execution-only
+field (``_EXECUTION_FIELDS``).
 """
 
 from __future__ import annotations
@@ -45,8 +48,15 @@ import ray
 from raydedup.config import DedupConfig
 
 
+# fields that change how a run executes, never a signature, a pair or a
+# cluster: left out of the lineage hash, so changing one of them keeps
+# a checkpoint or an index usable
+_EXECUTION_FIELDS = ("batch_size", "stream_spill_dir", "scale_stream_min_docs", "scale_min_docs")
+
+
 def _config_hash(cfg: DedupConfig) -> str:
-    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=str)
+    fields = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in _EXECUTION_FIELDS}
+    blob = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -275,31 +285,38 @@ def shard_file_tag(shard_key: str) -> str:
 
 
 def extract_shard_tables(pages_file: str, cfg: DedupConfig) -> tuple[pa.Table, pa.Table]:
-    """Single-process extract + signature of ONE pages shard: plain
+    """Single-process extract + band keys of ONE pages shard: plain
     pyarrow over record batches through the same batch kernels the
-    Dataset stages use (``extract_batch``, ``_signature_fn``) — values
-    are bit-identical to the Dataset path because both kernels are pure
-    per-row functions. Used by the wave-parallel store tasks; no nested
-    Ray Data inside a Ray task."""
-    from raydedup.pipelines.dedup import _signature_fn
+    Dataset stages use (``extract_batch``,
+    ``SignatureKernel.band_table``) — values are bit-identical to the
+    Dataset path because both kernels are pure per-row functions. Used
+    by the wave-parallel store tasks; no nested Ray Data inside a Ray
+    task."""
+    from raydedup.pipelines.dedup import _kernel
     from raydedup.stages.extract import extract_batch
 
+    kernel = _kernel(cfg, False)
     raw = pq.read_table(pages_file, columns=["url", "html", "lang"])
     docs_parts: list[pa.Table] = []
     sig_parts: list[pa.Table] = []
     for rb in raw.to_batches(max_chunksize=cfg.batch_size):
         docs = extract_batch(pa.Table.from_batches([rb]))
         docs_parts.append(docs)
-        sig_parts.append(
-            _signature_fn(docs.select(["doc_id", "text"]), cfg, keep_shingles=False)
-        )
+        sig_parts.append(kernel.band_table(docs))
     if not docs_parts:  # empty shard: run kernels once for the schemas
         docs_tbl = extract_batch(raw)
-        sig_tbl = _signature_fn(
-            docs_tbl.select(["doc_id", "text"]), cfg, keep_shingles=False
-        )
-        return docs_tbl, sig_tbl
+        return docs_tbl, kernel.band_table(docs_tbl)
     return pa.concat_tables(docs_parts), pa.concat_tables(sig_parts)
+
+
+@ray.remote
+def _store_shard(f: str, docs_path: str, sig_path: str, cfg: DedupConfig) -> int:
+    """Store task: extract + sign one pages file and write its two
+    parquet files (each atomically); returns its doc count."""
+    docs_tbl, sig_tbl = extract_shard_tables(f, cfg)
+    _atomic_write_table(docs_tbl, docs_path)
+    _atomic_write_table(sig_tbl, sig_path)
+    return docs_tbl.num_rows
 
 
 def store_shards_parallel(
@@ -321,18 +338,8 @@ def store_shards_parallel(
     one per CPU)."""
     if not shards:
         return 0
-    import ray
-
     if max_in_flight is None:
         max_in_flight = max(1, int(ray.cluster_resources().get("CPU", 8)))
-
-    @ray.remote(num_returns=1)
-    def _store_shard(f: str, docs_path: str, sig_path: str, cfg: DedupConfig) -> int:
-        docs_tbl, sig_tbl = extract_shard_tables(f, cfg)
-        _atomic_write_table(docs_tbl, docs_path)
-        _atomic_write_table(sig_tbl, sig_path)
-        return docs_tbl.num_rows
-
     pending = list(shards)
     in_flight: dict[Any, tuple[str, str, str]] = {}
     done = 0
@@ -435,7 +442,9 @@ def run_dedup_checkpointed(
             signatures=(
                 None
                 if cfg.normalize
-                else rd.read_parquet(store_files(mgr.dir, "signatures"))
+                else rd.read_parquet(
+                    store_files(mgr.dir, "signatures"), columns=["doc_id", "bands"]
+                )
             ),
         )
         # partitioned output (one file per block, streamed by the

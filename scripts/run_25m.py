@@ -212,7 +212,8 @@ def cmd_phase2b() -> int:
         sorted(glob.glob(os.path.join(CKPT, "docs", "*.parquet")))
     )
     sigs = rd.read_parquet(
-        sorted(glob.glob(os.path.join(CKPT, "signatures", "*.parquet")))
+        sorted(glob.glob(os.path.join(CKPT, "signatures", "*.parquet"))),
+        columns=["doc_id", "bands"],
     )
     t0 = time.perf_counter()
     res = run_dedup_scale(

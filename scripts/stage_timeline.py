@@ -1,22 +1,32 @@
-"""Per-task-function timeline of one unchecked dedup job.
+"""Per-task-function timeline of one dedup job, or of one index build
+and one index query.
 
-    python scripts/stage_timeline.py [--n-docs 12000] [--seed 11] [--jobs 3] [--cpus 4]
+    python scripts/stage_timeline.py [--mode dedup|index] [--n-docs 12000]
+        [--seed 11] [--files 16] [--jobs 3] [--cpus 4]
 
 Builds a ``CorpusSpec`` corpus (planted duplicates, ``--files`` parquet
-files) in a temporary directory, then runs ``--jobs`` unchecked
-``run_dedup_auto`` jobs on it one after another, each from the pages on
-disk to the cluster assignments on the driver (the dedup-web job
-shape, containment on). The earlier jobs warm the workers. For the last
-job it reads ``ray.timeline()`` and prints one row per task function:
+files) in a temporary directory, then runs ``--jobs`` rounds on it one
+after another; the earlier rounds warm the workers.
 
-  tasks    number of tasks that ran in the job's window
+- ``dedup``: each round is one unchecked ``run_dedup_auto`` job, from
+  the pages on disk to the cluster assignments on the driver (the
+  dedup-web job shape, containment on).
+- ``index``: each round is one ``build_index`` of the pages into a new
+  index directory, then one ``query_index`` of a 100-doc batch on it:
+  50 stored docs, each with one word edited, under new urls, and 50
+  unseen docs (the index-query job shape).
+
+For the last round it reads ``ray.timeline()`` and prints, per timed
+call, one row per task function:
+
+  tasks    number of tasks that ran in the call's window
   task_s   sum of their durations (each task holds one CPU, so this is
            the CPU-seconds the stage was granted)
-  start_s  first task start, seconds after the job start
-  end_s    last task end, seconds after the job start
+  start_s  first task start, seconds after the call start
+  end_s    last task end, seconds after the call start
 
 Ray records task events whether or not anyone reads them, so reading
-them after the job does not change the schedule being measured. Ray
+them after the run does not change the schedule being measured. Ray
 Data's map tasks show up under their operator names (the extraction is
 ``ReadParquet->MapBatches(extract_batch)``); actor method calls are left
 out.
@@ -25,6 +35,7 @@ out.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import shutil
 import sys
@@ -63,8 +74,76 @@ def task_rows(events: list[dict], t0: float, t1: float) -> list[tuple]:
     return sorted(((n, *r) for n, r in acc.items()), key=lambda r: r[3])
 
 
+def dedup_rounds(args, pages: str, work: str):
+    """Each round: one unchecked dedup job. Yields [(label, t0, t1)]."""
+    from raydedup.config import DedupConfig
+    from raydedup.pipelines.dedup_scale import run_dedup_auto
+    from raydedup.sources.pages import pages_to_docs, read_pages
+    from raydedup.util import to_arrow_table
+
+    cfg = DedupConfig()
+    for job in range(args.jobs):
+        t0 = time.time()
+        res = run_dedup_auto(pages_to_docs(read_pages(pages)), cfg, containment=True)
+        n = to_arrow_table(res.clusters).num_rows
+        t1 = time.time()
+        print(f"job {job}: {t1 - t0:.2f} s, {n} docs, {res.metrics['n_dup_docs']} dup docs")
+        yield [("job", t0, t1)]
+
+
+def query_batch(pages: str, seed: int):
+    """100 query docs: 50 stored texts with one word edited, under new
+    urls, and 50 unseen texts."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from raydedup.stages.extract import doc_ids_from_urls
+
+    texts = pq.read_table(sorted(glob.glob(os.path.join(pages, "*.parquet"))), columns=["text"])
+    texts = texts.column("text").to_pylist()
+    rng = np.random.default_rng(seed)
+    batch = []
+    for i in rng.choice(len(texts), 50, replace=False):
+        toks = texts[i].split()
+        toks[len(toks) // 2] = "edited"
+        batch.append(" ".join(toks))
+    batch += [" ".join(f"unseen{rng.integers(1 << 30)}" for _ in range(300)) for _ in range(50)]
+    urls = [f"https://query.example/{j}" for j in range(len(batch))]
+    ids = doc_ids_from_urls(urls)
+    return rd.from_arrow(pa.table({"doc_id": pa.array(ids), "text": pa.array(batch)})).materialize()
+
+
+def index_rounds(args, pages: str, work: str):
+    """Each round: one build_index into a new directory, then one
+    query_index on it. Yields [(label, t0, t1)] per round."""
+    from raydedup.config import DedupConfig
+    from raydedup.pipelines.query import build_index, query_index
+
+    cfg = DedupConfig()
+    q = query_batch(pages, args.seed)
+    for job in range(args.jobs):
+        index_dir = os.path.join(work, f"index-{job}")
+        t0 = time.time()
+        build_index(pages, index_dir, cfg)
+        t1 = time.time()
+        df = query_index(index_dir, q, cfg)
+        t2 = time.time()
+        size = {
+            sub: sum(os.path.getsize(f) for f in glob.glob(os.path.join(index_dir, sub, "*")))
+            for sub in ("docs", "signatures")
+        }
+        print(
+            f"round {job}: build {t1 - t0:.2f} s, docs/ {size['docs'] / 1e6:.2f} MB, "
+            f"signatures/ {size['signatures'] / 1e6:.2f} MB, query {t2 - t1:.3f} s, {len(df)} rows"
+        )
+        yield [("build_index", t0, t1), ("query_index", t1, t2)]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
+    ap.add_argument("--mode", choices=("dedup", "index"), default="dedup")
     ap.add_argument("--n-docs", type=int, default=12_000)
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--files", type=int, default=16)
@@ -87,33 +166,26 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    from raydedup.config import DedupConfig
     from raydedup.corpus import CorpusSpec, materialize_corpus
-    from raydedup.pipelines.dedup_scale import run_dedup_auto
-    from raydedup.sources.pages import pages_to_docs, read_pages
-    from raydedup.util import to_arrow_table
 
+    rounds = dedup_rounds if args.mode == "dedup" else index_rounds
     work = tempfile.mkdtemp(prefix="stage_timeline_")
     try:
         spec = CorpusSpec(n_docs=args.n_docs, seed=args.seed)
         pages = materialize_corpus(work, spec, n_files=args.files)["pages"]
-        cfg = DedupConfig()
-        for job in range(args.jobs):
-            t0 = time.time()
-            res = run_dedup_auto(pages_to_docs(read_pages(pages)), cfg, containment=True)
-            n = to_arrow_table(res.clusters).num_rows
-            t1 = time.time()
-            print(f"job {job}: {t1 - t0:.2f} s, {n} docs, {res.metrics['n_dup_docs']} dup docs")
-        rows = task_rows(ray.timeline(), t0, t1)
+        windows = list(rounds(args, pages, work))[-1]
+        events = ray.timeline()
     finally:
         shutil.rmtree(work, ignore_errors=True)
         ray.shutdown()
 
-    print(f"\nlast job: {t1 - t0:.2f} s on {args.cpus} CPUs")
-    print(f"{'task function':<48} {'tasks':>6} {'task_s':>7} {'start_s':>8} {'end_s':>7}")
-    for name, count, task_s, start, end in rows:
-        print(f"{name[:48]:<48} {count:>6} {task_s:>7.2f} {start:>8.2f} {end:>7.2f}")
-    print(f"{'all':<48} {sum(r[1] for r in rows):>6} {sum(r[2] for r in rows):>7.2f}")
+    for label, t0, t1 in windows:
+        rows = task_rows(events, t0, t1)
+        print(f"\nlast {label}: {t1 - t0:.3f} s on {args.cpus} CPUs")
+        print(f"{'task function':<48} {'tasks':>6} {'task_s':>7} {'start_s':>8} {'end_s':>7}")
+        for name, count, task_s, start, end in rows:
+            print(f"{name[:48]:<48} {count:>6} {task_s:>7.3f} {start:>8.3f} {end:>7.3f}")
+        print(f"{'all':<48} {sum(r[1] for r in rows):>6} {sum(r[2] for r in rows):>7.3f}")
 
 
 if __name__ == "__main__":

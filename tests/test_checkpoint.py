@@ -119,6 +119,27 @@ def test_config_change_invalidates_lineage(tmp_path, cfg):
     assert not CheckpointManager(str(tmp_path / "c"), other).shard_done("x:1")
 
 
+def test_config_hash_leaves_out_execution_fields(tmp_path, cfg):
+    """Fields that change only how a run executes keep the lineage: a
+    checkpoint (or an index) stays usable across them, while a field
+    that changes a signature still invalidates it."""
+    from raydedup.state.checkpoint import _config_hash
+
+    execution = dict(
+        batch_size=1024, stream_spill_dir="spill", scale_stream_min_docs=1, scale_min_docs=1
+    )
+    want = _config_hash(cfg)
+    for k, v in execution.items():
+        assert _config_hash(cfg.with_overrides(**{k: v})) == want, k
+    assert _config_hash(cfg.with_overrides(**execution)) == want
+    assert _config_hash(cfg.with_overrides(shingle_k=4)) != want
+
+    mgr = CheckpointManager(str(tmp_path / "c"), cfg)
+    mgr.mark_shard("x:1", shard=0)
+    assert CheckpointManager(str(tmp_path / "c"), cfg.with_overrides(**execution)).shard_done("x:1")
+    assert not CheckpointManager(str(tmp_path / "c"), cfg.with_overrides(shingle_k=4)).shard_done("x:1")
+
+
 def test_checkpointed_scale_mode(ray_session, small_corpus, tmp_path, cfg):
     """Phase 2 runs the refs-only pipeline: clusters identical to a
     direct run_dedup_scale, single 'scale_clusters' stage in the

@@ -237,3 +237,49 @@ def test_band_table_is_bit_identical_to_kernel_bands(overrides):
         want = SignatureKernel(cfg)(batch)
         assert got.column("doc_id").equals(want.column("doc_id"))
         assert got.column("bands").equals(want.column("bands"))
+
+
+def _band_batches():
+    texts = [t for group in _BAND_TEXTS.values() for t in group]
+    for batch_texts in [list(g) for g in _BAND_TEXTS.values()] + [texts]:
+        yield pa.table(
+            {
+                "doc_id": pa.array(range(len(batch_texts)), pa.int64()),
+                "text": pa.array(batch_texts, pa.string()),
+            }
+        )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"shingle_mode": "char"}, {"minhash_scheme": "oph"}],
+    ids=["word", "char", "oph"],
+)
+def test_band_set_table_is_bit_identical_to_kernel(overrides):
+    """SignatureKernel.band_set_table (the query side's signing) skips
+    SimHash and the MinHash column; its band keys and packed sorted
+    unique shingle sets must equal the full kernel's byte for byte."""
+    cfg = DedupConfig(**overrides)
+    k = SignatureKernel(cfg, keep_shingles=False)
+    for batch in _band_batches():
+        got = k.band_set_table(batch)
+        assert got.column_names == ["doc_id", "bands", "shingles"]
+        want = SignatureKernel(cfg)(batch)
+        for col in got.column_names:
+            assert got.column(col).equals(want.column(col)), col
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"shingle_mode": "char"}, {"minhash_scheme": "oph"}],
+    ids=["word", "char", "oph"],
+)
+def test_simhash_column_equals_kernel_simhash(overrides):
+    """SignatureKernel.simhash_column hashes words only (no shingles, no
+    MinHash); its values must equal the full kernel's SimHash."""
+    cfg = DedupConfig(**overrides)
+    k = SignatureKernel(cfg, keep_shingles=False)
+    for batch in _band_batches():
+        got = k.simhash_column(batch)
+        assert got.type == pa.uint64()
+        assert got.equals(SignatureKernel(cfg)(batch).column("simhash").combine_chunks())
