@@ -270,10 +270,11 @@ def _q_dedup_increment(sf_dir: str):
     """Incremental dedup (pipelines/increment.py): docs with doc_id <
     4n/5 form the frozen base (standard dedup, containment off), written
     to a temp dir in the store layout (``docs``, ``signatures``); the
-    remaining fifth arrives as an increment — deduped among itself,
-    matched against the stored base by the query waves (LSH
-    cross-candidates + sha path, exact-Jaccard verified), each new
-    component attached to the old cluster of its best match (max
+    remaining fifth arrives as an increment, stored next to it. The
+    increment is matched against the stored base and itself by one run
+    of the query waves (LSH candidates + sha path, exact-Jaccard
+    verified): it is clustered by its new-vs-new matches, and each new
+    component is attached to the old cluster of its best match (max
     jaccard, tie -> min cluster_id) or rooted at its minimal new doc
     id."""
     import shutil
@@ -284,11 +285,7 @@ def _q_dedup_increment(sf_dir: str):
     from raydedup.config import DedupConfig
     from raydedup.pipelines.dedup import compute_signatures
     from raydedup.pipelines.dedup_scale import run_dedup_scale
-    from raydedup.pipelines.increment import (
-        cluster_star_edges,
-        cross_verified_pairs,
-        increment_assignments,
-    )
+    from raydedup.pipelines.increment import increment_assignments, increment_edges
     from raydedup.state.checkpoint import store_files
 
     cfg = DedupConfig(batch_size=1024)
@@ -310,22 +307,21 @@ def _q_dedup_increment(sf_dir: str):
     new = docs.map_batches(_keep(thr, np.iinfo(np.int64).max), batch_format="pyarrow").materialize()
 
     base_cl = run_dedup_scale(base, cfg, containment=False).clusters.to_pandas()
-    nn = cluster_star_edges(run_dedup_scale(new, cfg, containment=False).clusters)
     d = tempfile.mkdtemp(prefix="raydedup_incr_")
     try:
-        base.map_batches(_store_cols, batch_format="pyarrow").write_parquet(os.path.join(d, "docs"))
-        compute_signatures(base, cfg, keep_shingles=False).select_columns(
-            ["doc_id", "bands"]
-        ).write_parquet(os.path.join(d, "signatures"))
-        cross = cross_verified_pairs(
-            store_files(d, "signatures"),
-            store_files(d, "docs"),
-            new,
-            cfg,
-        )
+        stores = {}
+        for name, part in (("base", base), ("new", new)):
+            root = os.path.join(d, name)
+            part.map_batches(_store_cols, batch_format="pyarrow").write_parquet(
+                os.path.join(root, "docs")
+            )
+            compute_signatures(part, cfg, keep_shingles=False).select_columns(
+                ["doc_id", "bands"]
+            ).write_parquet(os.path.join(root, "signatures"))
+            stores[name] = [store_files(root, sub) for sub in ("signatures", "docs")]
+        new_ids, nn, cross = increment_edges(*stores["base"], *stores["new"], cfg)
     finally:
         shutil.rmtree(d, ignore_errors=True)
-    new_ids = new.select_columns(["doc_id"]).to_pandas()["doc_id"].to_numpy(np.int64)
     assign = increment_assignments(
         new_ids, nn, cross, base_cl[["doc_id", "cluster_id"]]
     )

@@ -73,14 +73,9 @@ class DedupScaleResult:
 
 
 @ray.remote
-def _count_rows(t: pa.Table, flag: str | None = None) -> int:
-    """Rows of ``t``, or with ``flag`` its rows whose boolean column
-    ``flag`` is true (0 when a typed-empty table lacks it)."""
-    if flag is None:
-        return t.num_rows
-    if flag not in t.column_names:
-        return 0
-    return int(pa.compute.sum(t.column(flag)).as_py() or 0)
+def _count_rows(t: pa.Table) -> int:
+    """Rows of one stage bucket."""
+    return t.num_rows
 
 
 # --- module-level stage kernels of run_dedup_scale's stage graph --------
@@ -99,7 +94,7 @@ def _doc_text(b: pa.Table) -> pa.Table:
 
 @ray.remote
 def _signature_postings_split(
-    cfg: DedupConfig, num_buckets: int, use_simhash: bool, *blocks: pa.Table
+    cfg: DedupConfig, num_buckets: int, *blocks: pa.Table
 ) -> list[pa.Table]:
     """One task of the signature wave: blocks -> band keys -> band
     postings, hash-split on ``band_key`` into ``num_buckets`` tables
@@ -109,41 +104,26 @@ def _signature_postings_split(
     the group size; only its band keys are computed
     (SignatureKernel.band_table). A block without ``text`` already
     holds signatures (``doc_id,bands``, the phase-1 signature parquet)
-    and is used as it is. ``use_simhash`` signs with the full kernel
-    and adds the SimHash pigeonhole block postings of each signed
-    block (same schema, same pair exchange)."""
+    and is used as it is."""
     from raydedup.pipelines.dedup import _kernel
-    from raydedup.stages.candidates import simhash_postings_table
 
     def signed(b: pa.Table) -> pa.Table:
         if "text" not in b.column_names:
             return b
-        kernel = _kernel(cfg, False)
-        b = _doc_text(b)
-        return kernel(b) if use_simhash else kernel.band_table(b)
+        return _kernel(cfg, False).band_table(_doc_text(b))
 
-    parts = []
-    for b in blocks:
-        if b.num_rows:
-            sig = signed(b)
-            parts.append(band_postings_table(sig, cfg.n_bands))
-            if use_simhash:
-                parts.append(simhash_postings_table(sig, cfg.simhash_max_hamming))
+    parts = [band_postings_table(signed(b), cfg.n_bands) for b in blocks if b.num_rows]
     postings = pa.concat_tables(parts) if parts else POSTINGS_SCHEMA.empty_table()
     return _split_table(postings, "band_key", num_buckets)
 
 
-def _signature_wave(
-    block_refs: list, cfg: DedupConfig, num_buckets: int, use_simhash: bool = False
-) -> list:
+def _signature_wave(block_refs: list, cfg: DedupConfig, num_buckets: int) -> list:
     """Submit the fused band keys -> band postings -> band_key split wave
     over corpus (or ``doc_id,bands`` signature) block refs,
     grouped like split_dataset, without waiting on it. Returns the wave
     (``wave[i][k]``) for candidate_pair_refs's exchange-1 reduce."""
     return [
-        _signature_postings_split.options(num_returns=num_buckets).remote(
-            cfg, num_buckets, use_simhash, *g
-        )
+        _signature_postings_split.options(num_returns=num_buckets).remote(cfg, num_buckets, *g)
         for g in block_groups(block_refs)
     ]
 
@@ -190,11 +170,9 @@ def make_drop_exact_then_explode(window: int, stride: int):
     return drop_exact_then_explode
 
 
-def make_filter_and_shingle(cfg: DedupConfig, use_simhash: bool = False):
+def make_filter_and_shingle(cfg: DedupConfig):
     """Demand-side shingle kernel: keep only demanded docs, compute
-    their packed shingle sets once with the vectorized batch kernel;
-    ``use_simhash`` adds each demanded doc's SimHash (column
-    ``simhash``) for the secondary matcher."""
+    their packed shingle sets once with the vectorized batch kernel."""
     from raydedup.stages.verify import packed_shingle_table
 
     def filter_and_shingle(ids_tbl: pa.Table, docs_tbl: pa.Table) -> pa.Table:
@@ -204,17 +182,7 @@ def make_filter_and_shingle(cfg: DedupConfig, use_simhash: bool = False):
             docs_tbl = docs_tbl.filter(pa.array(np.isin(ids, wanted)))
         else:
             docs_tbl = docs_tbl.slice(0, 0)
-        packed = packed_shingle_table(docs_tbl, cfg)
-        if use_simhash:
-            from raydedup.pipelines.dedup import _kernel
-
-            sim = (
-                _kernel(cfg, False).simhash_column(docs_tbl)
-                if docs_tbl.num_rows
-                else pa.array([], pa.uint64())
-            )
-            packed = packed.append_column("simhash", sim)
-        return packed
+        return packed_shingle_table(docs_tbl, cfg)
 
     return filter_and_shingle
 
@@ -377,7 +345,6 @@ def run_dedup_scale(
     stream_spill_dir: str | None = None,
     ckpt: ExchangeCheckpoint | None = None,
     signatures: Dataset | None = None,
-    use_simhash: bool = False,
 ) -> DedupScaleResult:
     """Refs-only dedup of ``docs`` (doc_id, text, text_sha256): every
     stage is submitted as raw Ray tasks over object-store refs, and the
@@ -419,16 +386,6 @@ def run_dedup_scale(
     ``cfg.normalize``. ``stream_spill_dir`` caches the input projection
     to parquet once (see _spill_docs_to_parquet).
 
-    ``use_simhash`` turns on the SimHash secondary matcher: the
-    signature wave also posts each doc's simhash pigeonhole blocks, so
-    candidates are band postings U simhash postings, and a candidate
-    pair is accepted when its Jaccard is >= ``cfg.jaccard_tau`` OR its
-    simhashes differ in at most ``cfg.simhash_max_hamming`` bits
-    (token-reordered copies). ``verified_pairs`` then counts both
-    kinds, and ``metrics["simhash_accepted"]`` the Hamming-accepted
-    pairs. It needs text, so it is not combined with ``signatures``,
-    and not with ``ckpt``.
-
     An input without docs returns an empty typed assignment."""
     import functools
 
@@ -444,8 +401,6 @@ def run_dedup_scale(
     from raydedup.stages.verify import make_attach_a, make_attach_b_verify
 
     cfg = cfg or DedupConfig()
-    if use_simhash and (ckpt is not None or signatures is not None):
-        raise ValueError("use_simhash cannot be combined with ckpt or signatures")
     t0 = time.perf_counter()
     metrics: dict[str, Any] = {}
 
@@ -475,8 +430,6 @@ def run_dedup_scale(
             metrics["containment_pairs"] = 0
         if substring:
             metrics["substring_pairs"] = 0
-        if use_simhash:
-            metrics["simhash_accepted"] = 0
         metrics["t_total"] = time.perf_counter() - t0
         return DedupScaleResult(
             clusters=rd.from_arrow(ASSIGNMENT_SCHEMA.empty_table()), metrics=metrics
@@ -578,7 +531,7 @@ def run_dedup_scale(
             else arrow_block_refs(signatures.select_columns(["doc_id", "bands"]))
         )
         return candidate_pair_refs(
-            _signature_wave(blocks, cfg, num_buckets, use_simhash), cfg, num_buckets
+            _signature_wave(blocks, cfg, num_buckets), cfg, num_buckets
         )
 
     cand_refs = stage("candidates", _candidates)
@@ -636,7 +589,7 @@ def run_dedup_scale(
         # per-bucket packed candidate shingles, already partitioned by
         # hash(doc_id) — usable directly as the right side of both joins
         shingled_refs = reduce_join_split(
-            idsplit, get_dsplit(), make_filter_and_shingle(cfg, use_simhash), num_buckets
+            idsplit, get_dsplit(), make_filter_and_shingle(cfg), num_buckets
         )
         # attach round 1 re-splits its output on ``b`` in-task (fused),
         # so round 2 consumes the pieces without a separate split wave;
@@ -646,20 +599,14 @@ def run_dedup_scale(
         r1 = reduce_join_resplit(
             psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
         )
-        max_hamming = cfg.simhash_max_hamming if use_simhash else None
         return reduce_join_split(
-            r1,
-            [shingled_refs],
-            make_attach_b_verify(cfg.jaccard_tau, max_hamming),
-            num_buckets,
+            r1, [shingled_refs], make_attach_b_verify(cfg.jaccard_tau), num_buckets
         )
 
     verified_refs = stage("verified", _verified)
     # deferred count (see the candidates note): no driver barrier
     # between verification and clustering submission
     ver_count = row_count("verified", verified_refs)
-    if use_simhash:
-        sim_futs = [_count_rows.remote(r, "simhash_hit") for r in verified_refs]
 
     # --- stage: round-1 forest: exact + verified LSH edges ------------
     # a leaf-and-merge task DAG (stages/cluster_scale), submitted
@@ -779,8 +726,6 @@ def run_dedup_scale(
     # pipeline; these gets come after all real work has been submitted)
     metrics["candidate_pairs"] = cand_count()
     metrics["verified_pairs"] = ver_count()
-    if use_simhash:
-        metrics["simhash_accepted"] = int(sum(ray.get(sim_futs)))
     if containment:
         metrics["containment_pairs"] = cont_count()
     if substring:

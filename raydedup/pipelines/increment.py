@@ -7,13 +7,16 @@ files are ``panako store``d into the running index and matched with
 (``cli/Store.java:56-90``, ``cli/Query.java:60-93``); an identifier,
 once assigned, never changes. The transplant keeps that contract:
 
-  OLD cluster assignments are FROZEN. New docs are matched against the
-  old index by ``query_index``'s candidate and verify waves (LSH band
+  OLD cluster assignments are FROZEN. The new shards are stored, then
+  the new docs are matched against every stored file, old and new, by
+  one run of ``query_index``'s candidate and verify waves (LSH band
   collisions, exact-Jaccard verified) plus a sha256 exact path, exactly
-  as a query would match them; they are clustered among THEMSELVES,
-  and each new component joins the old cluster of its best match (max
-  jaccard, ties -> min cluster_id — the QueryResult ranking rule) or
-  becomes a fresh cluster rooted at its minimal new doc id.
+  as a query would match them (``increment_edges``). Matches in the
+  new files are the new-vs-new edges: the new docs are clustered among
+  THEMSELVES by their connectivity. Matches in the old files are the
+  attachments: each new component joins the old cluster of its best
+  match (max jaccard, ties -> min cluster_id — the QueryResult ranking
+  rule) or becomes a fresh cluster rooted at its minimal new doc id.
 
 Semantics note (documented divergence from a full re-cluster): a new
 doc that bridges two old clusters does NOT merge them — old ids are
@@ -22,9 +25,11 @@ reference's behavior too (a query matching two stored songs returns
 ranked matches; it never rewrites the store).
 
 Driver memory is INCREMENT-proportional (new edges + new components).
-Each old index file and each clusters file is read by one raw task:
-every old signature file is scanned for band postings, but only the
-matched old docs' texts and cluster rows are read.
+Each stored index file and each clusters file is read by one raw task,
+and no Ray Data plan runs: every signature file, old and new, is
+scanned for band postings (the candidate wave reads the whole store
+until the index is partitioned by band key), but only the matched
+docs' texts and the matched old docs' cluster rows are read.
 """
 
 from __future__ import annotations
@@ -39,11 +44,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
-from ray.data import Dataset
 
 from raydedup.config import DedupConfig
-from raydedup.util import to_arrow_table
 
 _EMPTY_CROSS = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
@@ -51,12 +53,13 @@ _EMPTY_CROSS = pa.schema(
 
 
 @ray.remote
-def _sha_pairs(path: str, new_sha: pa.Table) -> pa.Table:
+def _sha_pairs(path: str, *new_sha: pa.Table) -> pa.Table:
     """Exact path: one stored ``docs/`` file's ``(doc_id, text_sha256)``
-    joined with the new docs' ``new_sha`` (``a, text_sha256``) -> the
-    ``(a=new, b=old, n_collisions=0)`` pairs of identical texts."""
+    joined with the new docs' ``new_sha`` tables (``a, text_sha256``)
+    -> the ``(a=new, b=stored, n_collisions=0)`` pairs of identical
+    texts."""
     old = pq.read_table(path, columns=["doc_id", "text_sha256"])
-    m = new_sha.join(
+    m = pa.concat_tables(new_sha).join(
         old.rename_columns(["b", "text_sha256"]), "text_sha256", join_type="inner"
     )
     return pa.table(
@@ -65,69 +68,79 @@ def _sha_pairs(path: str, new_sha: pa.Table) -> pa.Table:
     )
 
 
-def cross_verified_pairs(
-    sig_files: list[str],
-    doc_files: list[str],
-    new_docs: Dataset,
-    cfg: DedupConfig,
-) -> pa.Table:
-    """Verified (a=new_doc, b=old_doc, jaccard) pairs of ``new_docs``
-    (``doc_id, text, text_sha256``) against the stored ``sig_files`` /
-    ``doc_files``: ``query_index``'s candidate and verify waves at
-    cfg.jaccard_tau, plus a sha256 exact path (identical texts always
-    attach even if their band run is hot-capped) — one raw task per
-    stored docs file, its pairs unioned into the candidates."""
-    from raydedup.pipelines.query import _candidate_pairs, _verify_wave
-    from raydedup.stages.pair_agg import reduce_pair_table
-    from raydedup.util import arrow_block_refs
+@ray.remote
+def _read_new_docs(path: str, n_blocks: int) -> list[pa.Table]:
+    """One new ``docs/`` file, read once -> its ``doc_id, text`` rows as
+    ``n_blocks`` query blocks (so several tasks sign one file), then its
+    ``(a=doc_id, text_sha256)`` rows for the exact path."""
+    t = pq.read_table(path, columns=["doc_id", "text", "text_sha256"])
+    q = t.select(["doc_id", "text"])
+    cuts = np.linspace(0, t.num_rows, n_blocks + 1).astype(np.int64)
+    blocks = [q.take(pa.array(np.arange(lo, hi))) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return [*blocks, t.select(["doc_id", "text_sha256"]).rename_columns(["a", "text_sha256"])]
 
-    q_refs = arrow_block_refs(new_docs.select_columns(["doc_id", "text"]))
-    if not q_refs:
-        return _EMPTY_CROSS.empty_table()
-    new_sha = ray.put(
-        to_arrow_table(new_docs.select_columns(["doc_id", "text_sha256"])).rename_columns(
-            ["a", "text_sha256"]
-        )
-    )
-    exact = [_sha_pairs.remote(f, new_sha) for f in doc_files]
-    cand, q_sets = _candidate_pairs(sig_files, q_refs, cfg)
-    cand = reduce_pair_table(
-        pa.concat_tables([cand, *ray.get(exact)]), sum_cols=["n_collisions"]
-    )
-    if not cand.num_rows:
-        return _EMPTY_CROSS.empty_table()
-    verified = _verify_wave(doc_files, cand, q_sets, cfg, cfg.jaccard_tau)
-    rows = [t for t in ray.get([v[0] for v in verified]) if t.num_rows]
+
+def _verified_rows(wave: list) -> pa.Table:
+    """The ``(a, b, jaccard)`` rows of a ``query._verify_wave``. A
+    doc_id stored in two files is verified in both; the first file's
+    row is kept."""
+    rows = [t for t in ray.get([v[0] for v in wave]) if t.num_rows]
     if not rows:
         return _EMPTY_CROSS.empty_table()
-    # a doc_id stored in two files is verified in both; keep the first
     df = pa.concat_tables(rows).to_pandas().drop_duplicates(["a", "b"])
     return pa.Table.from_pandas(df[["a", "b", "jaccard"]], preserve_index=False)
 
 
-_EDGES = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+def increment_edges(
+    old_sigs: list[str],
+    old_docs: list[str],
+    new_sigs: list[str],
+    new_docs: list[str],
+    cfg: DedupConfig,
+) -> tuple[np.ndarray, pa.Table, pa.Table]:
+    """Match the NEW stored files against every stored file, old and
+    new, as one query: the new docs (read once from ``new_docs``) are
+    the query blocks of ``query_index``'s candidate wave over ``old_sigs
+    + new_sigs`` and of its verify wave over ``old_docs + new_docs`` at
+    cfg.jaccard_tau, and a sha256 exact path (one raw task per stored
+    docs file, its pairs unioned into the candidates) links identical
+    texts even when their band run is hot-capped.
 
+    Returns ``(new_ids, nn_edges, cross)``: every new doc id; the ``(a,
+    b)`` new-vs-new edges (rows verified in the new files, ``a != b``);
+    and the ``(a=new, b=old, jaccard)`` attachments (rows verified in
+    the old files). The two sides are keyed apart, so a new doc whose
+    doc_id is also stored in an old file (a re-crawl) is scored on its
+    own text."""
+    import pyarrow.compute as pc
 
-def _star_edge_table(t: pa.Table) -> pa.Table:
-    if t.num_rows == 0:
-        return _EDGES.empty_table()
-    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-    cl = t.column("cluster_id").to_numpy(zero_copy_only=False)
-    dup = ids != cl
-    return pa.table({"a": cl[dup], "b": ids[dup]}, schema=_EDGES)
+    from raydedup.pipelines.query import _candidate_pairs, _verify_wave
+    from raydedup.stages.pair_agg import reduce_pair_table
 
-
-def cluster_star_edges(clusters: Dataset) -> pa.Table:
-    """(doc_id, cluster_id) assignment -> (a=cluster_id, b=doc_id) star
-    edges of its non-singleton rows: one edge per duplicate doc, with
-    the same connected components as the edges the assignment was
-    built from (increment_assignments reads only their connectivity)."""
-    edges = to_arrow_table(
-        clusters.map_batches(_star_edge_table, batch_format="pyarrow"),
-        empty_schema=_EDGES,
+    # at least one query block per CPU, so signing the new docs fills the
+    # candidate wave even when they arrive as one file
+    per_file = -(-int(ray.cluster_resources().get("CPU", 8)) // len(new_docs))
+    reads = [
+        _read_new_docs.options(num_returns=per_file + 1).remote(f, per_file) for f in new_docs
+    ]
+    sha_refs = [r[-1] for r in reads]
+    exact = [_sha_pairs.remote(f, *sha_refs) for f in old_docs + new_docs]
+    cand, q_sets = _candidate_pairs(
+        old_sigs + new_sigs, [b for r in reads for b in r[:-1]], cfg
     )
-    # an empty input skips the map (Ray 2.49), keeping its own schema
-    return edges if edges.num_rows else _EDGES.empty_table()
+    new_ids = np.unique(
+        np.concatenate([t.column("a").to_numpy(zero_copy_only=False) for t in ray.get(sha_refs)])
+    )
+    cand = reduce_pair_table(
+        pa.concat_tables([cand, *ray.get(exact)]), sum_cols=["n_collisions"]
+    )
+    # every new doc matches itself in the new files; in the old files an
+    # a == b pair is a re-crawl of a stored doc_id
+    other = cand.filter(pc.not_equal(cand.column("a"), cand.column("b")))
+    tau = cfg.jaccard_tau
+    old_wave = _verify_wave(old_docs, cand, q_sets, cfg, tau) if cand.num_rows else []
+    new_wave = _verify_wave(new_docs, other, q_sets, cfg, tau) if other.num_rows else []
+    return new_ids, _verified_rows(new_wave).select(["a", "b"]), _verified_rows(old_wave)
 
 
 def increment_assignments(
@@ -347,29 +360,30 @@ def dedup_increment(
 
     1. snapshot the index shard list, ``build_index`` the new pages
        (resumable — already-stored shards are skipped);
-    2. dedup the NEW docs among themselves (``run_dedup_scale``,
-       containment off — window containment is a corpus-level pass,
-       rerun it on the full store when needed);
-    3. match new vs OLD (``cross_verified_pairs``: the query waves over
-       the files stored before this fold), then read each clusters file
-       once for the matched old docs' rows and the new ids that already
-       have one;
+    2. match the new docs against every stored file, old and new, in
+       one query (``increment_edges``: ``query_index``'s candidate and
+       verify waves plus a sha256 exact path) -> the new-vs-new edges
+       and the new-vs-old attachments (window containment is a
+       corpus-level pass, rerun it on the full store when needed);
+    3. read each clusters file once for the matched old docs' rows and
+       the new ids that already have one;
     4. frozen-cluster assignment (``increment_assignments``), appended
        to ``clusters_path`` as one new parquet shard (atomic write).
 
     Returns counts + the paths. New docs whose doc_id already exists in
     the old assignment (re-crawled identical url) keep the old row and
     are not re-emitted."""
-    from raydedup.pipelines.dedup_scale import run_dedup_scale
     from raydedup.pipelines.query import build_index
     from raydedup.state.checkpoint import _atomic_write_table, store_files
 
     cfg = cfg or DedupConfig()
 
-    before_docs = store_files(index_dir, "docs")
-    before_sigs = store_files(index_dir, "signatures")
+    before = {sub: store_files(index_dir, sub) for sub in ("docs", "signatures")}
     store_info = build_index(new_pages_path, index_dir, cfg)
-    new_doc_files = sorted(set(store_files(index_dir, "docs")) - set(before_docs))
+    new = {
+        sub: sorted(set(store_files(index_dir, sub)) - set(before[sub]))
+        for sub in ("docs", "signatures")
+    }
 
     out = {
         **store_info,
@@ -378,37 +392,21 @@ def dedup_increment(
         "attached_to_existing": 0,
         "new_clusters": 0,
     }
-    if not new_doc_files:
+    if not new["docs"]:
         return out
 
-    # prune at the read: the fold consumes only identity + content
-    # columns (dedup / cross verify)
-    new_docs = rd.read_parquet(
-        new_doc_files, columns=["doc_id", "text", "text_sha256"]
-    ).materialize()
-    new_ids = np.unique(
-        to_arrow_table(new_docs.select_columns(["doc_id"]))
-        .column("doc_id")
-        .to_numpy(zero_copy_only=False)
+    new_ids, nn_edges, cross = increment_edges(
+        before["signatures"], before["docs"], new["signatures"], new["docs"], cfg
     )
-
-    # new-vs-new edges: the dedup engine on the increment only
-    nn_edges = cluster_star_edges(
-        run_dedup_scale(new_docs, cfg, containment=False).clusters
-    )
-
-    cross = _EMPTY_CROSS.empty_table()
     old_assign = pd.DataFrame({"doc_id": [], "cluster_id": []})
     seen = np.zeros(new_ids.shape[0], dtype=bool)
-    if before_docs:
-        cross = cross_verified_pairs(before_sigs, before_docs, new_docs, cfg)
-        cl_files = sorted(glob.glob(os.path.join(clusters_path, "*.parquet")))
-        if cl_files:
-            matched_old = ray.put(np.unique(cross.column("b").to_numpy(zero_copy_only=False)))
-            ids_ref = ray.put(new_ids)
-            parts = [_frozen_rows.remote(f, matched_old, ids_ref) for f in cl_files]
-            old_assign = pa.concat_tables(ray.get([p[0] for p in parts])).to_pandas()
-            seen = np.logical_or.reduce(ray.get([p[1] for p in parts]))
+    cl_files = sorted(glob.glob(os.path.join(clusters_path, "*.parquet")))
+    if before["docs"] and cl_files:
+        matched_old = ray.put(np.unique(cross.column("b").to_numpy(zero_copy_only=False)))
+        ids_ref = ray.put(new_ids)
+        parts = [_frozen_rows.remote(f, matched_old, ids_ref) for f in cl_files]
+        old_assign = pa.concat_tables(ray.get([p[0] for p in parts])).to_pandas()
+        seen = np.logical_or.reduce(ray.get([p[1] for p in parts]))
 
     assign = increment_assignments(new_ids, nn_edges, cross, old_assign)
     # drop ids that already have a frozen row (re-crawled identical url);
@@ -417,7 +415,7 @@ def dedup_increment(
 
     os.makedirs(clusters_path, exist_ok=True)
     tag = "-".join(
-        os.path.splitext(os.path.basename(f))[0] for f in new_doc_files[:4]
+        os.path.splitext(os.path.basename(f))[0] for f in new["docs"][:4]
     ) or "increment"
     out_file = os.path.join(clusters_path, f"increment-{tag}.parquet")
     _atomic_write_table(pa.Table.from_pandas(assign, preserve_index=False), out_file)

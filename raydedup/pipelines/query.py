@@ -27,9 +27,15 @@ doc that shares a ``doc_id`` with a stored doc (a re-crawled url) is
 scored on its own text. The driver ranks the QueryResult-style rows.
 
 The two waves are ``_candidate_pairs`` and ``_verify_wave``. The
-increment's new-vs-old match (``pipelines/increment.cross_verified_pairs``)
-runs the same two waves over the files stored before its fold, so one
-code path matches docs against stored files.
+increment (``pipelines/increment.increment_edges``) runs the same two
+waves over the old and the new stored files, so one code path matches
+docs against stored files.
+
+``monitor_text`` is one wave of the same shape: the windows' winnowed
+fingerprints go to the object store as one ``(fp_key, win_id)`` table,
+and one task per stored ``docs/`` file winnows its texts, joins them
+with that table and returns the (window, doc) shared counts with the
+doc's url. No exchange and no Ray Data plan runs.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.config import DedupConfig
@@ -339,7 +344,7 @@ def query_index(
 
     cfg = cfg or DedupConfig()
     tau = cfg.jaccard_tau if min_jaccard is None else min_jaccard
-    q_refs = arrow_block_refs(query_docs.select_columns(["doc_id", "text"]))
+    q_refs = arrow_block_refs(query_docs)
     if not q_refs:
         return _empty_result(with_segments)
 
@@ -391,6 +396,39 @@ def query_index(
     return df
 
 
+_MONITOR_COLS = ["win_start_token", "win_stop_token", "match_doc_id", "match_url", "coverage"]
+
+
+@ray.remote
+def _monitor_file(path: str, win_tbl: pa.Table, w: int, s: int) -> pa.Table:
+    """Monitor wave: one stored ``docs/`` file. Winnows its texts
+    (containment.fingerprint_postings_table) and joins the postings
+    with the window fingerprints ``win_tbl`` on ``fp_key`` -> the
+    ``(win_id, doc_id, shared, url)`` rows of the (window, doc) pairs
+    that share a fingerprint. Both sides are unique per (owner, key),
+    so one joined row is one shared fingerprint."""
+    from raydedup.stages.containment import fingerprint_postings_table
+
+    docs = pq.read_table(path, columns=["doc_id", "text", "url"])
+    hits = (
+        fingerprint_postings_table(docs, w, s)
+        .select(["fp_key", "doc_id"])
+        .join(win_tbl, "fp_key", join_type="inner")
+        .group_by(["win_id", "doc_id"])
+        .aggregate([("fp_key", "count")])
+    )
+    ids, first = np.unique(docs.column("doc_id").to_numpy(zero_copy_only=False), return_index=True)
+    pos = first[np.searchsorted(ids, hits.column("doc_id").to_numpy(zero_copy_only=False))]
+    return pa.table(
+        {
+            "win_id": hits.column("win_id"),
+            "doc_id": hits.column("doc_id"),
+            "shared": hits.column("fp_key_count").cast(pa.int64()),
+            "url": docs.column("url").take(pa.array(pos, pa.int64())),
+        }
+    )
+
+
 def monitor_text(
     index_dir: str,
     text: str,
@@ -400,18 +438,15 @@ def monitor_text(
 ) -> pd.DataFrame:
     """``panako monitor``: chop a long text into overlapping token
     windows (25 s / 20 s-step analog, ``OlafStrategy.java:561-573``) and
-    containment-match every window against the INDEX via a winnowed-
-    fingerprint posting exchange (the per-window index lookup,
-    ``PanakoStorageKV.java:293-379``) — the index docs are fingerprinted
-    in a distributed map and co-partitioned with the window fingerprints
-    by key; nothing but the (window, doc) hit counts reaches the driver.
-    coverage >= cfg.containment_min_coverage gates a hit. Returns
-    (win_start_token, win_stop_token, match_doc_id, match_url,
-    coverage)."""
-    import ray
-
-    from raydedup.stages.containment import fingerprint_postings, winnowed_fingerprints
-    from raydedup.stages.exchange import hash_exchange_join
+    containment-match every window against the INDEX (the per-window
+    index lookup, ``PanakoStorageKV.java:293-379``): the windows'
+    winnowed fingerprints go to the object store as one ``(fp_key,
+    win_id)`` table, and one ``_monitor_file`` task per stored ``docs/``
+    file returns its (window, doc) shared-fingerprint counts; nothing
+    else reaches the driver. coverage >= cfg.containment_min_coverage
+    gates a hit. Returns (win_start_token, win_stop_token, match_doc_id,
+    match_url, coverage)."""
+    from raydedup.stages.containment import winnowed_fingerprints
 
     cfg = cfg or DedupConfig()
     tokens = text.split()
@@ -430,97 +465,36 @@ def monitor_text(
         win_rows["win_id"].extend([wid] * qf.shape[0])
         win_rows["fp_key"].extend(qf.view(np.int64).tolist())
     if not win_rows["win_id"]:
-        return pd.DataFrame(
-            columns=["win_start_token", "win_stop_token", "match_doc_id", "match_url", "coverage"]
-        )
-    win_tbl = pa.table(
-        {
-            "fp_key": pa.array(win_rows["fp_key"], type=pa.int64()),
-            "win_id": pa.array(win_rows["win_id"], type=pa.int64()),
-        }
-    )
-
-    idx_docs = rd.read_parquet(
-        store_files(index_dir, "docs"), columns=["doc_id", "text", "url"]
-    )
-    idx_post = fingerprint_postings(
-        idx_docs.select_columns(["doc_id", "text"]), cfg
-    ).select_columns(["fp_key", "doc_id"])
-
-    def count_hits(wt: pa.Table, it: pa.Table) -> pa.Table:
-        # per-bucket (win, doc) shared-fingerprint counts: both sides'
-        # posting sets are unique per (owner, key), so one joined row ==
-        # one shared fingerprint
-        if wt.num_rows == 0 or it.num_rows == 0:
-            return pa.table(
-                {"win_id": pa.array([], pa.int64()), "doc_id": pa.array([], pa.int64()),
-                 "shared": pa.array([], pa.int64())}
-            )
-        ik = it.column("fp_key").to_numpy(zero_copy_only=False)
-        idoc = it.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.argsort(ik, kind="stable")
-        ik, idoc = ik[order], idoc[order]
-        wk = wt.column("fp_key").to_numpy(zero_copy_only=False)
-        wwin = wt.column("win_id").to_numpy(zero_copy_only=False)
-        lo = np.searchsorted(ik, wk, side="left")
-        hi = np.searchsorted(ik, wk, side="right")
-        reps = hi - lo
-        if reps.sum() == 0:
-            return pa.table(
-                {"win_id": pa.array([], pa.int64()), "doc_id": pa.array([], pa.int64()),
-                 "shared": pa.array([], pa.int64())}
-            )
-        wins = np.repeat(wwin, reps)
-        pos = np.concatenate([np.arange(l, h) for l, h in zip(lo, hi) if h > l])
-        docs_m = idoc[pos]
-        order2 = np.lexsort((docs_m, wins))
-        wins, docs_m = wins[order2], docs_m[order2]
-        b = np.empty(wins.shape[0], dtype=bool)
-        b[0] = True
-        b[1:] = (wins[1:] != wins[:-1]) | (docs_m[1:] != docs_m[:-1])
-        st = np.flatnonzero(b)
-        cnt = np.diff(np.append(st, wins.shape[0]))
-        return pa.table(
+        return pd.DataFrame(columns=_MONITOR_COLS)
+    win_tbl = ray.put(
+        pa.table(
             {
-                "win_id": pa.array(wins[st], type=pa.int64()),
-                "doc_id": pa.array(docs_m[st], type=pa.int64()),
-                "shared": pa.array(cnt.astype(np.int64), type=pa.int64()),
+                "fp_key": pa.array(win_rows["fp_key"], type=pa.int64()),
+                "win_id": pa.array(win_rows["win_id"], type=pa.int64()),
             }
         )
-
-    refs = hash_exchange_join([ray.put(win_tbl)], idx_post, "fp_key", "fp_key", count_hits)
-    parts = [t for t in ray.get(refs) if t.num_rows]
-    if not parts:
-        return pd.DataFrame(
-            columns=["win_start_token", "win_stop_token", "match_doc_id", "match_url", "coverage"]
+    )
+    parts = [
+        t
+        for t in ray.get(
+            [_monitor_file.remote(f, win_tbl, w, s) for f in store_files(index_dir, "docs")]
         )
+        if t.num_rows
+    ]
+    if not parts:
+        return pd.DataFrame(columns=_MONITOR_COLS)
     hits = pa.concat_tables(parts).to_pandas()
-    # combine partial counts across buckets (a (win, doc) pair's keys can
-    # land in several buckets)
+    # a doc_id stored in two files takes the url of the first
+    first = hits.drop_duplicates("doc_id")
+    urls = dict(zip(first["doc_id"].astype(int), first["url"]))
+    # a (win, doc) pair counts its shared fingerprints in every file
+    # that stores the doc
     hits = hits.groupby(["win_id", "doc_id"], as_index=False)["shared"].sum()
     meta = pd.DataFrame(win_meta, columns=["start", "stop", "n_fp"])
     hits["coverage"] = hits["shared"] / hits["win_id"].map(meta["n_fp"]).clip(lower=1)
     hits = hits[hits["coverage"] >= cfg.containment_min_coverage]
     if hits.empty:
-        return pd.DataFrame(
-            columns=["win_start_token", "win_stop_token", "match_doc_id", "match_url", "coverage"]
-        )
-
-    # attach urls for the matched doc ids only
-    m_ids = np.sort(hits["doc_id"].unique().astype(np.int64))
-    ids_ref = ray.put(m_ids)
-
-    def keep(t: pa.Table) -> pa.Table:
-        wanted = ray.get(ids_ref)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(np.isin(ids, wanted)))
-
-    url_df = (
-        idx_docs.select_columns(["doc_id", "url"])
-        .map_batches(keep, batch_format="pyarrow")
-        .to_pandas()
-    )
-    urls = dict(zip(url_df["doc_id"].astype(int), url_df["url"]))
+        return pd.DataFrame(columns=_MONITOR_COLS)
     out = pd.DataFrame(
         {
             "win_start_token": hits["win_id"].map(meta["start"]).astype(int),
@@ -533,6 +507,35 @@ def monitor_text(
     return out.sort_values(
         ["win_start_token", "match_doc_id"], kind="mergesort"
     ).reset_index(drop=True)
+
+
+@ray.remote
+def _ids_of(path: str) -> np.ndarray:
+    """The sorted unique doc ids of one stored ``docs/`` file."""
+    t = pq.read_table(path, columns=["doc_id"])
+    return np.unique(t.column("doc_id").to_numpy(zero_copy_only=False))
+
+
+@ray.remote
+def _import_shard(
+    pres: np.ndarray, docs_f: str, sigs_f: str, dst_docs: str, dst_sigs: str
+) -> tuple[int, int]:
+    """load_index, one source shard: write its docs and signatures whose
+    doc_id is not in ``pres`` as a new destination shard; returns
+    (imported, skipped) doc counts."""
+    from raydedup.state.checkpoint import _atomic_write_table
+
+    dt = pq.read_table(docs_f)
+    ids = dt.column("doc_id").to_numpy(zero_copy_only=False)
+    keep = ~np.isin(ids, pres)
+    n_new, n_skip = int(keep.sum()), int((~keep).sum())
+    if n_new == 0:
+        return 0, n_skip
+    _atomic_write_table(dt.filter(pa.array(keep)), dst_docs)
+    st = pq.read_table(sigs_f, columns=["doc_id", "bands"])
+    sids = st.column("doc_id").to_numpy(zero_copy_only=False)
+    _atomic_write_table(st.filter(pa.array(~np.isin(sids, pres))), dst_sigs)
+    return n_new, n_skip
 
 
 def load_index(
@@ -564,7 +567,7 @@ def load_index(
     as delete_from_index); at 10^12 ids this verb would switch to a
     per-bucket hash-exchange anti-join over the shard files.
     """
-    from raydedup.state.checkpoint import CheckpointManager, _atomic_write_table
+    from raydedup.state.checkpoint import CheckpointManager
 
     cfg = cfg or DedupConfig()
     mgr = CheckpointManager(index_dir, cfg)
@@ -587,33 +590,12 @@ def load_index(
         raise FileNotFoundError(f"no docs/*.parquet under {src_index_dir}")
 
     # present-id gather: one column-pruned parallel read per dest shard
-    @ray.remote
-    def _ids_of(path: str) -> np.ndarray:
-        t = pq.read_table(path, columns=["doc_id"])
-        return np.unique(t.column("doc_id").to_numpy(zero_copy_only=False))
-
     dest_files = store_files(index_dir, "docs")
     parts = ray.get([_ids_of.remote(f) for f in dest_files])
     present = (
         np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
     )
     present_ref = ray.put(present)
-
-    @ray.remote
-    def _import_shard(
-        pres: np.ndarray, docs_f: str, sigs_f: str, dst_docs: str, dst_sigs: str
-    ) -> tuple[int, int]:
-        dt = pq.read_table(docs_f)
-        ids = dt.column("doc_id").to_numpy(zero_copy_only=False)
-        keep = ~np.isin(ids, pres)
-        n_new, n_skip = int(keep.sum()), int((~keep).sum())
-        if n_new == 0:
-            return 0, n_skip
-        _atomic_write_table(dt.filter(pa.array(keep)), dst_docs)
-        st = pq.read_table(sigs_f, columns=["doc_id", "bands"])
-        sids = st.column("doc_id").to_numpy(zero_copy_only=False)
-        _atomic_write_table(st.filter(pa.array(~np.isin(sids, pres))), dst_sigs)
-        return n_new, n_skip
 
     from raydedup.state.checkpoint import shard_file_tag
 
@@ -665,14 +647,14 @@ def delete_from_index(index_dir: str, urls: list[str]) -> dict:
     from raydedup.stages.extract import doc_ids_from_urls
     from raydedup.state.checkpoint import _atomic_write_table
 
-    victim_ids = set(int(x) for x in doc_ids_from_urls(urls))
+    victim_ids = doc_ids_from_urls(urls)
     removed = 0
     touched = 0
     for sub in ("docs", "signatures"):
         for f in store_files(index_dir, sub):
             t = pq.read_table(f)
             ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            mask = np.fromiter((int(i) not in victim_ids for i in ids), dtype=bool, count=ids.shape[0])
+            mask = ~np.isin(ids, victim_ids)
             if mask.all():
                 continue
             if sub == "docs":

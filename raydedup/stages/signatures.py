@@ -377,9 +377,7 @@ class SignatureKernel:
       The dedup engine's signature wave and the index store use it.
     - ``band_set_table``: (doc_id, bands, shingles), the packed sorted
       unique sets from the same shingle pass, no SimHash. The query
-      side of ``query_index`` and the increment's cross pass use it.
-    - ``simhash_column``: the SimHash alone (word hashes, no shingles,
-      no MinHash), for the dedup engine's ``use_simhash`` matcher.
+      side of ``query_index`` and of the increment's match use it.
 
     ``compute_signatures`` (and so the registry rows) uses ``__call__``.
     """
@@ -389,14 +387,12 @@ class SignatureKernel:
         self.a, self.b = minhash_perms(self.cfg)
         self.keep_shingles = keep_shingles
 
-    def _shingles(
-        self, arr: pa.Array, sets: str | None, toks: bool
-    ) -> tuple[list | None, list | None]:
+    def _shingles(self, arr: pa.Array, sets: str, toks: bool) -> tuple[list, list | None]:
         """The front half shared by every entry point, over a
         null-filled text array. ``sets``: ``"unique"`` for each doc's
         sorted unique shingle set, ``"raw"`` for its window hashes with
-        repeats kept, None for none. ``toks``: each doc's (unique word
-        hash, count) pairs for SimHash."""
+        repeats kept. ``toks``: each doc's (unique word hash, count)
+        pairs for SimHash."""
         import pyarrow.compute as pc
 
         cfg = self.cfg
@@ -404,9 +400,9 @@ class SignatureKernel:
         # hash each doc's words ONCE; shingles and simhash tokens both
         # derive from the same word-hash array
         n = len(arr)
-        out_sets: list | None = [None] * n if sets else None
+        out_sets: list = [None] * n
         out_toks: list | None = [None] * n if toks else None
-        char_sets = sets is not None and cfg.shingle_mode == "char"
+        char_sets = cfg.shingle_mode == "char"
         k = cfg.shingle_k
         empty_tok = (np.array([fnv1a64(b"")], dtype=U64), np.ones(1, dtype=np.int64))
         if not char_sets:
@@ -419,17 +415,15 @@ class SignatureKernel:
                 fast_idx = np.flatnonzero(ascii_mask)
                 fast_arr = arr.filter(pa.array(ascii_mask))
                 flat, offs = batch_word_hashes(fast_arr)
-                if sets:
-                    h, ws, we = rolling_hash_segments(flat, offs, k)
-                    need_text = np.flatnonzero(we - ws == 0)
-                    fallback_texts = {int(j): fast_arr[int(j)].as_py() for j in need_text}
+                h, ws, we = rolling_hash_segments(flat, offs, k)
+                need_text = np.flatnonzero(we - ws == 0)
+                fallback_texts = {int(j): fast_arr[int(j)].as_py() for j in need_text}
                 for pos, d in enumerate(fast_idx):
-                    if sets:
-                        hw = h[ws[pos] : we[pos]]
-                        if hw.shape[0] == 0:
-                            t = fallback_texts[pos]
-                            hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-                        out_sets[d] = uniq(hw)
+                    hw = h[ws[pos] : we[pos]]
+                    if hw.shape[0] == 0:
+                        t = fallback_texts[pos]
+                        hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
+                    out_sets[d] = uniq(hw)
                     if toks:
                         wh = flat[offs[pos] : offs[pos + 1]]
                         out_toks[d] = np.unique(wh, return_counts=True) if wh.shape[0] else empty_tok
@@ -446,7 +440,7 @@ class SignatureKernel:
                     wh = _WORD_CACHE.hash_words(words) if words else None
                 if char_sets:
                     out_sets[d] = shingle_hashes(t, cfg)
-                elif sets:
+                else:
                     hh = rolling_hash_u64(wh, k) if wh is not None else np.empty(0, U64)
                     if hh.shape[0] == 0:
                         hh = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
@@ -501,10 +495,6 @@ class SignatureKernel:
                 "shingles": self._packed(sets),
             }
         )
-
-    def simhash_column(self, batch: pa.Table) -> pa.Array:
-        """docs batch -> its SimHash (u64) only."""
-        return pa.array(simhash_batch(self._shingles(self._text(batch), None, True)[1]), pa.uint64())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg

@@ -103,10 +103,8 @@ def packed_shingle_table(docs_tbl: pa.Table, cfg: DedupConfig) -> pa.Table:
     )
 
 
-def lookup_packed(
-    packed: pa.Table, keys: np.ndarray, column: str = "shingles"
-) -> tuple[pa.Array, np.ndarray]:
-    """Gather ``packed[column]`` rows by doc_id via sort + searchsorted.
+def lookup_packed(packed: pa.Table, keys: np.ndarray) -> tuple[pa.Array, np.ndarray]:
+    """Gather ``packed["shingles"]`` rows by doc_id via sort + searchsorted.
     Returns (values, found_mask): a key absent from the bucket gets an
     arbitrary row and ``found[i] = False`` — callers DROP those pairs
     (a doc excluded from the shingle demand, e.g. an exact-dup member
@@ -114,14 +112,14 @@ def lookup_packed(
     ids = packed.column("doc_id").to_numpy(zero_copy_only=False)
     if ids.shape[0] == 0:
         return (
-            pa.nulls(keys.shape[0], packed.schema.field(column).type),
+            pa.nulls(keys.shape[0], packed.schema.field("shingles").type),
             np.zeros(keys.shape[0], dtype=bool),
         )
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     pos = np.clip(np.searchsorted(sorted_ids, keys), 0, ids.shape[0] - 1)
     found = sorted_ids[pos] == keys
-    col = packed.column(column)
+    col = packed.column("shingles")
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     return col.take(pa.array(order[pos].astype(np.int64))), found
@@ -137,9 +135,8 @@ def _jaccard_packed(sa: list, sb: list) -> np.ndarray:
 
 
 def make_attach_a():
-    """Bucket kernel: pairs(a, b, ...) x packed(doc_id, shingles[,
-    simhash]) -> (a, b, shingles_a[, simhash_a]) via vectorized gather;
-    ``simhash_a`` rides along when the packed side carries simhashes."""
+    """Bucket kernel: pairs(a, b, ...) x packed(doc_id, shingles) ->
+    (a, b, shingles_a) via vectorized gather."""
 
     def attach_a(left: pa.Table, right: pa.Table) -> pa.Table:
         if left.num_rows == 0:
@@ -149,22 +146,15 @@ def make_attach_a():
             )
         a = left.column("a").to_numpy(zero_copy_only=False)
         sha, found = lookup_packed(right, a)
-        cols = {"a": left.column("a"), "b": left.column("b"), "shingles_a": sha}
-        if "simhash" in right.column_names:
-            cols["simhash_a"] = lookup_packed(right, a, "simhash")[0]
-        out = pa.table(cols)
+        out = pa.table({"a": left.column("a"), "b": left.column("b"), "shingles_a": sha})
         return out if found.all() else out.filter(pa.array(found))
 
     return attach_a
 
 
-def make_attach_b_verify(tau: float, max_hamming: int | None = None):
-    """Bucket kernel: (a, b, shingles_a[, simhash_a]) x packed(doc_id,
-    shingles[, simhash]) -> verified (a, b, jaccard) with jaccard >= tau.
-    With ``max_hamming`` (the SimHash secondary matcher) a pair is also
-    accepted when its simhashes differ in at most ``max_hamming`` bits,
-    and the boolean ``simhash_hit`` column marks those pairs."""
-    from raydedup.stages.signatures import hamming64
+def make_attach_b_verify(tau: float):
+    """Bucket kernel: (a, b, shingles_a) x packed(doc_id, shingles) ->
+    verified (a, b, jaccard) with jaccard >= tau."""
 
     def attach_b_and_verify(left: pa.Table, right: pa.Table) -> pa.Table:
         if left.num_rows == 0:
@@ -178,21 +168,14 @@ def make_attach_b_verify(tau: float, max_hamming: int | None = None):
             left = left.filter(pa.array(found))
             shb = shb.filter(pa.array(found))
         jac = _jaccard_packed(left.column("shingles_a").to_pylist(), shb.to_pylist())
-        cols = {
-            "a": left.column("a"),
-            "b": left.column("b"),
-            "jaccard": pa.array(jac, type=pa.float64()),
-        }
-        keep = jac >= tau
-        if max_hamming is not None:
-            simb = lookup_packed(right, b, "simhash")[0].filter(pa.array(found))
-            hit = hamming64(
-                left.column("simhash_a").to_numpy(zero_copy_only=False),
-                simb.to_numpy(zero_copy_only=False),
-            ) <= max_hamming
-            cols["simhash_hit"] = pa.array(hit, type=pa.bool_())
-            keep |= hit
-        return pa.table(cols).filter(pa.array(keep))
+        out = pa.table(
+            {
+                "a": left.column("a"),
+                "b": left.column("b"),
+                "jaccard": pa.array(jac, type=pa.float64()),
+            }
+        )
+        return out.filter(pa.array(jac >= tau))
 
     return attach_b_and_verify
 

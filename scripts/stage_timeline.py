@@ -1,5 +1,5 @@
-"""Per-task-function timeline of one dedup job, or of one index build
-and one index query.
+"""Per-task-function timeline of one dedup job, or of one round of the
+index operations (build, query, monitor, increment fold).
 
     python scripts/stage_timeline.py [--mode dedup|index] [--n-docs 12000]
         [--seed 11] [--files 16] [--jobs 3] [--cpus 4]
@@ -11,10 +11,14 @@ after another; the earlier rounds warm the workers.
 - ``dedup``: each round is one unchecked ``run_dedup_auto`` job, from
   the pages on disk to the cluster assignments on the driver (the
   dedup-web job shape, containment on).
-- ``index``: each round is one ``build_index`` of the pages into a new
-  index directory, then one ``query_index`` of a 100-doc batch on it:
-  50 stored docs, each with one word edited, under new urls, and 50
-  unseen docs (the index-query job shape).
+- ``index``: a random 1/8 of the pages is held out of the store, as
+  one more file. Each round is one ``build_index`` of the ``--files``
+  stored files into a new index directory, then on it one
+  ``query_index`` of a 100-doc batch (50 stored docs, each with one
+  word edited, under new urls, and 50 unseen docs: the index-query job
+  shape), one ``monitor_text`` of a text holding one stored doc between
+  unseen words, and one ``dedup_increment`` fold of the held-out file
+  against a clusters dir that holds every stored doc as a singleton.
 
 For the last round it reads ``ray.timeline()`` and prints, per timed
 call, one row per task function:
@@ -115,30 +119,81 @@ def query_batch(pages: str, seed: int):
     return rd.from_arrow(pa.table({"doc_id": pa.array(ids), "text": pa.array(batch)})).materialize()
 
 
+def singleton_clusters(index_dir: str, clusters_dir: str) -> None:
+    """Every doc stored in ``index_dir`` as its own cluster, one
+    clusters file per docs file."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from raydedup.state.checkpoint import store_files
+
+    os.makedirs(clusters_dir)
+    for f in store_files(index_dir, "docs"):
+        ids = pq.read_table(f, columns=["doc_id"]).column("doc_id")
+        pq.write_table(
+            pa.table({"doc_id": ids, "cluster_id": ids, "is_representative": np.ones(len(ids), bool)}),
+            os.path.join(clusters_dir, os.path.basename(f)),
+        )
+
+
 def index_rounds(args, pages: str, work: str):
-    """Each round: one build_index into a new directory, then one
-    query_index on it. Yields [(label, t0, t1)] per round."""
+    """Each round: one build_index into a new directory, then on it one
+    query_index, one monitor_text and one dedup_increment fold of the
+    held-out pages file. Yields [(label, t0, t1)] per round."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
     from raydedup.config import DedupConfig
-    from raydedup.pipelines.query import build_index, query_index
+    from raydedup.pipelines.increment import dedup_increment
+    from raydedup.pipelines.query import build_index, monitor_text, query_index
 
     cfg = DedupConfig()
+    files = sorted(glob.glob(os.path.join(pages, "*.parquet")))
+    table = pq.read_table(files)
+    rng = np.random.default_rng(args.seed)
+    perm = rng.permutation(table.num_rows)
+    n_held = table.num_rows // 8
+    held_out = os.path.join(work, "held_out")
+    os.makedirs(held_out)
+    pq.write_table(table.take(np.sort(perm[:n_held])), os.path.join(held_out, "held-out.parquet"))
+    for f, rows in zip(files, np.array_split(np.sort(perm[n_held:]), len(files))):
+        pq.write_table(table.take(rows), f)
     q = query_batch(pages, args.seed)
+    stored = pq.read_table(files, columns=["text"])
+    unseen = [f"unseen{rng.integers(1 << 30)}" for _ in range(600)]
+    text = " ".join(unseen[:300] + [stored.column("text")[0].as_py()] + unseen[300:])
     for job in range(args.jobs):
         index_dir = os.path.join(work, f"index-{job}")
+        clusters_dir = os.path.join(work, f"clusters-{job}")
         t0 = time.time()
         build_index(pages, index_dir, cfg)
         t1 = time.time()
-        df = query_index(index_dir, q, cfg)
-        t2 = time.time()
         size = {
             sub: sum(os.path.getsize(f) for f in glob.glob(os.path.join(index_dir, sub, "*")))
             for sub in ("docs", "signatures")
         }
+        singleton_clusters(index_dir, clusters_dir)
+        t2 = time.time()
+        df = query_index(index_dir, q, cfg)
+        t3 = time.time()
+        hits = monitor_text(index_dir, text, cfg)
+        t4 = time.time()
+        fold = dedup_increment(index_dir, clusters_dir, held_out, cfg)
+        t5 = time.time()
         print(
             f"round {job}: build {t1 - t0:.2f} s, docs/ {size['docs'] / 1e6:.2f} MB, "
-            f"signatures/ {size['signatures'] / 1e6:.2f} MB, query {t2 - t1:.3f} s, {len(df)} rows"
+            f"signatures/ {size['signatures'] / 1e6:.2f} MB, query {t3 - t2:.3f} s, "
+            f"{len(df)} rows, monitor {t4 - t3:.3f} s, {len(hits)} rows, "
+            f"fold {t5 - t4:.3f} s, {fold['new_docs']} new docs, "
+            f"{fold['attached_to_existing']} attached"
         )
-        yield [("build_index", t0, t1), ("query_index", t1, t2)]
+        yield [
+            ("build_index", t0, t1),
+            ("query_index", t2, t3),
+            ("monitor_text", t3, t4),
+            ("dedup_increment", t4, t5),
+        ]
 
 
 def main() -> None:

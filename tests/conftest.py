@@ -36,3 +36,22 @@ def small_corpus(tmp_path_factory):
     spec = CorpusSpec(n_docs=600, seed=42)
     paths = materialize_corpus(out, spec, n_files=4)
     return spec, paths
+
+
+@pytest.fixture
+def no_ray_data_plans(monkeypatch):
+    """Returns a function that makes ``ray.data.read_parquet``,
+    ``Dataset.map_batches`` and ``Dataset.select_columns`` raise for the
+    rest of the test: a path that builds a Ray Data plan fails."""
+    import ray.data
+    from ray.data import Dataset
+
+    def boom(*a, **kw):
+        raise AssertionError("a Ray Data plan ran")
+
+    def arm() -> None:
+        monkeypatch.setattr(ray.data, "read_parquet", boom)
+        monkeypatch.setattr(Dataset, "map_batches", boom)
+        monkeypatch.setattr(Dataset, "select_columns", boom)
+
+    return arm

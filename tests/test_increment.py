@@ -195,7 +195,7 @@ def test_increment_bootstraps_empty_index(ray_session, split_corpus, tmp_path_fa
 
 
 def test_cross_verify_scores_each_side_on_its_own_text(ray_session, tmp_path):
-    """cross_verified_pairs matches new docs against stored docs/ and
+    """increment_edges matches new stored docs against the old docs/ and
     signatures/ files. Planted: near-dup (old 1 ~ new 101), exact dup
     (old 2 == new 102), unrelated texts, and an edited re-crawl of old
     doc 4 at the same doc_id (true Jaccard ~0.74, below tau). Every
@@ -206,7 +206,7 @@ def test_cross_verify_scores_each_side_on_its_own_text(ray_session, tmp_path):
     import pyarrow as pa
 
     from raydedup.pipelines.dedup import compute_signatures
-    from raydedup.pipelines.increment import cross_verified_pairs
+    from raydedup.pipelines.increment import increment_edges
     from raydedup.stages.signatures import batch_shingle_sets
     from raydedup.stages.verify import jaccard_sorted
     from raydedup.util import to_arrow_table
@@ -248,12 +248,18 @@ def test_cross_verify_scores_each_side_on_its_own_text(ray_session, tmp_path):
     assert exact_jaccard(recrawl, text(300, 6)) < cfg.jaccard_tau
     for sub in ("docs", "signatures"):
         (tmp_path / sub).mkdir()
-    doc_file, sig_file = str(tmp_path / "docs" / "0.parquet"), str(tmp_path / "signatures" / "0.parquet")
-    pq.write_table(old, doc_file)
-    sigs = to_arrow_table(compute_signatures(rd.from_arrow(old), cfg, keep_shingles=False))
-    pq.write_table(sigs.select(["doc_id", "bands"]), sig_file)
 
-    got = cross_verified_pairs([sig_file], [doc_file], rd.from_arrow(new).materialize(), cfg)
+    def store(t, name):
+        doc_file = str(tmp_path / "docs" / f"{name}.parquet")
+        sig_file = str(tmp_path / "signatures" / f"{name}.parquet")
+        pq.write_table(t, doc_file)
+        sigs = to_arrow_table(compute_signatures(rd.from_arrow(t), cfg, keep_shingles=False))
+        pq.write_table(sigs.select(["doc_id", "bands"]), sig_file)
+        return [sig_file], [doc_file]
+
+    new_ids, nn, got = increment_edges(*store(old, "0"), *store(new, "1"), cfg)
+    assert new_ids.tolist() == [4, 101, 102, 103]
+    assert nn.num_rows == 0
     pairs = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
     assert pairs >= {(101, 1), (102, 2)}
     assert (4, 4) not in pairs
@@ -304,3 +310,63 @@ def test_increment_tie_breaks_min_cluster():
     old = pd.DataFrame({"doc_id": [100, 200], "cluster_id": [7, 4]})
     out = increment_assignments(new_ids, nn, cross, old)
     assert out.cluster_id.tolist() == [4]
+
+
+def test_fold_equals_engine_plus_cross_reference(ray_session, small_corpus, tmp_path, no_ray_data_plans):
+    """On a random 7/8 + 1/8 page split, the fold's new rows equal
+    increment_assignments over the reference edges: the star edges of
+    run_dedup_scale over the new docs, plus the new-vs-old matches
+    against the old files only (query_index's verified rows, united
+    with identical-sha pairs). The fold runs no Ray Data plan."""
+    import pyarrow as pa
+
+    from raydedup.pipelines.query import build_index, query_index
+
+    spec, paths = small_corpus
+    pages = pq.read_table(sorted(glob.glob(os.path.join(paths["pages"], "*.parquet"))))
+    perm = np.random.default_rng(11).permutation(pages.num_rows)
+    n_new = pages.num_rows // 8
+    base_dir, inc_dir = tmp_path / "base_pages", tmp_path / "inc_pages"
+    base_dir.mkdir()
+    inc_dir.mkdir()
+    base_rows = np.sort(perm[n_new:])
+    half = base_rows.shape[0] // 2
+    pq.write_table(pages.take(base_rows[:half]), str(base_dir / "part-0.parquet"))
+    pq.write_table(pages.take(base_rows[half:]), str(base_dir / "part-1.parquet"))
+    pq.write_table(pages.take(np.sort(perm[:n_new])), str(inc_dir / "part-2.parquet"))
+
+    cfg = DedupConfig(batch_size=64)
+    index_dir, clusters_dir = str(tmp_path / "index"), str(tmp_path / "clusters")
+    build_index(str(base_dir), index_dir, cfg)
+    base_cl = run_dedup_scale(pages_to_docs(read_pages(str(base_dir))), cfg, containment=False)
+    base_cl.clusters.write_parquet(clusters_dir)
+    base_cl = base_cl.clusters.to_pandas()
+
+    # reference, before the fold stores the new docs
+    new_docs = pages_to_docs(read_pages(str(inc_dir))).materialize()
+    new_df = new_docs.to_pandas()
+    eng = run_dedup_scale(new_docs, cfg, containment=False).clusters.to_pandas()
+    eng = eng[eng.doc_id != eng.cluster_id]
+    star = pa.table({"a": eng.cluster_id.to_numpy(np.int64), "b": eng.doc_id.to_numpy(np.int64)})
+    hits = query_index(index_dir, new_docs, cfg, top_k=1 << 30)
+    old = pq.read_table(os.path.join(index_dir, "docs"), columns=["doc_id", "text_sha256"]).to_pandas()
+    same = new_df[["doc_id", "text_sha256"]].merge(old, on="text_sha256", suffixes=("", "_old"))
+    cross = pd.concat(
+        [
+            hits.rename(columns={"query_doc_id": "a", "match_doc_id": "b"})[["a", "b", "jaccard"]],
+            pd.DataFrame({"a": same.doc_id, "b": same.doc_id_old, "jaccard": 1.0}),
+        ]
+    ).drop_duplicates(["a", "b"])
+    assert len(cross) > 0 and star.num_rows > 0
+    want = increment_assignments(
+        new_df.doc_id.to_numpy(np.int64),
+        star,
+        pa.Table.from_pandas(cross, preserve_index=False),
+        base_cl[["doc_id", "cluster_id"]],
+    )
+    assert want.cluster_id.isin(base_cl.cluster_id).any()
+
+    no_ray_data_plans()
+    info = dedup_increment(index_dir, clusters_dir, str(inc_dir), cfg)
+    got = pq.read_table(info["increment_file"]).to_pandas()
+    pd.testing.assert_frame_equal(got, want)

@@ -258,3 +258,43 @@ def test_partial_tmp_file_is_not_read(rd, store, tmp_path, capsys, monkeypatch):
     assert cli.main(["stats", idx]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["n_docs"] == stats["n_signatures"] == n_stored
+
+
+def test_monitor_matches_winnow_oracle_without_ray_data(rd, store, tmp_path, no_ray_data_plans):
+    """monitor_text runs one raw task per stored docs file and no Ray
+    Data plan; its frame equals a brute-force oracle: per window, every
+    stored doc whose winnowed fingerprints cover >= min_coverage of the
+    window's, ordered by (window start, doc id)."""
+    from raydedup import DedupConfig
+    from raydedup.pipelines.query import build_index, monitor_text
+    from raydedup.stages.containment import winnowed_fingerprints
+
+    pages, base, root = store
+    idx = str(tmp_path / "idx")
+    build_index(pages, idx)
+    cfg = DedupConfig()
+    w, s = cfg.containment_window, cfg.containment_stride
+    # stored docs 1 and 7 inside unseen filler: windows 200 / step 160
+    rng = np.random.default_rng(5)
+    filler = [f"f{i}" for i in rng.integers(0, 5000, 300)]
+    tokens = filler[:150] + base[1] + filler[150:] + base[7]
+    stored = _stored(idx)
+    doc_fp = [winnowed_fingerprints(t, w, s) for t in stored.text]
+    rows = []
+    for start in range(0, len(tokens) - 200 + 160, 160):
+        wf = winnowed_fingerprints(" ".join(tokens[start : start + 200]), w, s)
+        for mid, url, fp in zip(stored.doc_id, stored.url, doc_fp):
+            cov = np.intersect1d(wf, fp).shape[0] / max(wf.shape[0], 1)
+            if cov >= cfg.containment_min_coverage:
+                rows.append((start, min(start + 200, len(tokens)), int(mid), url, cov))
+    oracle = pd.DataFrame(rows, columns=["win_start_token", "win_stop_token", "match_doc_id", "match_url", "coverage"])
+    oracle = oracle.sort_values(["win_start_token", "match_doc_id"], kind="mergesort").reset_index(drop=True)
+    assert oracle.match_url.str.endswith("/1").any() and oracle.match_url.str.endswith("/7").any()
+
+    no_ray_data_plans()
+    got = monitor_text(idx, " ".join(tokens), cfg)
+    assert [str(t) for t in got.dtypes] == ["int64", "int64", "int64", "object", "float64"]
+    pd.testing.assert_frame_equal(got, oracle, check_exact=False, rtol=0, atol=1e-12)
+    # no window covered: the typed-empty frame, still without a plan
+    empty = monitor_text(idx, " ".join(f"z{i}" for i in range(300)), cfg)
+    assert len(empty) == 0 and list(empty.columns) == list(oracle.columns)

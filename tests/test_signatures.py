@@ -267,19 +267,3 @@ def test_band_set_table_is_bit_identical_to_kernel(overrides):
         want = SignatureKernel(cfg)(batch)
         for col in got.column_names:
             assert got.column(col).equals(want.column(col)), col
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [{}, {"shingle_mode": "char"}, {"minhash_scheme": "oph"}],
-    ids=["word", "char", "oph"],
-)
-def test_simhash_column_equals_kernel_simhash(overrides):
-    """SignatureKernel.simhash_column hashes words only (no shingles, no
-    MinHash); its values must equal the full kernel's SimHash."""
-    cfg = DedupConfig(**overrides)
-    k = SignatureKernel(cfg, keep_shingles=False)
-    for batch in _band_batches():
-        got = k.simhash_column(batch)
-        assert got.type == pa.uint64()
-        assert got.equals(SignatureKernel(cfg)(batch).column("simhash").combine_chunks())

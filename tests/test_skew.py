@@ -5,7 +5,6 @@ requirement; the reference just walks long duplicate chains,
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
 from raydedup.config import DedupConfig
 from raydedup.stages.candidates import band_postings, band_size_stats, postings_to_pairs
@@ -133,43 +132,6 @@ def test_evaluate_against_oracle_helper(ray_session, small_corpus):
     assert report["recall"] >= 0.99
     assert report["boilerplate_false_merges"] == 0
     assert report["broken_singletons"] == 0
-
-
-def test_simhash_secondary_matcher_catches_reordered_dups(ray_session):
-    """A5 fallback gate: token-REORDERED copies (bag-of-words identical,
-    word-5-gram shingle sets ~disjoint) are invisible to MinHash+Jaccard
-    but Hamming-0 in SimHash; use_simhash=True must co-cluster them and
-    use_simhash=False must not (the primary matcher alone under-scores)."""
-    import ray.data as rd
-
-    rng = np.random.default_rng(17)
-    words = [f"tok{i}" for i in range(120)]
-    base = " ".join(words)
-    reordered = " ".join(rng.permutation(words).tolist())
-    uniq = [" ".join(f"u{i}_{j}" for j in range(40)) for i in range(30)]
-    texts = [base, reordered] + uniq
-    docs = _docs_ds(rd, texts)
-
-    off = run_dedup_scale(docs, DedupConfig(batch_size=64), containment=False, use_simhash=False)
-    cl_off = off.clusters.to_pandas().set_index("doc_id").cluster_id
-    assert cl_off[0] != cl_off[1]
-
-    on = run_dedup_scale(docs, DedupConfig(batch_size=64), containment=False, use_simhash=True)
-    cl_on = on.clusters.to_pandas().set_index("doc_id").cluster_id
-    assert cl_on[0] == cl_on[1]
-    assert on.metrics.get("simhash_accepted", 0) >= 1
-    # unrelated docs stay singletons under the secondary matcher
-    assert cl_on[range(2, 32)].nunique() == 30
-
-
-def test_simhash_matcher_rejects_signatures_and_ckpt():
-    """The secondary matcher reads text: precomputed signatures or a
-    checkpoint policy cannot be combined with it (checked before any
-    work is submitted)."""
-    with pytest.raises(ValueError):
-        run_dedup_scale(None, DedupConfig(), use_simhash=True, signatures=object())
-    with pytest.raises(ValueError):
-        run_dedup_scale(None, DedupConfig(), use_simhash=True, ckpt=object())
 
 
 def test_recover_hot_runs_restores_dropped_recall(ray_session):
