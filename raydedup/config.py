@@ -60,13 +60,14 @@ class DedupConfig:
 
     # --- skew handling (north-rule requirement; reference has none --
     # a hot LMDB key is just a long duplicate chain, PanakoStorageKV.java:335-370)
-    # Hot-key policy: runs above max_band_postings are degenerate
-    # boilerplate -> dropped + counted (a 1000-posting band would emit
-    # 500k junk pairs). Runs between salt_band_postings and the cap are
-    # "hot": they stay correct because pair emission is a vectorized
-    # kernel over a hash BUCKET (~1/64th of the keyspace), so one hot
-    # run costs one numpy triu, not a straggler task; the count of such
-    # runs is surfaced in band_size_stats()/containment_stats() metrics.
+    # Hot-key policy: runs of more than max_band_postings DISTINCT
+    # signatures are degenerate boilerplate -> dropped + counted, in the
+    # engine, queries and folds alike (candidates.band_runs). Runs
+    # between salt_band_postings and the cap are "hot": they stay
+    # correct because pair emission is a vectorized kernel over a hash
+    # BUCKET (~1/64th of the keyspace), so one hot run costs one numpy
+    # triu, not a straggler task; the count of such runs is surfaced in
+    # band_size_stats()/containment_stats() metrics.
     max_band_postings: int = 1000
     salt_band_postings: int = 200
     # Over-cap run RECOVERY (SURVEY §4's salting alternative, off by

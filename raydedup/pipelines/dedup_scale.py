@@ -144,15 +144,25 @@ def _pair_id_table(t: pa.Table) -> pa.Table:
     return pa.table({"doc_id": pa.array(ids.astype(np.int64), type=pa.int64())})
 
 
-def _drop_member_ids(left: pa.Table, right: pa.Table) -> pa.Table:
-    """left = demanded candidate ids bucket, right = member ids bucket
-    (column ``m``): drop demanded ids that are exact-dup members."""
-    if left.num_rows == 0 or right.num_rows == 0:
+def _drop_members(left: pa.Table, members: np.ndarray) -> pa.Table:
+    """``left`` without the rows whose ``doc_id`` is in ``members``. A
+    sorted probe (searchsorted), not a hash set: drop_forest_member_rows
+    runs it over the containment postings, the engine's largest table."""
+    if members.shape[0] == 0 or left.num_rows == 0:
         return left
-    mem = np.unique(right.column("m").to_numpy(zero_copy_only=False))
-    v = left.column("doc_id").to_numpy(zero_copy_only=False)
-    pos = np.minimum(np.searchsorted(mem, v), mem.shape[0] - 1)
-    return left.filter(pa.array(mem[pos] != v))
+    members = np.sort(members)
+    ids = left.column("doc_id").to_numpy(zero_copy_only=False)
+    pos = np.minimum(np.searchsorted(members, ids), members.shape[0] - 1)
+    return left.filter(pa.array(members[pos] != ids))
+
+
+def _drop_member_ids(left: pa.Table, right: pa.Table) -> pa.Table:
+    """left = a bucket keyed by ``doc_id``, right = member ids bucket
+    (column ``m``; no columns when empty): drop left rows that are
+    exact-dup members."""
+    if right.num_rows == 0:
+        return left
+    return _drop_members(left, right.column("m").to_numpy(zero_copy_only=False))
 
 
 def make_drop_exact_then_explode(window: int, stride: int):
@@ -160,12 +170,7 @@ def make_drop_exact_then_explode(window: int, stride: int):
     column ``m``) from a docs bucket, then winnow-explode fingerprints."""
 
     def drop_exact_then_explode(left: pa.Table, right: pa.Table) -> pa.Table:
-        if right.num_rows and left.num_rows:
-            mem = np.unique(right.column("m").to_numpy(zero_copy_only=False))
-            ids = left.column("doc_id").to_numpy(zero_copy_only=False)
-            pos = np.minimum(np.searchsorted(mem, ids), mem.shape[0] - 1)
-            left = left.filter(pa.array(mem[pos] != ids))
-        return fingerprint_postings_table(left, window, stride)
+        return fingerprint_postings_table(_drop_member_ids(left, right), window, stride)
 
     return drop_exact_then_explode
 
@@ -192,12 +197,7 @@ def drop_forest_member_rows(left: pa.Table, right: pa.Table) -> pa.Table:
     the forest ``right`` (a=root, b=member, member rows have a != b)."""
     ra = right.column("a").to_numpy(zero_copy_only=False)
     rb = right.column("b").to_numpy(zero_copy_only=False)
-    members = np.sort(rb[ra != rb])
-    if members.shape[0] and left.num_rows:
-        ids = left.column("doc_id").to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(members, ids), members.shape[0] - 1)
-        left = left.filter(pa.array(members[pos] != ids))
-    return left
+    return _drop_members(left, rb[ra != rb])
 
 
 def make_combine_containment(min_cov: float, min_shared: int = 1):

@@ -104,7 +104,8 @@ def increment_edges(
     + new_sigs`` and of its verify wave over ``old_docs + new_docs`` at
     cfg.jaccard_tau, and a sha256 exact path (one raw task per stored
     docs file, its pairs unioned into the candidates) links identical
-    texts even when their band run is hot-capped.
+    texts even in a band run dropped for holding more distinct
+    signatures than the cap (candidates.band_runs).
 
     Returns ``(new_ids, nn_edges, cross)``: every new doc id; the ``(a,
     b)`` new-vs-new edges (rows verified in the new files, ``a != b``);

@@ -14,8 +14,8 @@ A query is one raw-task DAG over the index files:
     side-tagged band postings split on ``band_key``. The query-side
     tasks are submitted first, since they do the most work. One reduce
     per bucket, one bucket per CPU, so the reduces run as one wave,
-    emits the (query, stored) pairs that share a band (stages/exchange
-    helpers)
+    emits the (query, stored) pairs that share a band run the engine
+    keeps too (candidates.band_runs; stages/exchange helpers)
   verify wave: one task per stored ``docs/`` file reads only the
     candidate matches (``doc_id`` pushdown), shingles them, scores
     exact Jaccard against the query side's sets (one broadcast ref) and
@@ -80,77 +80,66 @@ def build_index(pages_path: str, index_dir: str, cfg: DedupConfig | None = None)
 
 
 def _cross_side_pairs(t: pa.Table, max_postings: int) -> pa.Table:
-    """Per-bucket kernel: emit (query_doc, index_doc) pairs for band runs
-    containing both sides (side=1 query, side=0 index).
+    """Per-bucket kernel: ``(band_key, doc_id, sig, side)`` postings ->
+    the (query_doc, index_doc) pairs of the band runs that hold both
+    sides (side=1 query, side=0 index), with ``n_partial`` = the number
+    of runs the pair shares.
 
-    Fully vectorized (run arithmetic, no per-run Python — the pattern
-    that measured 4.6× faster under a full task pool in the containment
-    kernel): one lexsort by (key, side, doc), raw-size cap per run,
-    in-run (side, doc) dedup by boundary mask, then the q×m cross
-    products of ALL runs emitted with one flat index computation."""
-    keys = t.column("band_key").to_numpy(zero_copy_only=False)
-    docs = t.column("doc_id").to_numpy(zero_copy_only=False)
-    side = t.column("side").to_numpy(zero_copy_only=False)
-    n = keys.shape[0]
+    A run emits iff candidates.band_runs keeps it, the rule the engine
+    applies, so a page stored more times than the cap is one signature
+    and still matches its near-dups. Fully vectorized (run arithmetic,
+    no per-run Python — the pattern that measured 4.6× faster under a
+    full task pool in the containment kernel): band_runs' one (key, sig)
+    sort, then the q×m cross products of ALL kept runs emitted with one
+    flat index computation. A doc posted twice in a run (a doc_id stored
+    in two files) pairs once per run: the pairs are deduplicated on
+    (q, m, run) in the sort that counts them."""
+    from raydedup.stages.candidates import band_runs
+
     empty = pa.table(
         {"q": pa.array([], pa.int64()), "m": pa.array([], pa.int64()),
          "n_partial": pa.array([], pa.int64())}
     )
-    if n < 2:
+    if t.num_rows < 2:
         return empty
-    order = np.lexsort((docs, side, keys))
-    keys, docs, side = keys[order], docs[order], side[order]
-    # raw band runs (cap applies to RAW posting-run size, pre-dedup)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    sizes = np.diff(np.append(starts, n))
-    keep_run = (sizes >= 2) & (sizes <= max_postings)
-    if not keep_run.any():
-        return empty
-    rowkeep = np.repeat(keep_run, sizes)
-    keys, docs, side = keys[rowkeep], docs[rowkeep], side[rowkeep]
-    # dedup (key, side, doc) triples (rows are sorted by all three)
-    uniq = np.empty(keys.shape[0], dtype=bool)
-    uniq[0] = True
-    uniq[1:] = (
-        (keys[1:] != keys[:-1]) | (side[1:] != side[:-1]) | (docs[1:] != docs[:-1])
+    runs = band_runs(
+        t.column("band_key").to_numpy(zero_copy_only=False),
+        t.column("sig").to_numpy(zero_copy_only=False),
+        max_postings,
     )
-    keys, docs, side = keys[uniq], docs[uniq], side[uniq]
-    # per-run side counts: side 0 (index) sorts first within each run
-    nb = np.empty(keys.shape[0], dtype=bool)
-    nb[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=nb[1:])
-    starts2 = np.flatnonzero(nb)
-    sizes2 = np.diff(np.append(starts2, keys.shape[0]))
-    q_cnt = np.add.reduceat(side, starts2)
-    m_cnt = sizes2 - q_cnt
-    both = (q_cnt > 0) & (m_cnt > 0)
+    docs = t.column("doc_id").to_numpy(zero_copy_only=False)[runs.order]
+    side = t.column("side").to_numpy(zero_copy_only=False)[runs.order]
+    q_cnt = np.add.reduceat(side, runs.starts)
+    m_cnt = runs.sizes - q_cnt
+    both = runs.keep & (q_cnt > 0) & (m_cnt > 0)
     if not both.any():
         return empty
-    starts2, q_cnt, m_cnt = starts2[both], q_cnt[both], m_cnt[both]
+    rows = np.repeat(both, runs.sizes)
+    is_q = side == 1
+    qdocs, mdocs = docs[rows & is_q], docs[rows & ~is_q]
+    q_cnt, m_cnt = q_cnt[both], m_cnt[both]
     # flat cross-product emission: output j of run i is
-    # (qdocs[j // m_i], mdocs[j % m_i])
+    # (qdocs[q_off_i + j // m_i], mdocs[m_off_i + j % m_i])
     counts = q_cnt * m_cnt
-    tot = int(counts.sum())
-    off = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(tot, dtype=np.int64) - np.repeat(off, counts)
-    m_rep = np.repeat(m_cnt, counts)
-    q = docs[np.repeat(starts2 + m_cnt, counts) + local // m_rep]
-    m = docs[np.repeat(starts2, counts) + local % m_rep]
-    order = np.lexsort((m, q))
-    q, m = q[order], m[order]
-    pb = np.empty(q.shape[0], dtype=bool)
-    pb[0] = True
-    pb[1:] = (q[1:] != q[:-1]) | (m[1:] != m[:-1])
-    st = np.flatnonzero(pb)
-    counts = np.diff(np.append(st, q.shape[0]))
+    run = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+    local = np.arange(run.shape[0], dtype=np.int64) - (np.cumsum(counts) - counts)[run]
+    m_rep = m_cnt[run]
+    q = qdocs[(np.cumsum(q_cnt) - q_cnt)[run] + local // m_rep]
+    m = mdocs[(np.cumsum(m_cnt) - m_cnt)[run] + local % m_rep]
+    order = np.lexsort((run, m, q))
+    q, m, run = q[order], m[order], run[order]
+    new_pair = np.empty(q.shape[0], dtype=bool)
+    new_pair[0] = True
+    new_pair[1:] = (q[1:] != q[:-1]) | (m[1:] != m[:-1])
+    uniq = new_pair.copy()
+    uniq[1:] |= run[1:] != run[:-1]
+    st = np.flatnonzero(new_pair)
+    counts = np.add.reduceat(uniq.astype(np.int64), st)
     return pa.table(
         {
             "q": pa.array(q[st], type=pa.int64()),
             "m": pa.array(m[st], type=pa.int64()),
-            "n_partial": pa.array(counts.astype(np.int64), type=pa.int64()),
+            "n_partial": pa.array(counts, type=pa.int64()),
         }
     )
 
@@ -172,10 +161,10 @@ _SEGMENT_COLS = {
 
 
 def _side_postings(sigs: pa.Table, n_bands: int, side: int) -> pa.Table:
-    """(doc_id, bands) -> (band_key, doc_id, side) postings."""
+    """(doc_id, bands) -> (band_key, doc_id, sig, side) postings."""
     from raydedup.stages.candidates import band_postings_table
 
-    p = band_postings_table(sigs, n_bands).drop_columns(["sig"])
+    p = band_postings_table(sigs, n_bands)
     return p.append_column("side", pa.array(np.full(p.num_rows, side, dtype=np.int64)))
 
 
@@ -254,12 +243,15 @@ _CAND_SCHEMA = pa.schema(
 def _candidate_pairs(sig_files: list[str], q_refs: list, cfg: DedupConfig):
     """Candidate wave: the stored ``sig_files`` and the ``doc_id,text``
     query blocks ``q_refs`` -> ``(a=query, b=stored, n_collisions)``
-    pairs that share a band, and the ref of the query side's
-    ``(doc_id, shingles)`` sets for the verify wave.
+    pairs that share at least cfg.min_band_collisions bands (the
+    engine's gate, candidate_pair_refs), and the ref of the query
+    side's ``(doc_id, shingles)`` sets for the verify wave.
 
     The query-side tasks are submitted first: they sign, so they take
     longest, and the stored side reads band keys only. The exchange is
     one bucket per CPU, so its reduces run as one wave."""
+    import pyarrow.compute as pc
+
     from raydedup.stages.exchange import _reduce_bucket, block_groups
     from raydedup.stages.pair_agg import reduce_pair_table
 
@@ -287,6 +279,8 @@ def _candidate_pairs(sig_files: list[str], q_refs: list, cfg: DedupConfig):
         pa.concat_tables(partials).rename_columns(["a", "b", "n_collisions"]),
         sum_cols=["n_collisions"],
     )
+    if cfg.min_band_collisions > 1:
+        cand = cand.filter(pc.greater_equal(cand["n_collisions"], cfg.min_band_collisions))
     return cand, q_sets
 
 

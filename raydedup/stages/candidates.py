@@ -21,6 +21,11 @@ neighbours (ADVICE r1). Within a signature group only star edges
 quadratic pair set for connectivity. Dropped-group counts surface in
 the metrics table.
 
+That rule is ``band_runs``. The engine (``emit_pairs_partition``), the
+skew stats and the index query and increment fold
+(``pipelines/query._cross_side_pairs``) all apply it, so a page stored
+more times than the cap finds its near-dups through the index too.
+
 SimHash near-hash candidates use the pigeonhole multi-table scheme:
 Hamming distance <= k on 64 bits implies at least one of k+1 16-bit
 blocks matches exactly, so each doc posts k+1 block keys; verification
@@ -29,8 +34,9 @@ rechecks exact Hamming distance (``util/Hamming.java:74-83`` analog).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ray.data import Dataset
@@ -86,8 +92,7 @@ def band_postings(signatures: Dataset, cfg: DedupConfig) -> Dataset:
 def simhash_postings_table(batch: pa.Table, max_hamming: int) -> pa.Table:
     """(doc_id, simhash) signatures -> (band_key, doc_id, sig) postings,
     one per simhash block (k+1 = 4 tables of 16 bits for Hamming <= 3),
-    in the band-posting schema so both kinds share one pair exchange.
-    Module-level so raw Ray tasks can reuse it."""
+    in the band-posting schema so both kinds share one pair exchange."""
     from raydedup.hashing import mix64
 
     if batch.num_rows == 0:
@@ -124,8 +129,40 @@ def simhash_postings(signatures: Dataset, cfg: DedupConfig) -> Dataset:
     )
 
 
+class BandRuns(NamedTuple):
+    """Run structure of a table of band postings (see band_runs)."""
+
+    order: np.ndarray  # (band_key, sig) sort order of the postings
+    starts: np.ndarray  # first sorted posting of each band-key run
+    sizes: np.ndarray  # postings per run
+    group_starts: np.ndarray  # first sorted posting of each (band_key, sig) group
+    n_sigs: np.ndarray  # distinct signatures per run
+    keep: np.ndarray  # runs that emit pairs
+
+
+def band_runs(keys: np.ndarray, sigs: np.ndarray, max_postings: int) -> BandRuns:
+    """The one hot-band rule (see the module docstring): sort postings
+    by (band_key, sig); a band run emits pairs iff it has >= 2 postings
+    and <= ``max_postings`` DISTINCT signatures."""
+    order = np.lexsort((sigs, keys))
+    keys, sigs = keys[order], sigs[order]
+    n = keys.shape[0]
+    boundary = np.empty(n, dtype=bool)
+    boundary[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+    gb = boundary.copy()
+    gb[1:] |= sigs[1:] != sigs[:-1]
+    starts = np.flatnonzero(boundary)
+    sizes = np.diff(np.append(starts, n))
+    group_starts = np.flatnonzero(gb)
+    first_group = np.cumsum(gb)[starts] - 1
+    n_sigs = np.diff(np.append(first_group, group_starts.shape[0]))
+    keep = (sizes >= 2) & (n_sigs <= max_postings)
+    return BandRuns(order, starts, sizes, group_starts, n_sigs, keep)
+
+
 def emit_pairs_partition(
-    t: pa.Table | pd.DataFrame,
+    t: pa.Table,
     max_postings: int,
     *,
     recover_hot_runs: bool = False,
@@ -133,13 +170,11 @@ def emit_pairs_partition(
 ) -> pa.Table:
     """Vectorized pair emission for ONE hash partition of postings.
 
-    Sorts the partition by (band_key, sig, doc_id) and, per band-key run:
+    Sorts the partition by (band_key, sig) and, per band-key run that
+    band_runs keeps:
 
     - groups postings by signature digest (byte-identical texts share
       every band and hence the digest);
-    - drops the run iff it has more than ``max_postings`` DISTINCT
-      signatures (degenerate boilerplate), so a heavily-copied page
-      never evicts its genuine near-dup neighbours;
     - emits ``a < b`` pairs between the signature-group representatives
       (group-min doc_id) — the quadratic part is over distinct
       signatures only;
@@ -155,54 +190,30 @@ def emit_pairs_partition(
     fan-out; downstream Jaccard verification rejects false merges.
 
     Dropped runs are counted separately by band_size_stats()."""
-    if isinstance(t, pd.DataFrame):
-        keys = t["band_key"].to_numpy()
-        docs = t["doc_id"].to_numpy()
-        sigs = t["sig"].to_numpy()
-    else:
-        keys = t.column("band_key").to_numpy(zero_copy_only=False)
-        docs = t.column("doc_id").to_numpy(zero_copy_only=False)
-        sigs = t.column("sig").to_numpy(zero_copy_only=False)
-    # 2-key sort: groups only need (band_key, sig) runs; the group-min
-    # rep is computed with minimum.reduceat instead of a third sort key
-    # (1/3 less sort traffic — this kernel is bandwidth-bound under a
-    # full task pool)
-    order = np.lexsort((sigs, keys))
-    keys = keys[order]
-    sigs = sigs[order]
-    docs = docs[order]
-    n = keys.shape[0]
-    if n < 2:
-        return pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-             "n_partial": pa.array([], pa.int64())}
-        )
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    # signature-group boundaries (within key runs)
-    gb = boundary.copy()
-    gb[1:] |= sigs[1:] != sigs[:-1]
-    group_starts_all = np.flatnonzero(gb)
+    empty = pa.table(
+        {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
+         "n_partial": pa.array([], pa.int64())}
+    )
+    keys = t.column("band_key").to_numpy(zero_copy_only=False)
+    if keys.shape[0] < 2:
+        return empty
+    # band_runs' 2-key sort: the group-min rep is computed with
+    # minimum.reduceat instead of a third sort key (1/3 less sort
+    # traffic — this kernel is bandwidth-bound under a full task pool)
+    runs = band_runs(keys, t.column("sig").to_numpy(zero_copy_only=False), max_postings)
+    docs = t.column("doc_id").to_numpy(zero_copy_only=False)[runs.order]
+    n = docs.shape[0]
     # rep doc per sig group = min doc (deterministic under any input
     # order / partitioning)
-    rep_vals = np.minimum.reduceat(docs, group_starts_all)
-    rep_per_posting = np.repeat(
-        rep_vals, np.diff(np.append(group_starts_all, n))
-    )
-    # per key run: number of distinct sig groups
-    starts = np.flatnonzero(boundary)
-    sizes = np.diff(np.append(starts, n))
-    cum_groups = np.cumsum(gb)
-    groups_in_run = np.diff(np.append(cum_groups[starts] - 1, cum_groups[-1]))
-    run_mask = (sizes >= 2) & (groups_in_run <= max_postings)
-    over_mask = (sizes >= 2) & (groups_in_run > max_postings)
+    rep_docs = np.minimum.reduceat(docs, runs.group_starts)  # contiguous per key run
+    rep_per_posting = np.repeat(rep_docs, np.diff(np.append(runs.group_starts, n)))
+    over_mask = (runs.sizes >= 2) & ~runs.keep
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
     # star edges: member postings of kept runs whose doc != group rep
     # (recovered over-cap runs keep their star edges too)
-    star_runs = run_mask | over_mask if recover_hot_runs else run_mask
-    keep_posting = np.repeat(star_runs, sizes)
+    star_runs = runs.keep | over_mask if recover_hot_runs else runs.keep
+    keep_posting = np.repeat(star_runs, runs.sizes)
     star = keep_posting & (docs != rep_per_posting)
     if star.any():
         out_a.append(rep_per_posting[star])
@@ -213,10 +224,9 @@ def emit_pairs_partition(
     # are distinct docs within a run (one posting per (band_key, doc)),
     # in sig order not doc order, so pairs are canonicalized with
     # min/max; the final combiner dedupes across classes.
-    rep_docs = rep_vals  # reps, contiguous per key run
-    run_rep_start = cum_groups[starts] - 1  # index of each run's first rep
-    pair_mask = run_mask & (groups_in_run >= 2)
-    gs = groups_in_run[pair_mask]
+    run_rep_start = np.cumsum(runs.n_sigs) - runs.n_sigs  # each run's first rep
+    pair_mask = runs.keep & (runs.n_sigs >= 2)
+    gs = runs.n_sigs[pair_mask]
     rs = run_rep_start[pair_mask]
     for g in np.unique(gs):
         rstarts = rs[gs == g]
@@ -228,7 +238,7 @@ def emit_pairs_partition(
         out_b.append(np.maximum(di, dj))
     if recover_hot_runs and over_mask.any():
         T = max(2, int(hot_run_group))
-        for g, r0 in zip(groups_in_run[over_mask], run_rep_start[over_mask]):
+        for g, r0 in zip(runs.n_sigs[over_mask], run_rep_start[over_mask]):
             reps = rep_docs[r0 : r0 + g]
             anchor = reps.min()
             for s in range(0, int(g), T):
@@ -239,10 +249,7 @@ def emit_pairs_partition(
                 out_a.append(sub[ii])
                 out_b.append(sub[jj])
     if not out_a:
-        return pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-             "n_partial": pa.array([], pa.int64())}
-        )
+        return empty
     # partial (combiner) aggregation before the global (a, b) shuffle: a
     # pair colliding in k bands of this bucket becomes one row with
     # n_partial=k (pre-aggregate inside map, then a small groupby)
@@ -350,9 +357,9 @@ def band_size_stats(postings: Dataset, cfg: DedupConfig) -> dict:
     (analog of ``panako stats`` full scans, ``PanakoStorageKV.java:381-467``).
 
     Uses the custom hash exchange (NOT Ray's sort-based groupby — the
-    measured ~2.5k rows/s/task cliff at high key cardinality) and the
-    same over-cap criterion as emit_pairs_partition: a run exceeds the
-    cap when its DISTINCT-SIGNATURE count passes cfg.max_band_postings.
+    measured ~2.5k rows/s/task cliff at high key cardinality) and
+    band_runs, the rule emission applies: a run exceeds the cap when
+    its DISTINCT-SIGNATURE count passes cfg.max_band_postings.
     With ``cfg.recover_hot_runs`` those runs are RECOVERED by emission
     (sub-group salting), so they are reported as ``recovered_*`` and
     ``dropped_*`` reads 0 — the stats always describe what emission
@@ -364,35 +371,20 @@ def band_size_stats(postings: Dataset, cfg: DedupConfig) -> dict:
     recover = cfg.recover_hot_runs
 
     def summarize(t: pa.Table) -> pa.Table:
-        keys = t.column("band_key").to_numpy(zero_copy_only=False)
-        sigs = t.column("sig").to_numpy(zero_copy_only=False)
-        n = keys.shape[0]
-        if n == 0:
-            z = pa.array([0], type=pa.int64())
-            return pa.table(
-                {"groups": z, "postings": z, "max_group": z,
-                 "hot_groups": z, "dropped_groups": z, "dropped_postings": z,
-                 "recovered_groups": z, "recovered_postings": z}
-            )
-        order = np.lexsort((sigs, keys))
-        keys, sigs = keys[order], sigs[order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-        gb = boundary.copy()
-        gb[1:] |= sigs[1:] != sigs[:-1]
-        starts = np.flatnonzero(boundary)
-        sizes = np.diff(np.append(starts, n))
-        cum_groups = np.cumsum(gb)
-        groups_in_run = np.diff(np.append(cum_groups[starts] - 1, cum_groups[-1]))
-        over = groups_in_run > cap
+        runs = band_runs(
+            t.column("band_key").to_numpy(zero_copy_only=False),
+            t.column("sig").to_numpy(zero_copy_only=False),
+            cap,
+        )
+        sizes = runs.sizes
+        over = (sizes >= 2) & ~runs.keep
         dropped = over & (not recover)
         recovered = over & recover
         return pa.table(
             {
-                "groups": pa.array([int(starts.shape[0])], type=pa.int64()),
-                "postings": pa.array([int(n)], type=pa.int64()),
-                "max_group": pa.array([int(sizes.max())], type=pa.int64()),
+                "groups": pa.array([int(sizes.shape[0])], type=pa.int64()),
+                "postings": pa.array([t.num_rows], type=pa.int64()),
+                "max_group": pa.array([int(sizes.max(initial=0))], type=pa.int64()),
                 "hot_groups": pa.array([int((sizes > salt).sum())], type=pa.int64()),
                 "dropped_groups": pa.array([int(dropped.sum())], type=pa.int64()),
                 "dropped_postings": pa.array([int(sizes[dropped].sum())], type=pa.int64()),
@@ -409,6 +401,6 @@ def band_size_stats(postings: Dataset, cfg: DedupConfig) -> dict:
         "hot_groups": int(parts["hot_groups"].sum()),
         "dropped_groups": int(parts["dropped_groups"].sum()),
         "dropped_postings": int(parts["dropped_postings"].sum()),
-        "recovered_groups": int(parts["recovered_groups"].sum()) if "recovered_groups" in parts else 0,
-        "recovered_postings": int(parts["recovered_postings"].sum()) if "recovered_postings" in parts else 0,
+        "recovered_groups": int(parts["recovered_groups"].sum()),
+        "recovered_postings": int(parts["recovered_postings"].sum()),
     }

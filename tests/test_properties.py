@@ -452,6 +452,52 @@ def test_recovered_hot_runs_stay_connected(data):
     assert len(a) <= budget
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_index_match_keeps_the_engines_band_runs(data):
+    """One hot-band rule: query._cross_side_pairs emits exactly the
+    (query, stored) pairs of a brute-force per-run reference (a run of
+    >= 2 postings and <= cap DISTINCT signatures emits q x m over its
+    distinct docs; n_partial counts the runs a pair shares), and it
+    keeps exactly the runs emit_pairs_partition keeps. Runs often hold
+    more postings than the cap and fewer distinct signatures, and docs
+    repeat within and across runs."""
+    import pyarrow as pa
+
+    from raydedup.pipelines.query import _cross_side_pairs
+    from raydedup.stages.candidates import emit_pairs_partition
+
+    cap = data.draw(st.integers(1, 4))
+    rows = []  # (band_key, doc_id, sig, side)
+    for r in range(data.draw(st.integers(1, 6))):
+        n_sigs = data.draw(st.integers(1, cap + 2))
+        posting = st.tuples(st.integers(0, 12), st.integers(0, n_sigs - 1), st.integers(0, 1))
+        for d, g, s in data.draw(st.lists(posting, min_size=1, max_size=3 * cap + 3)):
+            rows.append((r * 7919, d, r * 100 + g, s))
+    rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
+
+    def table(rs):
+        return pa.table({c: pa.array(list(v), pa.int64()) for c, v in zip(
+            ["band_key", "doc_id", "sig", "side"], zip(*rs))})
+
+    out = _cross_side_pairs(table(rows), cap)
+    got = dict(zip(zip(out["q"].to_pylist(), out["m"].to_pylist()), out["n_partial"].to_pylist()))
+    ref: dict = {}
+    for k in sorted({r[0] for r in rows}):
+        run = [r for r in rows if r[0] == k]
+        if len(run) >= 2 and len({r[2] for r in run}) <= cap:
+            for q in {r[1] for r in run if r[3] == 1}:
+                for m in {r[1] for r in run if r[3] == 0}:
+                    ref[q, m] = ref.get((q, m), 0) + 1
+        # the engine's keep, made visible: with every posting its own
+        # doc, a kept run of >= 2 postings emits at least one pair
+        solo = [(k, i, r[2], r[3]) for i, r in enumerate(run)]
+        engine_keeps = emit_pairs_partition(table(solo).drop_columns(["side"]), cap).num_rows > 0
+        both_sides = {r[3] for r in run} == {0, 1}
+        assert (_cross_side_pairs(table(run), cap).num_rows > 0) == (engine_keeps and both_sides)
+    assert got == ref
+
+
 @given(st.lists(st.integers(min_value=1, max_value=2**53 - 1), min_size=1, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_bitlen_minus1_is_exact_floor_log2(xs):

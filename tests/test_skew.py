@@ -166,3 +166,108 @@ def test_recover_hot_runs_restores_dropped_recall(ray_session):
     assert res_on.metrics["candidate_pairs"] < 24 * 16
     # unrelated docs unaffected
     assert cl_on[range(24, 44)].nunique() == 20
+
+
+def _hot_page_store(tmp_path, n_copies: int, cfg: DedupConfig):
+    """One 300-word page stored ``n_copies`` times under distinct urls
+    plus 200 other pages (words drawn from 3,000), in 4 pages files,
+    stored with build_index. Returns (index_dir, pages_dir, the page's
+    text, the doc_ids of its copies)."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from raydedup.corpus import render_html
+    from raydedup.pipelines.query import build_index
+    from raydedup.stages.extract import doc_ids_from_urls
+
+    rng = np.random.default_rng(5)
+    words = np.array([f"w{i}" for i in range(3000)])
+    page = " ".join(rng.choice(words, 300))
+    texts = [page] * n_copies + [" ".join(rng.choice(words, 300)) for _ in range(200)]
+    urls = [f"https://hot.example/{i}" for i in range(len(texts))]
+    pages_dir = tmp_path / "pages"
+    os.makedirs(pages_dir)
+    order = rng.permutation(len(texts))
+    for k, part in enumerate(np.array_split(order, 4)):
+        pq.write_table(
+            pa.table(
+                {
+                    "url": [urls[i] for i in part],
+                    "html": pa.array([render_html(urls[i], texts[i]) for i in part], pa.binary()),
+                    "lang": ["en"] * len(part),
+                }
+            ),
+            str(pages_dir / f"part{k}.parquet"),
+        )
+    index_dir = str(tmp_path / "index")
+    build_index(str(pages_dir), index_dir, cfg)
+    return index_dir, str(pages_dir), page, doc_ids_from_urls(urls[:n_copies])
+
+
+def _edited(page: str) -> str:
+    toks = page.split()
+    toks[150] = "edited"
+    return " ".join(toks)
+
+
+def test_index_query_finds_near_dup_of_page_stored_over_cap(ray_session, tmp_path):
+    """The index applies the engine's hot-band rule: a run over
+    max_band_postings POSTINGS but under it in DISTINCT signatures (a
+    page stored 30 times, cap 20) still emits its pairs, so the page's
+    edited copy finds top_k of the copies."""
+    import ray.data as rd
+
+    from raydedup.pipelines.query import query_index
+    from raydedup.stages.extract import doc_ids_from_urls
+
+    cfg = DedupConfig(max_band_postings=20)
+    index_dir, _, page, copy_ids = _hot_page_store(tmp_path, 30, cfg)
+    q_id = doc_ids_from_urls(["https://fresh.example/edited"])
+    q = rd.from_arrow(pa.table({"doc_id": pa.array(q_id), "text": [_edited(page)]}))
+    df = query_index(index_dir, q, cfg, top_k=10)
+    assert len(df) == 10
+    assert set(df.match_doc_id) <= set(copy_ids.tolist())
+    assert np.allclose(df.jaccard, 0.967, atol=0.005)
+
+
+def test_fold_attaches_near_dup_of_page_stored_over_cap(ray_session, tmp_path):
+    """A dedup_increment fold matches through the same rule: a file
+    holding only the edited copy of a page stored 30 times (cap 20)
+    joins the page's cluster instead of starting a new one."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from raydedup.corpus import render_html
+    from raydedup.pipelines.increment import dedup_increment
+    from raydedup.sources.pages import pages_to_docs, read_pages
+    from raydedup.stages.extract import doc_ids_from_urls
+
+    cfg = DedupConfig(max_band_postings=20)
+    index_dir, pages_dir, page, copy_ids = _hot_page_store(tmp_path, 30, cfg)
+    clusters_dir = str(tmp_path / "clusters")
+    res = run_dedup_scale(pages_to_docs(read_pages(pages_dir)), cfg, containment=False)
+    res.clusters.write_parquet(clusters_dir)
+    cl = res.clusters.to_pandas().set_index("doc_id").cluster_id
+    page_cluster = cl[copy_ids[0]]
+    assert (cl[copy_ids] == page_cluster).all()
+
+    inc_dir = tmp_path / "inc"
+    os.makedirs(inc_dir)
+    url = "https://fresh.example/edited"
+    pq.write_table(
+        pa.table(
+            {
+                "url": [url],
+                "html": pa.array([render_html(url, _edited(page))], pa.binary()),
+                "lang": ["en"],
+            }
+        ),
+        str(inc_dir / "inc.parquet"),
+    )
+    info = dedup_increment(index_dir, clusters_dir, str(inc_dir), cfg)
+    assert info["new_docs"] == 1 and info["attached_to_existing"] == 1
+    got = rd.read_parquet(clusters_dir).to_pandas().set_index("doc_id").cluster_id
+    assert got[doc_ids_from_urls([url])[0]] == page_cluster
