@@ -115,11 +115,12 @@ class DedupConfig:
     # --- streaming phase-1 (VERDICT r4 #3): at or above this doc count
     # run_dedup_auto asks run_dedup_scale to cache the corpus ONCE as
     # disk-backed parquet under ``stream_spill_dir`` (a streaming
-    # write — blocks land on disk as their tasks finish) and consume it
-    # lazily per stage, instead of pinning a full materialized copy in
-    # the object store for the whole run. Peak object-store usage then
-    # tracks the largest exchange, not the corpus (measured in
-    # BASELINE.md). Requires ``stream_spill_dir``; with the dir unset
+    # write — blocks land on disk as their tasks finish) and read it
+    # into the object store once. The engine's doc_id-keyed text split
+    # is held until the run returns in both modes; the stream path
+    # drops its input copy once the split and signature waves hold it,
+    # where the materialize path pins the materialized corpus for the
+    # whole run. Requires ``stream_spill_dir``; with the dir unset
     # (default) the engine materializes as before — re-reading from
     # disk is the right trade only when the corpus outgrows the store.
     scale_stream_min_docs: int = 5_000_000

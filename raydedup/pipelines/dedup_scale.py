@@ -8,8 +8,8 @@ verified edges or the component map:
 
   exact dedup: sha256 hash exchange -> (group min, member) edges
     (``Deduplication.java:66-88``; kernels in pipelines/dedup.py)
-  band keys -> band postings -> band_key split: one wave of raw tasks
-    over the materialized corpus blocks, submitted without a driver wait
+  band keys -> band postings -> band_key split: one split wave over the
+    materialized corpus blocks, submitted without a driver wait
   postings -> exchange (refs) -> pair combine exchange (refs): the
     inverted near-hash lookup (``PanakoStorageKV.java:293-379``)
   verification: two co-partitioned exchange joins against the docs
@@ -39,6 +39,7 @@ exchanges.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -59,7 +60,7 @@ from raydedup.stages.cluster_scale import (
     cluster_edge_refs,
 )
 from raydedup.stages.containment import _emit_fp_pairs, fingerprint_postings_table
-from raydedup.stages.exchange import _split_table, block_groups
+from raydedup.stages.exchange import reduce_wave, split_dataset
 from raydedup.util import arrow_block_refs
 
 if TYPE_CHECKING:
@@ -87,45 +88,47 @@ def _member_table(t: pa.Table) -> pa.Table:
     return pa.table({"m": t.column("b")})
 
 
+_DOC_TEXT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+
+
 def _doc_text(b: pa.Table) -> pa.Table:
-    """A corpus block's ``doc_id,text`` projection."""
+    """A corpus block's ``doc_id,text`` projection (typed empty for a
+    0-column block)."""
+    if not b.num_columns:
+        return _DOC_TEXT_SCHEMA.empty_table()
     return b.select(["doc_id", "text"])
 
 
-@ray.remote
-def _signature_postings_split(
-    cfg: DedupConfig, num_buckets: int, *blocks: pa.Table
-) -> list[pa.Table]:
-    """One task of the signature wave: blocks -> band keys -> band
-    postings, hash-split on ``band_key`` into ``num_buckets`` tables
-    (one split task's row of split_dataset's wave shape). A block with
-    ``text`` (a corpus block, any other columns ignored) is signed here,
-    once per block, so the kernel's working set is a block, whatever
-    the group size; only its band keys are computed
+def _signature_postings(cfg: DedupConfig, b: pa.Table) -> pa.Table:
+    """The signature wave's split prep: one block -> its band postings.
+    A block with ``text`` (a corpus block, any other columns ignored) is
+    signed here, once per block, so the kernel's working set is a
+    block, whatever the group size; only its band keys are computed
     (SignatureKernel.band_table). A block without ``text`` already
     holds signatures (``doc_id,bands``, the phase-1 signature parquet)
     and is used as it is."""
     from raydedup.pipelines.dedup import _kernel
 
-    def signed(b: pa.Table) -> pa.Table:
-        if "text" not in b.column_names:
-            return b
-        return _kernel(cfg, False).band_table(_doc_text(b))
-
-    parts = [band_postings_table(signed(b), cfg.n_bands) for b in blocks if b.num_rows]
-    postings = pa.concat_tables(parts) if parts else POSTINGS_SCHEMA.empty_table()
-    return _split_table(postings, "band_key", num_buckets)
+    if not b.num_rows:
+        return POSTINGS_SCHEMA.empty_table()
+    if "text" in b.column_names:
+        b = _kernel(cfg, False).band_table(_doc_text(b))
+    return band_postings_table(b, cfg.n_bands)
 
 
 def _signature_wave(block_refs: list, cfg: DedupConfig, num_buckets: int) -> list:
     """Submit the fused band keys -> band postings -> band_key split wave
-    over corpus (or ``doc_id,bands`` signature) block refs,
-    grouped like split_dataset, without waiting on it. Returns the wave
-    (``wave[i][k]``) for candidate_pair_refs's exchange-1 reduce."""
-    return [
-        _signature_postings_split.options(num_returns=num_buckets).remote(cfg, num_buckets, *g)
-        for g in block_groups(block_refs)
-    ]
+    over corpus (or ``doc_id,bands`` signature) block refs, without
+    waiting on it: one split_dataset wave whose ``prep`` signs each
+    block. Returns the wave (``wave[i][k]``) for candidate_pair_refs's
+    exchange-1 reduce."""
+    return split_dataset(
+        block_refs,
+        "band_key",
+        num_buckets,
+        prep=functools.partial(_signature_postings, cfg),
+        name="signatures",
+    )
 
 
 @ray.remote
@@ -283,13 +286,19 @@ def _spill_docs_to_parquet(docs: Dataset, spill_dir: str) -> Dataset:
     """Streaming phase-1 input cache (VERDICT r4 #3): write the
     (doc_id, text, text_sha256) projection of ``docs`` to parquet under
     ``spill_dir`` ONCE — ``write_parquet`` is a streaming sink, so each
-    block lands on disk as its task finishes and the corpus is never
-    pinned in the object store — then return a LAZY disk-backed Dataset
-    over it. Every downstream pass re-reads the pruned columns it needs
-    (text ships from disk per consuming stage instead of living in the
-    store for the whole run); ``count()`` is parquet-metadata-only. A
-    complete cache is reused as-is, which also makes the ad-hoc
-    streaming path restartable at the phase-1 level.
+    block lands on disk as its task finishes and the input lineage is
+    never materialized whole — then return a LAZY disk-backed Dataset
+    over it; ``count()`` is parquet-metadata-only.
+
+    run_dedup_scale reads the cache into the object store once (its
+    shared corpus block refs), and the ``doc_id``-keyed text split made
+    from those blocks is held until the run returns, as in the
+    materialize path. What the stream path saves is the input copy: the
+    driver drops its block refs once the split and signature waves hold
+    them (``get_block_refs.cache_clear()``), while the materialize
+    path's ``docs`` keeps the materialized corpus pinned until the run
+    returns. A complete cache is reused as-is, which also makes the
+    ad-hoc streaming path restartable at the phase-1 level.
 
     The completion marker records a fingerprint: the sorted spilled file
     names with their sizes, plus the count, min/max ``doc_id`` and an
@@ -376,10 +385,9 @@ def run_dedup_scale(
     as they are, and the text split, the sha split and the signature
     wave project the columns they read inside their own tasks. With
     either, the input is parquet, read once as its ``doc_id, text,
-    text_sha256`` projection. The signature stage is one wave of raw
-    tasks (band keys only, band postings and the band_key split fused
-    per task, grouped like split_dataset), so ``cfg.batch_size`` does
-    not shape it. ``signatures``
+    text_sha256`` projection. The signature stage is one split_dataset
+    wave whose ``prep`` computes band keys only and their band
+    postings, so ``cfg.batch_size`` does not shape it. ``signatures``
     (doc_id, bands; the phase-1 signature parquet) feeds that wave
     precomputed signatures instead of text; they must be signed over
     the text the run dedups, so not over raw text with
@@ -387,17 +395,8 @@ def run_dedup_scale(
     to parquet once (see _spill_docs_to_parquet).
 
     An input without docs returns an empty typed assignment."""
-    import functools
-
     from raydedup.pipelines.dedup import sha_emit_table, sha_key_table
     from raydedup.stages.candidates import candidate_pair_refs
-    from raydedup.stages.exchange import (
-        _reduce_bucket,
-        reduce_apply_resplit,
-        reduce_join_resplit,
-        reduce_join_split,
-        split_dataset,
-    )
     from raydedup.stages.verify import make_attach_a, make_attach_b_verify
 
     cfg = cfg or DedupConfig()
@@ -409,10 +408,10 @@ def run_dedup_scale(
 
         docs = normalized_docs(docs)
     if stream_spill_dir is not None:
-        # streaming phase-1: one pass to disk, lazy pruned re-reads —
-        # peak object-store usage tracks the largest exchange, not the
-        # corpus (the extraction/normalize lineage also runs exactly
-        # once, into the cache)
+        # streaming phase-1: one pass to disk, read back once; no
+        # materialized input copy stays pinned for the run (the
+        # extraction/normalize lineage also runs exactly once, into the
+        # cache). The text split is held until return either way.
         docs = _spill_docs_to_parquet(docs, stream_spill_dir)
         metrics["phase1_mode"] = "stream"
     elif ckpt is None:
@@ -474,21 +473,25 @@ def run_dedup_scale(
 
     @functools.cache
     def get_dsplit() -> list:
-        return split_dataset(get_block_refs(), "doc_id", num_buckets, prep=_doc_text)
+        return split_dataset(
+            get_block_refs(), "doc_id", num_buckets, prep=_doc_text, name="docs_split"
+        )
 
     @functools.cache
     def get_msplit() -> list:
         return split_dataset(
-            [_member_table.remote(r) for r in exact_refs], "m", num_buckets
+            [_member_table.remote(r) for r in exact_refs], "m", num_buckets,
+            name="members_split",
         )
 
     @functools.cache
     def get_fp_expl() -> list:
-        return reduce_join_split(
+        return reduce_wave(
             get_dsplit(),
-            get_msplit(),
             make_drop_exact_then_explode(cfg.containment_window, cfg.containment_stride),
             num_buckets,
+            right=get_msplit(),
+            name="containment_explode",
         )
 
     if ckpt is None:
@@ -506,18 +509,17 @@ def run_dedup_scale(
     # commits ``exact`` as its own stage, and a resume that loads it
     # must not re-run the signature wave for it
     def _exact() -> list:
-        split = split_dataset(get_block_refs(), "sha_key", num_buckets, prep=sha_key_table)
-        return [
-            _reduce_bucket.remote(sha_emit_table, *[s[k] for s in split])
-            for k in range(num_buckets)
-        ]
+        split = split_dataset(
+            get_block_refs(), "sha_key", num_buckets, prep=sha_key_table, name="exact_split"
+        )
+        return reduce_wave(split, sha_emit_table, num_buckets, name="exact")
 
     exact_refs = stage("exact", _exact)
 
     # --- stage: LSH candidates (refs) ---------------------------------
-    # One wave of raw tasks over the corpus (or signature) block refs,
-    # grouped like split_dataset: each task computes band keys,
-    # explodes band postings and splits them on band_key in-task, so
+    # One split_dataset wave over the corpus (or signature) block refs:
+    # each task computes band keys, explodes band postings and splits
+    # them on band_key in-task (the split's ``prep``), so
     # exchange 1 of the fused candidate chain consumes the wave
     # directly. Nothing waits on it: every stage below is submitted
     # while signatures compute (a Ray Data map_batches would coalesce
@@ -581,26 +583,31 @@ def run_dedup_scale(
     # through the two join rounds.
     def _verified() -> list:
         idsplit = split_dataset(
-            [_pair_id_table.remote(r) for r in cand_refs], "doc_id", num_buckets
+            [_pair_id_table.remote(r) for r in cand_refs], "doc_id", num_buckets,
+            name="verify_ids_split",
         )
-        idsplit = [
-            reduce_join_split(idsplit, get_msplit(), _drop_member_ids, num_buckets)
-        ]
+        id_refs = reduce_wave(
+            idsplit, _drop_member_ids, num_buckets, right=get_msplit(),
+            name="verify_drop_members",
+        )
         # per-bucket packed candidate shingles, already partitioned by
         # hash(doc_id) — usable directly as the right side of both joins
-        shingled_refs = reduce_join_split(
-            idsplit, get_dsplit(), make_filter_and_shingle(cfg), num_buckets
+        shingled_refs = reduce_wave(
+            [id_refs], make_filter_and_shingle(cfg), num_buckets, right=get_dsplit(),
+            name="verify_shingle",
         )
         # attach round 1 re-splits its output on ``b`` in-task (fused),
         # so round 2 consumes the pieces without a separate split wave;
         # pairs whose doc has no shingle row (exact members) drop at
         # the attach
-        psplit = split_dataset(cand_refs, "a", num_buckets)
-        r1 = reduce_join_resplit(
-            psplit, [shingled_refs], make_attach_a(), "b", num_buckets, num_buckets
+        psplit = split_dataset(cand_refs, "a", num_buckets, name="verify_pairs_split")
+        r1 = reduce_wave(
+            psplit, make_attach_a(), num_buckets, right=[shingled_refs], out_key="b",
+            name="verify_attach_a",
         )
-        return reduce_join_split(
-            r1, [shingled_refs], make_attach_b_verify(cfg.jaccard_tau), num_buckets
+        return reduce_wave(
+            r1, make_attach_b_verify(cfg.jaccard_tau), num_buckets, right=[shingled_refs],
+            name="verify_attach_b",
         )
 
     verified_refs = stage("verified", _verified)
@@ -633,30 +640,29 @@ def run_dedup_scale(
             # re-splits its output on fp_key IN-TASK (fused) — the emit
             # wave consumes the pieces without another full pass over
             # the posting table (the pipeline's biggest)
-            fp_wave = reduce_join_resplit(
+            fp_wave = reduce_wave(
                 [get_fp_expl()],
-                split_dataset(forest1_refs, "b", num_buckets),
                 drop_forest_member_rows,
-                "fp_key",
                 num_buckets,
-                num_buckets,
+                right=split_dataset(
+                    forest1_refs, "b", num_buckets, name="containment_forest_split"
+                ),
+                out_key="fp_key",
+                name="containment_drop_members",
             )
             cont_cap = cfg.containment_max_postings
             # fused emit -> combine chain (emit wave re-splits on `a`)
-            cont_wave = reduce_apply_resplit(
+            cont_wave = reduce_wave(
                 fp_wave,
                 lambda t: _emit_fp_pairs(t, cont_cap),
-                "a",
                 num_buckets,
-                num_buckets,
+                out_key="a",
+                name="containment_emit",
             )
             combine = make_combine_containment(
                 cfg.containment_min_coverage, cfg.containment_min_shared
             )
-            return [
-                _reduce_bucket.remote(combine, *[w[j] for w in cont_wave])
-                for j in range(num_buckets)
-            ]
+            return reduce_wave(cont_wave, combine, num_buckets, name="containment_combine")
 
         cont_refs = stage("containment", _containment)
         cont_count = row_count("containment", cont_refs)
@@ -675,11 +681,14 @@ def run_dedup_scale(
         def _substring() -> list:
             from raydedup.stages.substring import substring_pairs
 
-            rep_doc_refs = reduce_join_split(
+            rep_doc_refs = reduce_wave(
                 get_dsplit(),
-                split_dataset(forest1_refs, "b", num_buckets),
                 drop_forest_member_rows,
                 num_buckets,
+                right=split_dataset(
+                    forest1_refs, "b", num_buckets, name="substring_forest_split"
+                ),
+                name="substring_drop_members",
             )
             sub_tbl, sub_m = substring_pairs(
                 rd.from_arrow_refs(rep_doc_refs), min_len=cfg.substring_min_len
@@ -717,10 +726,16 @@ def run_dedup_scale(
     doc_split = (
         get_dsplit()
         if ckpt is None
-        else split_dataset(docs.select_columns(["doc_id"]), "doc_id", num_buckets)
+        else split_dataset(
+            docs.select_columns(["doc_id"]), "doc_id", num_buckets, name="assign_docs_split"
+        )
     )
-    asg_refs = reduce_join_split(
-        doc_split, split_dataset(forest_refs, "b", num_buckets), assign_roots, num_buckets
+    asg_refs = reduce_wave(
+        doc_split,
+        assign_roots,
+        num_buckets,
+        right=split_dataset(forest_refs, "b", num_buckets, name="assign_forest_split"),
+        name="assign",
     )
     # resolve the deferred metric counts (their tasks ran alongside the
     # pipeline; these gets come after all real work has been submitted)
@@ -748,8 +763,8 @@ def run_dedup_auto(
 ) -> DedupScaleResult:
     """run_dedup_scale with the corpus-size policy: above
     ``cfg.scale_stream_min_docs`` a set ``cfg.stream_spill_dir`` turns on
-    the streaming phase-1 path (the corpus cached once to disk, never
-    pinned in the object store). Records ``metrics["dedup_path"] =
+    the streaming phase-1 path (the corpus cached once to disk, with no
+    materialized input copy pinned for the run). Records ``metrics["dedup_path"] =
     "scale"``."""
     cfg = cfg or DedupConfig()
     if (

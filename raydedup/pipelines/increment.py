@@ -46,6 +46,7 @@ import pyarrow.parquet as pq
 import ray
 
 from raydedup.config import DedupConfig
+from raydedup.util import cluster_cpus
 
 _EMPTY_CROSS = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
@@ -120,7 +121,7 @@ def increment_edges(
 
     # at least one query block per CPU, so signing the new docs fills the
     # candidate wave even when they arrive as one file
-    per_file = -(-int(ray.cluster_resources().get("CPU", 8)) // len(new_docs))
+    per_file = -(-cluster_cpus() // len(new_docs))
     reads = [
         _read_new_docs.options(num_returns=per_file + 1).remote(f, per_file) for f in new_docs
     ]

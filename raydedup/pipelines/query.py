@@ -15,7 +15,8 @@ A query is one raw-task DAG over the index files:
     tasks are submitted first, since they do the most work. One reduce
     per bucket, one bucket per CPU, so the reduces run as one wave,
     emits the (query, stored) pairs that share a band run the engine
-    keeps too (candidates.band_runs; stages/exchange helpers)
+    keeps too (candidates.band_runs; stages/exchange.reduce_wave, its
+    tasks named ``query_candidates``)
   verify wave: one task per stored ``docs/`` file reads only the
     candidate matches (``doc_id`` pushdown), shingles them, scores
     exact Jaccard against the query side's sets (one broadcast ref) and
@@ -54,6 +55,7 @@ from ray.data import Dataset
 
 from raydedup.config import DedupConfig
 from raydedup.state.checkpoint import store_files
+from raydedup.util import cluster_cpus
 
 
 def build_index(pages_path: str, index_dir: str, cfg: DedupConfig | None = None) -> dict:
@@ -252,11 +254,11 @@ def _candidate_pairs(sig_files: list[str], q_refs: list, cfg: DedupConfig):
     one bucket per CPU, so its reduces run as one wave."""
     import pyarrow.compute as pc
 
-    from raydedup.stages.exchange import _reduce_bucket, block_groups
+    from raydedup.stages.exchange import block_groups, reduce_wave
     from raydedup.stages.pair_agg import reduce_pair_table
 
     # at least 2: a task with num_returns=1 returns its list as one object
-    nb = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    nb = max(2, cluster_cpus())
     query = [
         _query_postings_split.options(num_returns=nb + 1).remote(cfg, nb, *g)
         for g in block_groups(q_refs)
@@ -268,11 +270,8 @@ def _candidate_pairs(sig_files: list[str], q_refs: list, cfg: DedupConfig):
     q_sets = _concat.remote(*[w[nb] for w in query])
     kernel = functools.partial(_cross_side_pairs, max_postings=cfg.max_band_postings)
     waves = stored + [w[:nb] for w in query]
-    partials = [
-        t
-        for t in ray.get([_reduce_bucket.remote(kernel, *[w[k] for w in waves]) for k in range(nb)])
-        if t.num_rows
-    ]
+    refs = reduce_wave(waves, kernel, nb, name="query_candidates")
+    partials = [t for t in ray.get(refs) if t.num_rows]
     if not partials:
         return _CAND_SCHEMA.empty_table(), q_sets
     cand = reduce_pair_table(
@@ -373,8 +372,7 @@ def query_index(
                 "b": pa.array(df["match_doc_id"].to_numpy(dtype=np.int64)),
             }
         )
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n_chunks = min(2 * cpus, max(1, len(df) // 64))
+        n_chunks = min(2 * cluster_cpus(), max(1, len(df) // 64))
         bounds = np.linspace(0, len(df), n_chunks + 1).astype(int)
         m_docs = [v[1] for v in verified]
         seg = pa.concat_tables(

@@ -15,6 +15,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from raydedup.stages.extract import docs_identity_batch, extract_batch
+from raydedup.util import cluster_cpus
 
 
 def _read_blocks(path: str) -> int:
@@ -26,9 +27,7 @@ def _read_blocks(path: str) -> int:
     block per file. Output blocks still split dynamically at the
     target block size, so large files never produce oversized blocks
     downstream."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = cluster_cpus()
     if isinstance(path, (list, tuple)):
         n_files = len(path) or 1
     elif os.path.isdir(path):

@@ -49,7 +49,7 @@ from ray.data import Dataset
 
 from raydedup.hashing import U64, mix64, span_hash_u64
 from raydedup.stages.substring import _flat_utf8
-from raydedup.util import arrow_block_refs
+from raydedup.util import arrow_block_refs, cluster_cpus
 
 BITS_PER_KEY = 10
 N_HASHES = 7
@@ -125,8 +125,7 @@ def unseen_docs(
         n_words = _bloom_n_words(n_seen, bits_per_key)
         metrics["bloom_bits"] = n_words * 64
         seen_refs = list(arrow_block_refs(seen.select_columns([text_col])))
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        group = max(1, len(seen_refs) // max(1, 2 * cpus))
+        group = max(1, len(seen_refs) // max(1, 2 * cluster_cpus()))
         parts = [
             _build_block_bloom.remote(n_words, text_col, *seen_refs[i : i + group])
             for i in range(0, len(seen_refs), group)

@@ -280,20 +280,17 @@ def candidate_pair_refs(
 
     Exchange 1 co-locates band_key groups and emits partially-aggregated
     pairs; its reduce tasks RE-SPLIT their output on ``a`` in-task
-    (reduce_apply_resplit), so exchange 2's combine wave consumes the
-    pieces directly — no intermediate materialize or split wave between
-    the two shuffles. Nothing returns to the driver.
+    (reduce_wave's ``out_key``), so exchange 2's combine wave consumes
+    the pieces directly — no intermediate materialize or split wave
+    between the two shuffles. Nothing returns to the driver. The waves
+    are named ``candidates_split``, ``candidates_emit`` and
+    ``candidates_combine``.
 
     ``postings`` is a Dataset, a list of block refs, or a wave already
     split on ``band_key`` into ``num_buckets`` buckets (split_dataset's
     shape, ``wave[i][k]``): exchange 1's reduce then consumes it as is.
     """
-    from raydedup.stages.exchange import (
-        _reduce_bucket,
-        default_buckets,
-        reduce_apply_resplit,
-        split_dataset,
-    )
+    from raydedup.stages.exchange import default_buckets, reduce_wave, split_dataset
     from raydedup.stages.pair_agg import reduce_pair_table
 
     if num_buckets is None:
@@ -311,20 +308,21 @@ def candidate_pair_refs(
 
     recover, hot_group = cfg.recover_hot_runs, cfg.hot_run_group
     presplit = isinstance(postings, list) and bool(postings) and isinstance(postings[0], list)
-    split1 = postings if presplit else split_dataset(postings, "band_key", num_buckets)
-    wave = reduce_apply_resplit(
+    split1 = (
+        postings
+        if presplit
+        else split_dataset(postings, "band_key", num_buckets, name="candidates_split")
+    )
+    wave = reduce_wave(
         split1,
         lambda t: emit_pairs_partition(
             t, max_postings, recover_hot_runs=recover, hot_run_group=hot_group
         ),
-        "a",
         num_buckets,
-        num_buckets,
+        out_key="a",
+        name="candidates_emit",
     )
-    return [
-        _reduce_bucket.remote(combine, *[w[j] for w in wave])
-        for j in range(num_buckets)
-    ]
+    return reduce_wave(wave, combine, num_buckets, name="candidates_combine")
 
 
 def postings_to_pairs(

@@ -250,13 +250,7 @@ def containment_pairs_from_postings(
     import ray
     import ray.data as rd
 
-    from raydedup.stages.exchange import (
-        _reduce_bucket,
-        default_buckets,
-        reduce_apply_resplit,
-        split_dataset,
-    )
-    from raydedup.stages.pair_agg import reduce_pair_table
+    from raydedup.stages.exchange import default_buckets, reduce_wave, split_dataset
 
     if num_buckets is None:
         num_buckets = default_buckets()
@@ -273,13 +267,8 @@ def containment_pairs_from_postings(
     # consumes the pieces directly — no intermediate split wave. Nothing
     # heavier than the final filtered pair list reaches the driver.
     split1 = split_dataset(postings, "fp_key", num_buckets)
-    wave = reduce_apply_resplit(
-        split1, lambda t: _emit_fp_pairs(t, cap), "a", num_buckets, num_buckets
-    )
-    out_refs = [
-        _reduce_bucket.remote(combine_and_score, *[w[j] for w in wave])
-        for j in range(num_buckets)
-    ]
+    wave = reduce_wave(split1, lambda t: _emit_fp_pairs(t, cap), num_buckets, out_key="a")
+    out_refs = reduce_wave(wave, combine_and_score, num_buckets)
     parts = [t for t in ray.get(out_refs) if t.num_rows]
     if not parts:
         return rd.from_arrow(ray.get(out_refs[0]))

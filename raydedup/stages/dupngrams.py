@@ -126,10 +126,9 @@ def dup_ngram_fraction(
 ) -> Dataset:
     """docs(doc_id, text) -> (doc_id, n_shingles, n_dup, dup_frac)."""
     from raydedup.stages.exchange import (
-        _reduce_bucket,
         default_buckets,
+        reduce_wave,
         refs_to_dataset,
-        reduce_apply_resplit,
         split_dataset,
     )
 
@@ -194,11 +193,6 @@ def dup_ngram_fraction(
         )
 
     split1 = split_dataset(postings, "sh", num_buckets)
-    wave = reduce_apply_resplit(
-        split1, per_shingle, "doc_id", num_buckets, num_buckets
-    )
-    refs = [
-        _reduce_bucket.remote(combine, *[w[j] for w in wave])
-        for j in range(num_buckets)
-    ]
+    wave = reduce_wave(split1, per_shingle, num_buckets, out_key="doc_id")
+    refs = reduce_wave(wave, combine, num_buckets)
     return refs_to_dataset(refs, OUT_SCHEMA)

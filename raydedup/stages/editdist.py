@@ -29,7 +29,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from raydedup.util import arrow_block_refs
+from raydedup.util import arrow_block_refs, cluster_cpus
 
 I64 = np.int64
 
@@ -164,12 +164,8 @@ def fuzzy_pairs(
         return out
 
     work = pairs.select_columns(["a", "b"])
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
     n_rows = work.count()
-    target = int(min(2 * cpus, max(1, n_rows // 64)))
+    target = int(min(2 * cluster_cpus(), max(1, n_rows // 64)))
     if target > 1:
         work = work.repartition(target)
     return work.map_batches(score_batch, batch_format="pyarrow")

@@ -12,17 +12,27 @@ Data's shuffle, one HASH_SHUFFLE aggregator per CPU):
          (4.3-5.0M rows/s)   (0.58-0.94M rows/s)        (0.13-0.14M rows/s)
 
 No variant hung. Pair emission only needs *co-location by hash bucket*,
-not order — so this module implements the minimal exchange directly:
-map tasks split each block into ``num_buckets`` sub-tables (vectorized
-take, ``_split_table``), reduce tasks (``_reduce_bucket``)
-concatenate one bucket's sub-tables from every block and apply a
-vectorized kernel. Two passes over the data, zero sorts, all-to-all
-through the object store — the same movement a multi-node hash shuffle
-performs, with the partitioning assumption (kernel sees ALL rows of its
-buckets and nothing else) stated explicitly. Task waves that produce
-their own map side (the scale engine's signature wave, the index
-query's candidate wave) call ``_split_table`` in-task and feed
-``_reduce_bucket`` directly.
+not order — so this module implements the minimal exchange directly,
+as two task functions:
+
+- ``_split_blocks``, the map side (``split_dataset``): each task takes
+  a group of blocks, maps them through an optional ``prep`` kernel (a
+  projection, a key or band-posting kernel) and splits the result into
+  ``num_buckets`` sub-tables (vectorized take, ``_split_table``);
+- ``_reduce``, the reduce side (``reduce_wave``): each task
+  concatenates one bucket's sub-tables from one side, or from a left
+  and a right side, applies a vectorized kernel and, given an out key,
+  re-splits the kernel's output in the same task, so a chained
+  exchange needs no split wave of its own.
+
+Two passes over the data, zero sorts, all-to-all through the object
+store — the same movement a multi-node hash shuffle performs, with the
+partitioning assumption (kernel sees ALL rows of its buckets and
+nothing else) stated explicitly. Both waves take a ``name``: the dedup
+engine and the index name each by its stage, so Ray's task events and
+``scripts/stage_timeline.py`` tell the stages apart. The index query's
+candidate wave splits its own postings in its tasks and feeds
+``reduce_wave`` directly.
 
 This is the SURVEY §2 case (c): a raw-Ray-core operator used only where
 the Dataset API cannot express the semantics efficiently.
@@ -38,7 +48,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from raydedup.util import arrow_block_refs
+from raydedup.util import arrow_block_refs, cluster_cpus
 
 I64 = np.int64
 
@@ -47,11 +57,7 @@ def default_buckets() -> int:
     """Bucket count sized to the cluster: ~2 reduce tasks per CPU keeps
     one task wave per exchange instead of several, while still bounding
     per-task memory. Callers pass num_buckets=None to use this."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return int(min(64, max(16, 2 * cpus)))
+    return int(min(64, max(16, 2 * cluster_cpus())))
 
 
 def _split_table(block: pa.Table, key_col: str, num_buckets: int) -> list[pa.Table]:
@@ -71,11 +77,17 @@ def _split_table(block: pa.Table, key_col: str, num_buckets: int) -> list[pa.Tab
     ]
 
 
-def _schema_donor(parts) -> pa.Table | None:
-    """First part that carries a schema. Ray's map_batches skips the UDF
-    on 0-row input blocks and emits 0-COLUMN empties — those cannot seed
-    a typed empty table or be handed to a kernel expecting columns."""
-    return next((p for p in parts if p.num_columns), None)
+def _side(parts) -> pa.Table:
+    """One side of a bucket: its non-empty parts concatenated. With none,
+    the empty slice of the first part that carries a schema, else a
+    0-column table. Ray's map_batches skips the UDF on 0-row input
+    blocks and emits 0-COLUMN empties — those cannot seed a typed empty
+    table or be handed to a kernel expecting columns."""
+    nonempty = [p for p in parts if p.num_rows]
+    if nonempty:
+        return pa.concat_tables(nonempty)
+    donor = next((p for p in parts if p.num_columns), None)
+    return donor.slice(0, 0) if donor is not None else pa.table({})
 
 
 @ray.remote
@@ -88,135 +100,74 @@ def _split_blocks(
     # several input blocks per split task: the object count is
     # O(split_tasks x buckets), not O(input_blocks x buckets) — tens of
     # thousands of tiny plasma objects serialize on the raylet otherwise.
-    # ``prep`` (a column projection, a key kernel) maps each non-empty
-    # block first, so the input can be whole corpus blocks
-    nonempty = [b if prep is None else prep(b) for b in blocks if b.num_rows]
-    if not nonempty:
-        donor = _schema_donor(blocks)
-        empty = donor.slice(0, 0) if donor is not None else pa.table({})
-        return [empty] * num_buckets
-    return _split_table(pa.concat_tables(nonempty), key_col, num_buckets)
-
-
-@ray.remote
-def _reduce_bucket(kernel: Callable[[pa.Table], pa.Table], *parts: pa.Table) -> pa.Table:
-    nonempty = [p for p in parts if p.num_rows]
-    if not nonempty:
-        donor = _schema_donor(parts)
-        # no part carries a schema -> the kernel cannot run; emit a
-        # 0-column empty (collectors filter on num_rows)
-        return kernel(donor.slice(0, 0)) if donor is not None else pa.table({})
-    return kernel(pa.concat_tables(nonempty))
-
-
-@ray.remote
-def _reduce_bucket_resplit(
-    kernel: Callable[[pa.Table], pa.Table],
-    out_key: str,
-    out_buckets: int,
-    *parts: pa.Table,
-) -> list[pa.Table]:
-    """Fused reduce + re-split: apply ``kernel`` to one bucket's rows and
-    hash-partition the OUTPUT on ``out_key`` in the same task — the next
-    reduce wave consumes the pieces directly, skipping a full split wave
-    (and its materialize barrier) between two chained exchanges."""
-    nonempty = [p for p in parts if p.num_rows]
-    if nonempty:
-        t = kernel(pa.concat_tables(nonempty))
+    # ``prep`` (a column projection, a key or band-posting kernel) maps
+    # each non-empty block first, so the input can be whole corpus
+    # blocks; a group with no rows is split as prep's empty output, so
+    # its empties carry the columns the reduce kernel reads
+    if prep is None:
+        t = _side(blocks)
     else:
-        donor = _schema_donor(parts)
-        if donor is None:
-            return [pa.table({})] * out_buckets
-        t = kernel(donor.slice(0, 0))
-    return _split_table(t, out_key, out_buckets)
+        prepped = [prep(b) for b in blocks if b.num_rows]
+        t = pa.concat_tables(prepped) if prepped else prep(_side(blocks))
+    return _split_table(t, key_col, num_buckets)
 
 
 @ray.remote
-def _reduce_bucket_join_resplit(
-    kernel: Callable[[pa.Table, pa.Table], pa.Table],
-    n_left: int,
-    out_key: str,
-    out_buckets: int,
-    *parts: pa.Table,
-) -> list[pa.Table]:
-    """Fused join-reduce + re-split (two-sided variant)."""
-    lt, rt = _join_sides(parts, n_left)
-    return _split_table(kernel(lt, rt), out_key, out_buckets)
-
-
-def reduce_apply_resplit(
-    split_refs: list,
-    kernel: Callable[[pa.Table], pa.Table],
-    out_key: str,
-    out_buckets: int,
+def _reduce(
+    kernel: Callable,
+    n_left: int | None,
+    out_key: str | None,
     num_buckets: int,
-) -> list:
-    """Reduce each of ``num_buckets`` buckets with ``kernel`` and re-split
-    every result on ``out_key``. Returns the same wave shape as
-    split_dataset (``out[i][k]`` = reduce task i's out-bucket k), feedable
-    to reduce_join_split / another reduce wave without re-splitting."""
-    out = []
-    for k in range(num_buckets):
-        parts = [s[k] for s in split_refs]
-        out.append(
-            _reduce_bucket_resplit.options(num_returns=out_buckets).remote(
-                kernel, out_key, out_buckets, *parts
-            )
-        )
-    return out
-
-
-def reduce_join_resplit(
-    lsplit: list,
-    rsplit: list,
-    kernel: Callable[[pa.Table, pa.Table], pa.Table],
-    out_key: str,
-    out_buckets: int,
-    num_buckets: int,
-) -> list:
-    """Two-sided join-reduce whose per-bucket outputs are re-split on
-    ``out_key`` inside the reduce tasks (wave shape, see
-    reduce_apply_resplit)."""
-    out = []
-    for k in range(num_buckets):
-        lparts = [s[k] for s in lsplit]
-        rparts = [s[k] for s in rsplit]
-        out.append(
-            _reduce_bucket_join_resplit.options(num_returns=out_buckets).remote(
-                kernel, len(lparts), out_key, out_buckets, *lparts, *rparts
-            )
-        )
-    return out
-
-
-@ray.remote
-def _reduce_bucket_join(
-    kernel: Callable[[pa.Table, pa.Table], pa.Table],
-    n_left: int,
     *parts: pa.Table,
-) -> pa.Table:
-    lt, rt = _join_sides(parts, n_left)
-    return kernel(lt, rt)
+):
+    """One bucket of a reduce wave. ``n_left`` None: ``kernel(side)``
+    over all ``parts``, skipped when no part has a schema (0-column
+    empties out; collectors filter on num_rows). Else the join
+    ``kernel(parts[:n_left] side, parts[n_left:] side)``, which always
+    runs (join kernels early-return on an empty side). With ``out_key``
+    the output is re-split on it into ``num_buckets`` tables in the same
+    task, so the next reduce wave consumes the pieces directly, with no
+    split wave (and its materialize barrier) between two chained
+    exchanges."""
+    if n_left is None:
+        side = _side(parts)
+        if not side.num_columns:
+            return pa.table({}) if out_key is None else [pa.table({})] * num_buckets
+        out = kernel(side)
+    else:
+        out = kernel(_side(parts[:n_left]), _side(parts[n_left:]))
+    return out if out_key is None else _split_table(out, out_key, num_buckets)
 
 
-def _join_sides(parts, n_left: int) -> tuple[pa.Table, pa.Table]:
-    """Concatenated (left, right) bucket sides; an all-empty side falls
-    back to a schema-bearing donor's empty slice (join kernels
-    early-return on num_rows == 0, so a 0-column fallback is safe when
-    NO part of that side has a schema)."""
-    left = [p for p in parts[:n_left] if p.num_rows]
-    right = [p for p in parts[n_left:] if p.num_rows]
-    if left:
-        lt = pa.concat_tables(left)
-    else:
-        donor = _schema_donor(parts[:n_left])
-        lt = donor.slice(0, 0) if donor is not None else pa.table({})
-    if right:
-        rt = pa.concat_tables(right)
-    else:
-        donor = _schema_donor(parts[n_left:])
-        rt = donor.slice(0, 0) if donor is not None else pa.table({})
-    return lt, rt
+def reduce_wave(
+    split: list,
+    kernel: Callable,
+    num_buckets: int,
+    *,
+    right: list | None = None,
+    out_key: str | None = None,
+    name: str | None = None,
+) -> list:
+    """Submit one reduce task per bucket over split wave(s) of
+    split_dataset's shape (``split[i][k]`` = split task i's bucket k; a
+    list of per-bucket refs ``refs`` is the one-row wave ``[refs]``).
+
+    Without ``right`` each task applies ``kernel(bucket)``; with it,
+    ``kernel(left_bucket, right_bucket)``. Returns per-bucket result
+    refs, or with ``out_key`` the re-split output in split_dataset's
+    shape (``out[k][j]`` = reduce task k's out-bucket j), feedable to
+    another reduce wave. ``name`` names the tasks (their stage) in
+    Ray's task events and timeline."""
+    opts: dict = {} if out_key is None else {"num_returns": num_buckets}
+    if name is not None:
+        opts["name"] = name
+    task = _reduce.options(**opts)
+    n_left = None if right is None else len(split)
+    rows = split if right is None else split + right
+    return [
+        task.remote(kernel, n_left, out_key, num_buckets, *[r[k] for r in rows])
+        for k in range(num_buckets)
+    ]
 
 
 def block_groups(refs: list) -> list[list]:
@@ -225,8 +176,7 @@ def block_groups(refs: list) -> list[list]:
     wave full while bounding the object count to O(tasks x buckets)."""
     import math
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_tasks = max(1, min(len(refs), 2 * cpus))
+    n_tasks = max(1, min(len(refs), 2 * cluster_cpus()))
     group = math.ceil(len(refs) / n_tasks)
     return [refs[i : i + group] for i in range(0, len(refs), group)]
 
@@ -236,6 +186,8 @@ def split_dataset(
     key: str,
     num_buckets: int | None = None,
     prep: Callable[[pa.Table], pa.Table] | None = None,
+    *,
+    name: str | None = None,
 ) -> list:
     """Hash-partition a Dataset (or list of block refs) on ``key`` into
     ``num_buckets`` buckets. Returns a list of per-split-task lists of
@@ -243,30 +195,17 @@ def split_dataset(
     can be fed to multiple reduce rounds WITHOUT re-splitting — reuse
     this when the same table joins on the same key more than once.
     ``prep`` maps each non-empty block inside the split tasks before it
-    is split (it must produce ``key``)."""
+    is split (it must produce ``key``, and its typed empty output from
+    an empty or 0-column block). ``name`` names the split tasks (see
+    reduce_wave)."""
     if num_buckets is None:
         num_buckets = default_buckets()
     refs = arrow_block_refs(x) if isinstance(x, Dataset) else list(x)
-    return [
-        _split_blocks.options(num_returns=num_buckets).remote(key, num_buckets, prep, *g)
-        for g in block_groups(refs)
-    ]
-
-
-def reduce_join_split(
-    lsplit: list,
-    rsplit: list,
-    kernel: Callable[[pa.Table, pa.Table], pa.Table],
-    num_buckets: int,
-) -> list:
-    """Per-bucket join-reduce over two pre-split sides (see
-    split_dataset). Returns per-bucket result ObjectRefs."""
-    out = []
-    for k in range(num_buckets):
-        lparts = [s[k] for s in lsplit]
-        rparts = [s[k] for s in rsplit]
-        out.append(_reduce_bucket_join.remote(kernel, len(lparts), *lparts, *rparts))
-    return out
+    opts: dict = {"num_returns": num_buckets}
+    if name is not None:
+        opts["name"] = name
+    task = _split_blocks.options(**opts)
+    return [task.remote(key, num_buckets, prep, *g) for g in block_groups(refs)]
 
 
 def hash_exchange_join(
@@ -286,7 +225,7 @@ def hash_exchange_join(
         num_buckets = default_buckets()
     lsplit = split_dataset(left, left_key, num_buckets)
     rsplit = split_dataset(right, right_key, num_buckets)
-    return reduce_join_split(lsplit, rsplit, kernel, num_buckets)
+    return reduce_wave(lsplit, kernel, num_buckets, right=rsplit)
 
 
 def hash_exchange_apply(
@@ -312,14 +251,9 @@ def hash_exchange_apply(
     # For a Dataset input, split_dataset therefore materializes the
     # producer at full width and blocks the driver until its last task
     # ends. A stage that must not block (the scale engine's signature
-    # stage, pipelines/dedup_scale._signature_wave) runs its kernel as
-    # raw tasks that split their own output instead.
-    split_refs = split_dataset(ds, key_col, num_buckets)
-    # split_refs[i] is a list of num_buckets ObjectRefs (one per bucket)
-    out_refs = []
-    for k in range(num_buckets):
-        parts = [s[k] for s in split_refs]
-        out_refs.append(_reduce_bucket.remote(kernel, *parts))
+    # stage, pipelines/dedup_scale._signature_wave) passes block refs
+    # and a ``prep`` kernel to split_dataset instead.
+    out_refs = reduce_wave(split_dataset(ds, key_col, num_buckets), kernel, num_buckets)
     if not collect:
         return out_refs
     results = [t for t in ray.get(out_refs) if t.num_rows]

@@ -43,7 +43,7 @@ from ray.data import Dataset
 
 from raydedup.config import DedupConfig
 from raydedup.hashing import U64, rolling_hash_u64
-from raydedup.util import arrow_block_refs
+from raydedup.util import arrow_block_refs, cluster_cpus
 
 @ray.remote
 def _block_pair_ids(t: pa.Table) -> np.ndarray:
@@ -266,12 +266,8 @@ def matched_segments(
 
         return lcs_batch
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
     n_pairs = pair_tbl.count()
-    target = int(min(2 * cpus, max(1, n_pairs // 64)))
+    target = int(min(2 * cluster_cpus(), max(1, n_pairs // 64)))
 
     outs: list[Dataset] = []
     for idx in waves:

@@ -44,8 +44,7 @@ from ray.data import Dataset
 from raydedup.stages.exchange import (
     _block_nrows,
     default_buckets,
-    reduce_join_resplit,
-    reduce_join_split,
+    reduce_wave,
     refs_to_dataset,
     split_dataset,
 )
@@ -112,10 +111,7 @@ def aggregate_edges(edges: Dataset, num_buckets: int | None = None) -> list:
     split = split_dataset(combined, "src", num_buckets)
     # fused reduce+resplit would re-key; edges stay keyed by src, so a
     # plain reduce per bucket suffices
-    from raydedup.stages.exchange import _reduce_bucket
-
-    return [[_reduce_bucket.remote(_edge_agg_kernel, *[s[k] for s in split])
-             for k in range(num_buckets)]]
+    return [reduce_wave(split, _edge_agg_kernel, num_buckets)]
 
 
 def _nodes_kernel(t: pa.Table) -> pa.Table:
@@ -228,12 +224,7 @@ def pagerank(
     # src buckets already hold src nodes; dst endpoints need a re-key
     ep_refs = [_endpoints.remote(r) for r in edge_wave[0]]
     node_split = split_dataset(ep_refs, "node", num_buckets)
-    from raydedup.stages.exchange import _reduce_bucket
-
-    node_refs = [
-        _reduce_bucket.remote(_nodes_kernel, *[s[k] for s in node_split])
-        for k in range(num_buckets)
-    ]
+    node_refs = reduce_wave(node_split, _nodes_kernel, num_buckets)
     node_wave = [node_refs]
 
     @ray.remote
@@ -251,11 +242,9 @@ def pagerank(
     rank_wave = [[_init_ranks.remote(r, scale) for r in node_refs]]
     rank_kernel = _make_rank_kernel(base, damp_num, damp_den)
     for _ in range(iters):
-        contrib_wave = reduce_join_resplit(
-            edge_wave, rank_wave, _contrib_kernel, "dst", num_buckets, num_buckets
+        contrib_wave = reduce_wave(
+            edge_wave, _contrib_kernel, num_buckets, right=rank_wave, out_key="dst"
         )
-        rank_refs = reduce_join_split(
-            node_wave, contrib_wave, rank_kernel, num_buckets
-        )
+        rank_refs = reduce_wave(node_wave, rank_kernel, num_buckets, right=contrib_wave)
         rank_wave = [rank_refs]
     return refs_to_dataset(rank_wave[0], _SCHEMA)

@@ -120,38 +120,75 @@ def batch_word_hashes(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_shingle_sets(arr: pa.Array, cfg: DedupConfig) -> list[np.ndarray]:
-    """Per-doc sorted-unique shingle-hash sets for a batch of texts,
-    using the vectorized ASCII front half (Arrow split + dictionary
-    hash + one global rolling pass); non-ASCII docs take the per-doc
-    path. Bit-identical to ``shingle_hashes`` per doc."""
+    """Per-doc sorted-unique shingle-hash sets for a batch of texts
+    (shingle_front). Bit-identical to ``shingle_hashes`` per doc."""
     import pyarrow.compute as pc
 
-    arr = pc.fill_null(arr, "")
+    return shingle_front(pc.fill_null(arr, ""), cfg)[0]
+
+
+def shingle_front(
+    arr: pa.Array, cfg: DedupConfig, sets: str = "unique", toks: bool = False
+) -> tuple[list, list | None]:
+    """The shingle front half of batch_shingle_sets and of every
+    SignatureKernel entry point, over a null-filled text array.
+    ``sets``: ``"unique"`` for each doc's sorted unique shingle set,
+    ``"raw"`` for its window hashes with repeats kept. ``toks``: each
+    doc's (unique word hash, count) pairs for SimHash, else None."""
+    import pyarrow.compute as pc
+
+    uniq = np.unique if sets == "unique" else (lambda h: h)
+    # hash each doc's words ONCE; shingles and simhash tokens both
+    # derive from the same word-hash array
     n = len(arr)
-    sets: list = [None] * n
+    out_sets: list = [None] * n
+    out_toks: list | None = [None] * n if toks else None
+    char_sets = cfg.shingle_mode == "char"
     k = cfg.shingle_k
-    if cfg.shingle_mode == "char":
-        for i, t in enumerate(arr.to_pylist()):
-            sets[i] = shingle_hashes(t, cfg)
-        return sets
-    ascii_mask = pc.string_is_ascii(arr).to_numpy(zero_copy_only=False)
-    if ascii_mask.any():
-        fast_idx = np.flatnonzero(ascii_mask)
-        fast_arr = arr.filter(pa.array(ascii_mask))
-        flat, offs = batch_word_hashes(fast_arr)
-        h, ws, we = rolling_hash_segments(flat, offs, k)
-        for pos, d in enumerate(fast_idx):
-            hw = h[ws[pos] : we[pos]]
-            if hw.shape[0] == 0:
-                t = fast_arr[pos].as_py()
-                hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-            sets[d] = np.unique(hw)
-    slow_idx = np.flatnonzero(~ascii_mask)
+    empty_tok = (np.array([fnv1a64(b"")], dtype=U64), np.ones(1, dtype=np.int64))
+    if not char_sets:
+        # vectorized front half for the ASCII docs (the bulk of web
+        # text); non-ASCII docs take the per-doc path below, and the
+        # routing is a per-doc property so results never depend on
+        # batch composition
+        ascii_mask = pc.string_is_ascii(arr).to_numpy(zero_copy_only=False)
+        if ascii_mask.any():
+            fast_idx = np.flatnonzero(ascii_mask)
+            fast_arr = arr.filter(pa.array(ascii_mask))
+            flat, offs = batch_word_hashes(fast_arr)
+            h, ws, we = rolling_hash_segments(flat, offs, k)
+            need_text = np.flatnonzero(we - ws == 0)
+            fallback_texts = {int(j): fast_arr[int(j)].as_py() for j in need_text}
+            for pos, d in enumerate(fast_idx):
+                hw = h[ws[pos] : we[pos]]
+                if hw.shape[0] == 0:
+                    t = fallback_texts[pos]
+                    hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
+                out_sets[d] = uniq(hw)
+                if toks:
+                    wh = flat[offs[pos] : offs[pos + 1]]
+                    out_toks[d] = np.unique(wh, return_counts=True) if wh.shape[0] else empty_tok
+        slow_idx = np.flatnonzero(~ascii_mask)
+    else:
+        slow_idx = np.arange(n)
     if slow_idx.shape[0]:
         texts = arr.to_pylist()
         for d in slow_idx:
-            sets[d] = shingle_hashes(texts[d], cfg)
-    return sets
+            t = texts[d]
+            wh = None
+            if toks or not char_sets:
+                words = tokenize(t)
+                wh = _WORD_CACHE.hash_words(words) if words else None
+            if char_sets:
+                out_sets[d] = shingle_hashes(t, cfg)
+            else:
+                hh = rolling_hash_u64(wh, k) if wh is not None else np.empty(0, U64)
+                if hh.shape[0] == 0:
+                    hh = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
+                out_sets[d] = uniq(hh)
+            if toks:
+                out_toks[d] = empty_tok if wh is None else np.unique(wh, return_counts=True)
+    return out_sets, out_toks
 
 
 def rolling_hash_segments(
@@ -387,68 +424,6 @@ class SignatureKernel:
         self.a, self.b = minhash_perms(self.cfg)
         self.keep_shingles = keep_shingles
 
-    def _shingles(self, arr: pa.Array, sets: str, toks: bool) -> tuple[list, list | None]:
-        """The front half shared by every entry point, over a
-        null-filled text array. ``sets``: ``"unique"`` for each doc's
-        sorted unique shingle set, ``"raw"`` for its window hashes with
-        repeats kept. ``toks``: each doc's (unique word hash, count)
-        pairs for SimHash."""
-        import pyarrow.compute as pc
-
-        cfg = self.cfg
-        uniq = np.unique if sets == "unique" else (lambda h: h)
-        # hash each doc's words ONCE; shingles and simhash tokens both
-        # derive from the same word-hash array
-        n = len(arr)
-        out_sets: list = [None] * n
-        out_toks: list | None = [None] * n if toks else None
-        char_sets = cfg.shingle_mode == "char"
-        k = cfg.shingle_k
-        empty_tok = (np.array([fnv1a64(b"")], dtype=U64), np.ones(1, dtype=np.int64))
-        if not char_sets:
-            # vectorized front half for the ASCII docs (the bulk of web
-            # text); non-ASCII docs take the per-doc path below, and the
-            # routing is a per-doc property so results never depend on
-            # batch composition
-            ascii_mask = pc.string_is_ascii(arr).to_numpy(zero_copy_only=False)
-            if ascii_mask.any():
-                fast_idx = np.flatnonzero(ascii_mask)
-                fast_arr = arr.filter(pa.array(ascii_mask))
-                flat, offs = batch_word_hashes(fast_arr)
-                h, ws, we = rolling_hash_segments(flat, offs, k)
-                need_text = np.flatnonzero(we - ws == 0)
-                fallback_texts = {int(j): fast_arr[int(j)].as_py() for j in need_text}
-                for pos, d in enumerate(fast_idx):
-                    hw = h[ws[pos] : we[pos]]
-                    if hw.shape[0] == 0:
-                        t = fallback_texts[pos]
-                        hw = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-                    out_sets[d] = uniq(hw)
-                    if toks:
-                        wh = flat[offs[pos] : offs[pos + 1]]
-                        out_toks[d] = np.unique(wh, return_counts=True) if wh.shape[0] else empty_tok
-            slow_idx = np.flatnonzero(~ascii_mask)
-        else:
-            slow_idx = np.arange(n)
-        if slow_idx.shape[0]:
-            texts = arr.to_pylist()
-            for d in slow_idx:
-                t = texts[d]
-                wh = None
-                if toks or not char_sets:
-                    words = tokenize(t)
-                    wh = _WORD_CACHE.hash_words(words) if words else None
-                if char_sets:
-                    out_sets[d] = shingle_hashes(t, cfg)
-                else:
-                    hh = rolling_hash_u64(wh, k) if wh is not None else np.empty(0, U64)
-                    if hh.shape[0] == 0:
-                        hh = np.array([fnv1a64(t.encode("utf-8"))], dtype=U64)
-                    out_sets[d] = uniq(hh)
-                if toks:
-                    out_toks[d] = empty_tok if wh is None else np.unique(wh, return_counts=True)
-        return out_sets, out_toks
-
     @staticmethod
     def _text(batch: pa.Table) -> pa.Array:
         import pyarrow.compute as pc
@@ -459,8 +434,8 @@ class SignatureKernel:
 
     def _minhash(self, batch: pa.Table, sets: str, toks: bool) -> tuple[list, list | None, np.ndarray]:
         """(shingle sets, SimHash token pairs, MinHash matrix) of one
-        batch's ``text`` (see _shingles for ``sets`` and ``toks``)."""
-        sets, toks = self._shingles(self._text(batch), sets, toks)
+        batch's ``text`` (see shingle_front for ``sets`` and ``toks``)."""
+        sets, toks = shingle_front(self._text(batch), self.cfg, sets, toks)
         if self.cfg.minhash_scheme == "oph":
             return sets, toks, oph_minhash_batch(sets, self.cfg.n_perms)
         return sets, toks, minhash_batch(sets, self.a, self.b)

@@ -199,12 +199,7 @@ def verify_pairs_exchange(
     gather plus one sorted-set intersection."""
     import ray
 
-    from raydedup.stages.exchange import (
-        default_buckets,
-        reduce_join_resplit,
-        reduce_join_split,
-        split_dataset,
-    )
+    from raydedup.stages.exchange import default_buckets, reduce_wave, split_dataset
 
     ids_ref = ray.put(np.sort(pair_doc_ids))
 
@@ -225,12 +220,8 @@ def verify_pairs_exchange(
     psplit = split_dataset(pairs.select_columns(["a", "b"]), "a", num_buckets)
     # round 1's reduce tasks re-split their output on ``b`` in-task
     # (fused), so round 2 consumes the pieces without a split wave
-    r1 = reduce_join_resplit(
-        psplit, dsplit, make_attach_a(), "b", num_buckets, num_buckets
-    )
-    r2 = reduce_join_split(
-        r1, dsplit, make_attach_b_verify(cfg.jaccard_tau), num_buckets
-    )
+    r1 = reduce_wave(psplit, make_attach_a(), num_buckets, right=dsplit, out_key="b")
+    r2 = reduce_wave(r1, make_attach_b_verify(cfg.jaccard_tau), num_buckets, right=dsplit)
     parts = [t for t in ray.get(r2) if t.num_rows]
     if not parts:
         return pa.table(

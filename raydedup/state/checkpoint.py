@@ -46,6 +46,7 @@ import pyarrow.parquet as pq
 import ray
 
 from raydedup.config import DedupConfig
+from raydedup.util import cluster_cpus
 
 
 # fields that change how a run executes, never a signature, a pair or a
@@ -323,7 +324,6 @@ def store_shards_parallel(
     mgr: "CheckpointManager",
     shards: list[tuple[str, str]],
     cfg: DedupConfig,
-    max_in_flight: int | None = None,
 ) -> int:
     """Extract + fingerprint pending shards as INDEPENDENT Ray tasks —
     the analog of the reference's one-thread-pool-task-per-file store
@@ -333,13 +333,12 @@ def store_shards_parallel(
 
     Each task writes its two parquet files atomically; the DRIVER marks
     the manifest only on task completion, so a kill at any instant
-    resumes with exactly the finished shards skipped. ``max_in_flight``
-    bounds shard tables held in worker heaps simultaneously (default:
-    one per CPU)."""
+    resumes with exactly the finished shards skipped. At most one task
+    per CPU is in flight, which bounds the shard tables held in worker
+    heaps at once."""
     if not shards:
         return 0
-    if max_in_flight is None:
-        max_in_flight = max(1, int(ray.cluster_resources().get("CPU", 8)))
+    max_in_flight = max(1, cluster_cpus())
     pending = list(shards)
     in_flight: dict[Any, tuple[str, str, str]] = {}
     done = 0

@@ -1,5 +1,5 @@
-"""Small shared helpers: block refs of a Dataset, and driver-side
-materialization for SMALL results."""
+"""Small shared helpers: the cluster's CPU count, block refs of a
+Dataset, and driver-side materialization for SMALL results."""
 
 from __future__ import annotations
 
@@ -7,6 +7,15 @@ import pyarrow as pa
 
 import ray
 from ray.data import Dataset
+
+
+def cluster_cpus() -> int:
+    """CPUs of the running Ray cluster, or 8 before ``ray.init``. Read
+    on every call, never cached: a process may restart Ray with another
+    CPU count."""
+    if not ray.is_initialized():
+        return 8
+    return int(ray.cluster_resources().get("CPU", 8))
 
 
 @ray.remote

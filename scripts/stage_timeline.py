@@ -1,4 +1,4 @@
-"""Per-task-function timeline of one dedup job, or of one round of the
+"""Per-task-name timeline of one dedup job, or of one round of the
 index operations (build, query, monitor, increment fold).
 
     python scripts/stage_timeline.py [--mode dedup|index] [--n-docs 12000]
@@ -21,7 +21,7 @@ after another; the earlier rounds warm the workers.
   against a clusters dir that holds every stored doc as a singleton.
 
 For the last round it reads ``ray.timeline()`` and prints, per timed
-call, one row per task function:
+call, one row per task name (a task function, or a stage name):
 
   tasks    number of tasks that ran in the call's window
   task_s   sum of their durations (each task holds one CPU, so this is
@@ -33,7 +33,12 @@ Ray records task events whether or not anyone reads them, so reading
 them after the run does not change the schedule being measured. Ray
 Data's map tasks show up under their operator names (the extraction is
 ``ReadParquet->MapBatches(extract_batch)``); actor method calls are left
-out.
+out. The exchange's split and reduce tasks (``stages/exchange.py``) show
+up under the stage name the engine or index gives each wave
+(``signatures``, ``exact``, ``candidates_emit``, ``verify_attach_a``,
+``assign``, ``query_candidates``, ...), not under their task function;
+a name with a ``.`` would be taken for an actor method, so stage names
+use ``_``.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import ray
 
 
 def task_rows(events: list[dict], t0: float, t1: float) -> list[tuple]:
-    """(name, tasks, task_s, start_s, end_s) per task function whose
+    """(name, tasks, task_s, start_s, end_s) per task name whose
     tasks started in [t0, t1] (epoch seconds), ordered by first start.
     A task's ``task::<name>`` event spans its argument fetch, execution
     and output store."""
@@ -237,7 +242,7 @@ def main() -> None:
     for label, t0, t1 in windows:
         rows = task_rows(events, t0, t1)
         print(f"\nlast {label}: {t1 - t0:.3f} s on {args.cpus} CPUs")
-        print(f"{'task function':<48} {'tasks':>6} {'task_s':>7} {'start_s':>8} {'end_s':>7}")
+        print(f"{'task':<48} {'tasks':>6} {'task_s':>7} {'start_s':>8} {'end_s':>7}")
         for name, count, task_s, start, end in rows:
             print(f"{name[:48]:<48} {count:>6} {task_s:>7.3f} {start:>8.3f} {end:>7.3f}")
         print(f"{'all':<48} {sum(r[1] for r in rows):>6} {sum(r[2] for r in rows):>7.3f}")

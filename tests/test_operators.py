@@ -54,18 +54,13 @@ def test_hash_exchange_groups_complete(rd):
 
 
 def test_fused_resplit_chain_matches_two_round_exchange(rd):
-    """reduce_apply_resplit must be equivalent to apply-then-split-then-
-    reduce: a fused two-exchange chain (group by k1, emit rows keyed k2,
-    combine by k2) gives the same result as the unfused pair of
-    hash_exchange_apply rounds."""
+    """reduce_wave's re-split (``out_key``) must be equivalent to
+    apply-then-split-then-reduce: a fused two-exchange chain (group by
+    k1, emit rows keyed k2, combine by k2) gives the same result as the
+    unfused pair of hash_exchange_apply rounds."""
     import ray
 
-    from raydedup.stages.exchange import (
-        _reduce_bucket,
-        hash_exchange_apply,
-        reduce_apply_resplit,
-        split_dataset,
-    )
+    from raydedup.stages.exchange import hash_exchange_apply, reduce_wave, split_dataset
 
     n = 20_000
     rng = np.random.Generator(np.random.PCG64(7))
@@ -114,8 +109,9 @@ def test_fused_resplit_chain_matches_two_round_exchange(rd):
 
     # fused: emit wave re-splits on k2 in-task
     split1 = split_dataset(ds, "k1", 8)
-    wave = reduce_apply_resplit(split1, emit, "k2", 8, 8)
-    got_refs = [_reduce_bucket.remote(combine, *[w[j] for w in wave]) for j in range(8)]
+    wave = reduce_wave(split1, emit, 8, out_key="k2")
+    assert len(wave) == 8 and all(len(w) == 8 for w in wave)
+    got_refs = reduce_wave(wave, combine, 8)
     got = pa.concat_tables([t for t in ray.get(got_refs) if t.num_rows]).to_pandas()
 
     got = got.sort_values("k2").reset_index(drop=True)
