@@ -26,10 +26,10 @@ ranked matches; it never rewrites the store).
 
 Driver memory is INCREMENT-proportional (new edges + new components).
 Each stored index file and each clusters file is read by one raw task,
-and no Ray Data plan runs: every signature file, old and new, is
-scanned for band postings (the candidate wave reads the whole store
-until the index is partitioned by band key), but only the matched
-docs' texts and the matched old docs' cluster rows are read.
+and no Ray Data plan runs: every signature file, old and new, is read
+(until the index is partitioned by band key), but only the postings of
+the new docs' band keys leave its task, and only the matched docs'
+texts and the matched old docs' cluster rows are read.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import pyarrow.parquet as pq
 import ray
 
 from raydedup.config import DedupConfig
-from raydedup.util import cluster_cpus
 
 _EMPTY_CROSS = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())]
@@ -69,16 +68,15 @@ def _sha_pairs(path: str, *new_sha: pa.Table) -> pa.Table:
     )
 
 
-@ray.remote
-def _read_new_docs(path: str, n_blocks: int) -> list[pa.Table]:
-    """One new ``docs/`` file, read once -> its ``doc_id, text`` rows as
-    ``n_blocks`` query blocks (so several tasks sign one file), then its
-    ``(a=doc_id, text_sha256)`` rows for the exact path."""
+@ray.remote(num_returns=2)
+def _read_new_docs(path: str) -> tuple[pa.Table, pa.Table]:
+    """One new ``docs/`` file, read once -> its ``doc_id, text`` rows (a
+    query block) and its ``(a=doc_id, text_sha256)`` rows for the exact
+    path."""
     t = pq.read_table(path, columns=["doc_id", "text", "text_sha256"])
-    q = t.select(["doc_id", "text"])
-    cuts = np.linspace(0, t.num_rows, n_blocks + 1).astype(np.int64)
-    blocks = [q.take(pa.array(np.arange(lo, hi))) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    return [*blocks, t.select(["doc_id", "text_sha256"]).rename_columns(["a", "text_sha256"])]
+    return t.select(["doc_id", "text"]), t.select(["doc_id", "text_sha256"]).rename_columns(
+        ["a", "text_sha256"]
+    )
 
 
 def _verified_rows(wave: list) -> pa.Table:
@@ -104,7 +102,8 @@ def increment_edges(
     the query blocks of ``query_index``'s candidate wave over ``old_sigs
     + new_sigs`` and of its verify wave over ``old_docs + new_docs`` at
     cfg.jaccard_tau, and a sha256 exact path (one raw task per stored
-    docs file, its pairs unioned into the candidates) links identical
+    docs file, its pairs unioned into the candidates by the candidate
+    wave's combine task) links identical
     texts even in a band run dropped for holding more distinct
     signatures than the cap (candidates.band_runs).
 
@@ -114,34 +113,26 @@ def increment_edges(
     the old files). The two sides are keyed apart, so a new doc whose
     doc_id is also stored in an old file (a re-crawl) is scored on its
     own text."""
-    import pyarrow.compute as pc
+    from raydedup.pipelines.query import _candidate_wave, _verify_wave
 
-    from raydedup.pipelines.query import _candidate_pairs, _verify_wave
-    from raydedup.stages.pair_agg import reduce_pair_table
-
-    # at least one query block per CPU, so signing the new docs fills the
-    # candidate wave even when they arrive as one file
-    per_file = -(-cluster_cpus() // len(new_docs))
-    reads = [
-        _read_new_docs.options(num_returns=per_file + 1).remote(f, per_file) for f in new_docs
-    ]
-    sha_refs = [r[-1] for r in reads]
+    # the files' row counts let the sign tasks split them one slice per CPU
+    rows = [pq.ParquetFile(f).metadata.num_rows for f in new_docs]
+    if not sum(rows):
+        empty = _EMPTY_CROSS.empty_table()
+        return np.empty(0, np.int64), empty.select(["a", "b"]), empty
+    reads = [_read_new_docs.remote(f) for f in new_docs]
+    sha_refs = [r[1] for r in reads]
     exact = [_sha_pairs.remote(f, *sha_refs) for f in old_docs + new_docs]
-    cand, q_sets = _candidate_pairs(
-        old_sigs + new_sigs, [b for r in reads for b in r[:-1]], cfg
-    )
+    blocks = [(r[0], n) for r, n in zip(reads, rows)]
+    cand, q_sets = _candidate_wave(old_sigs + new_sigs, blocks, cfg, pairs=exact)
+    tau = cfg.jaccard_tau
+    old_wave = _verify_wave(old_docs, cand, q_sets, cfg, tau)
+    # every new doc matches itself in the new files; in the old files an
+    # a == b pair is a re-crawl of a stored doc_id
+    new_wave = _verify_wave(new_docs, cand, q_sets, cfg, tau, drop_self=True)
     new_ids = np.unique(
         np.concatenate([t.column("a").to_numpy(zero_copy_only=False) for t in ray.get(sha_refs)])
     )
-    cand = reduce_pair_table(
-        pa.concat_tables([cand, *ray.get(exact)]), sum_cols=["n_collisions"]
-    )
-    # every new doc matches itself in the new files; in the old files an
-    # a == b pair is a re-crawl of a stored doc_id
-    other = cand.filter(pc.not_equal(cand.column("a"), cand.column("b")))
-    tau = cfg.jaccard_tau
-    old_wave = _verify_wave(old_docs, cand, q_sets, cfg, tau) if cand.num_rows else []
-    new_wave = _verify_wave(new_docs, other, q_sets, cfg, tau) if other.num_rows else []
     return new_ids, _verified_rows(new_wave).select(["a", "b"]), _verified_rows(old_wave)
 
 

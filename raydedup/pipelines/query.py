@@ -6,28 +6,34 @@ Transplant of ``panako store`` + ``panako query`` / ``panako monitor``
 dataset of doc tables + signature tables (no KV server —
 ``PanakoStorageKV.java`` becomes Parquet, per SURVEY §2 S3).
 
-A query is one raw-task DAG over the index files:
+A query is one raw-task DAG over the index files, looked up by the
+query's own band keys (the ``PanakoStorageKV.java:293-379`` lookup: the
+stored side is never shipped whole):
 
-  candidate wave: one task per group of query blocks signs them (band
-    keys plus packed shingle sets, one shingle pass) and one task per
-    stored ``signatures/`` file reads its ``doc_id, bands``; both emit
-    side-tagged band postings split on ``band_key``. The query-side
-    tasks are submitted first, since they do the most work. One reduce
-    per bucket, one bucket per CPU, so the reduces run as one wave,
-    emits the (query, stored) pairs that share a band run the engine
-    keeps too (candidates.band_runs; stages/exchange.reduce_wave, its
-    tasks named ``query_candidates``)
-  verify wave: one task per stored ``docs/`` file reads only the
-    candidate matches (``doc_id`` pushdown), shingles them, scores
-    exact Jaccard against the query side's sets (one broadcast ref) and
+  candidate wave: ``query_sign``, one task per CPU, each on a row slice
+    of the query blocks (it receives only the blocks its rows come
+    from), signs its docs in one shingle pass and returns their band
+    postings, their shingle sets and their sorted band keys;
+    ``query_stored``, one task per stored ``signatures/`` file, reads
+    its ``doc_id, bands`` and keeps only the postings whose band key
+    the query holds, so a held key's run arrives whole and the hot-band
+    rule (candidates.band_runs) sees all of it; ``query_candidates``,
+    one task, pairs the two sides run by run (_cross_side_pairs) and
+    applies the engine's ``min_band_collisions`` gate
+  verify wave: ``query_verify``, one task per stored ``docs/`` file,
+    takes the candidate ref as it is (no driver round trip), reads only
+    the candidate matches (``doc_id`` pushdown), shingles and scores
+    one copy per distinct stored text against the query side's sets and
     returns each hit with its url
 
-so every stored file is read once per query and no Ray Data plan runs
+so every stored file is read once per query, only the stored postings
+of the query's band keys leave their task, and no Ray Data plan runs
 over the index. The query and stored sides are keyed apart, so a query
 doc that shares a ``doc_id`` with a stored doc (a re-crawled url) is
-scored on its own text. The driver ranks the QueryResult-style rows.
+scored on its own text. The driver fetches the verified rows and ranks
+the QueryResult-style rows.
 
-The two waves are ``_candidate_pairs`` and ``_verify_wave``. The
+The two waves are ``_candidate_wave`` and ``_verify_wave``. The
 increment (``pipelines/increment.increment_edges``) runs the same two
 waves over the old and the new stored files, so one code path matches
 docs against stored files.
@@ -41,7 +47,6 @@ doc's url. No exchange and no Ray Data plan runs.
 
 from __future__ import annotations
 
-import functools
 import glob
 import os
 
@@ -170,127 +175,160 @@ def _side_postings(sigs: pa.Table, n_bands: int, side: int) -> pa.Table:
     return p.append_column("side", pa.array(np.full(p.num_rows, side, dtype=np.int64)))
 
 
-@ray.remote
-def _stored_postings_split(path: str, n_bands: int, num_buckets: int) -> list[pa.Table]:
-    """Candidate wave, stored side: one ``signatures/`` file -> its band
-    postings (side 0), split on ``band_key``."""
-    from raydedup.stages.exchange import _split_table
+def _row_slices(blocks: list[tuple], n: int) -> list[tuple[int, int, list]]:
+    """Cut the rows of ``blocks`` (``(ref, num_rows)`` pairs, in order)
+    into ``n`` even contiguous slices, fewer if there are fewer rows.
+    Each slice is ``(lo, hi, refs)``: ``refs`` are only the blocks its
+    rows come from, and ``[lo, hi)`` its rows in their concatenation."""
+    offs = np.concatenate([[0], np.cumsum([rows for _, rows in blocks], dtype=np.int64)])
+    cuts = np.linspace(0, offs[-1], min(n, offs[-1]) + 1).astype(np.int64)
+    out = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        first = int(np.searchsorted(offs, lo, "right")) - 1
+        last = int(np.searchsorted(offs, hi, "left"))
+        refs = [ref for ref, _ in blocks[first:last]]
+        out.append((int(lo - offs[first]), int(hi - offs[first]), refs))
+    return out
 
-    sigs = pq.read_table(path, columns=["doc_id", "bands"])
-    return _split_table(_side_postings(sigs, n_bands, 0), "band_key", num_buckets)
 
-
-@ray.remote
-def _query_postings_split(cfg: DedupConfig, num_buckets: int, *blocks: pa.Table) -> list:
-    """Candidate wave, query side: sign a group of ``doc_id,text`` query
-    blocks -> band postings (side 1) split on ``band_key``, plus one
-    last return: the group's ``(doc_id, shingles)`` sets for the verify
-    wave. Both come from one shingle pass
-    (SignatureKernel.band_set_table)."""
+@ray.remote(num_returns=3)
+def _sign_slice(cfg: DedupConfig, lo: int, hi: int, *blocks: pa.Table) -> tuple:
+    """Candidate wave, query side: sign rows ``[lo, hi)`` of the
+    concatenated ``doc_id,text`` query blocks. Returns their band
+    postings (side 1), their ``(doc_id, shingles)`` sets for the verify
+    wave, both from one shingle pass (SignatureKernel.band_set_table),
+    and their sorted unique band keys."""
     from raydedup.pipelines.dedup import _kernel
-    from raydedup.stages.exchange import _split_table
 
-    kernel = _kernel(cfg, False)
-    sigs = [kernel.band_set_table(b) for b in blocks if b.num_rows]
-    sig = pa.concat_tables(sigs) if sigs else pa.table(
-        {"doc_id": pa.array([], pa.int64()), "shingles": pa.array([], pa.large_binary())}
-    )
+    docs = pa.concat_tables([b.select(["doc_id", "text"]) for b in blocks if b.num_rows])
+    sig = _kernel(cfg, False).band_set_table(docs.slice(lo, hi - lo))
     postings = _side_postings(sig, cfg.n_bands, 1)
-    return [*_split_table(postings, "band_key", num_buckets), sig.select(["doc_id", "shingles"])]
+    keys = np.unique(postings.column("band_key").to_numpy(zero_copy_only=False))
+    return postings, sig.select(["doc_id", "shingles"]), keys
 
 
 @ray.remote
-def _concat(*tables: pa.Table) -> pa.Table:
-    return pa.concat_tables(tables)
+def _stored_postings(path: str, n_bands: int, *keys: np.ndarray) -> pa.Table:
+    """Candidate wave, stored side: one ``signatures/`` file -> its band
+    postings (side 0) whose ``band_key`` is one of the query's ``keys``
+    (the sign tasks' key arrays). Exact for candidates.band_runs: a key
+    the query holds keeps its whole run from every file, so the
+    distinct-signature cap sees every posting of it, and a run the
+    query does not hold has no query posting to pair with."""
+    held = np.unique(np.concatenate(keys))
+    p = _side_postings(pq.read_table(path, columns=["doc_id", "bands"]), n_bands, 0)
+    k = p.column("band_key").to_numpy(zero_copy_only=False)
+    pos = np.minimum(np.searchsorted(held, k), held.shape[0] - 1)
+    return p.filter(pa.array(held[pos] == k))
+
+
+@ray.remote(num_returns=2)
+def _combine_candidates(
+    cfg: DedupConfig, n_postings: int, n_sets: int, *parts: pa.Table
+) -> tuple[pa.Table, pa.Table]:
+    """Candidate wave, combine. ``parts`` are ``n_postings`` posting
+    tables (stored and query side), then the sign tasks' ``n_sets``
+    ``(doc_id, shingles)`` tables, then the fold's exact-path ``(a, b,
+    n_collisions)`` pair tables. Returns the ``(a=query, b=stored,
+    n_collisions)`` pairs of the band runs both sides share
+    (_cross_side_pairs) with at least cfg.min_band_collisions shared
+    bands (the engine's gate, candidate_pair_refs), unioned with the
+    pair tables; and the sets concatenated for the verify wave, one
+    object store copy rather than one per verify task."""
+    import pyarrow.compute as pc
+
+    from raydedup.stages.pair_agg import reduce_pair_table
+
+    cand = _cross_side_pairs(pa.concat_tables(parts[:n_postings]), cfg.max_band_postings)
+    cand = cand.rename_columns(["a", "b", "n_collisions"])
+    if cfg.min_band_collisions > 1:
+        cand = cand.filter(pc.greater_equal(cand["n_collisions"], cfg.min_band_collisions))
+    sets, pairs = parts[n_postings : n_postings + n_sets], parts[n_postings + n_sets :]
+    if pairs:
+        cand = reduce_pair_table(pa.concat_tables([cand, *pairs]), sum_cols=["n_collisions"])
+    return cand, pa.concat_tables(sets)
 
 
 @ray.remote(num_returns=2)
 def _verify_stored_file(
-    path: str, pairs: pa.Table, q_sets: pa.Table, cfg: DedupConfig, tau: float
+    path: str, pairs: pa.Table, q_sets: pa.Table, cfg: DedupConfig, tau: float, drop_self: bool
 ) -> tuple[pa.Table, pa.Table]:
     """Verify wave: one ``docs/`` file. Reads only the candidate matches
-    (``doc_id`` pushdown), shingles them and scores the pairs whose match
-    is in this file against the query side's sets ``q_sets``: the two
-    sides are looked up apart, so a query doc that shares a ``doc_id``
-    with a stored doc is scored on its own text. Returns the ``(a, b,
-    n_collisions, jaccard, match_url)`` rows at ``jaccard >= tau`` and
-    the ``(doc_id, text)`` of their matches (for the segment pass)."""
+    (``doc_id`` pushdown) and scores the pairs whose match is in this
+    file against the query side's sets ``q_sets``: the two sides are
+    looked up apart, so a query doc that shares a ``doc_id`` with a
+    stored doc is scored on its own text. Byte-identical stored texts
+    (one ``text_sha256``) are shingled and scored once for all their
+    copies. ``drop_self`` drops the ``a == b`` pairs first. Returns the
+    ``(a, b, n_collisions, jaccard, match_url)`` rows at ``jaccard >=
+    tau`` and the ``(doc_id, text)`` of their matches (for the segment
+    pass); 0-column empties if none."""
+    import pyarrow.compute as pc
+
     from raydedup.stages.verify import _jaccard_packed, lookup_packed, packed_shingle_table
 
+    if drop_self:
+        pairs = pairs.filter(pc.not_equal(pairs["a"], pairs["b"]))
     b_all = pairs.column("b").to_numpy(zero_copy_only=False)
+    if not b_all.shape[0]:
+        return pa.table({}), pa.table({})
     docs = pq.read_table(
-        path, columns=["doc_id", "text", "url"], filters=[("doc_id", "in", np.unique(b_all))]
+        path,
+        columns=["doc_id", "text", "url", "text_sha256"],
+        filters=[("doc_id", "in", np.unique(b_all))],
     )
+    if not docs.num_rows:
+        return pa.table({}), pa.table({})
     ids, first = np.unique(docs.column("doc_id").to_numpy(zero_copy_only=False), return_index=True)
     docs = docs.take(pa.array(first))
     pairs = pairs.filter(pa.array(np.isin(b_all, ids)))
-    b = pairs.column("b").to_numpy(zero_copy_only=False)
-    pos = pa.array(np.searchsorted(ids, b))
-    m_sets = packed_shingle_table(docs, cfg).column("shingles").take(pos)
-    q_sh = lookup_packed(q_sets, pairs.column("a").to_numpy(zero_copy_only=False))[0]
-    jac = _jaccard_packed(q_sh.to_pylist(), m_sets.to_pylist())
-    keep = pa.array(jac >= tau)
+    pos = np.searchsorted(ids, pairs.column("b").to_numpy(zero_copy_only=False))
+    # one shingle set per distinct text, one score per (query doc, text)
+    sha = docs.column("text_sha256").to_numpy(zero_copy_only=False)
+    _, rep, text_of = np.unique(sha, return_index=True, return_inverse=True)
+    m_sets = packed_shingle_table(docs.take(pa.array(rep)), cfg).column("shingles")
+    a = pairs.column("a").to_numpy(zero_copy_only=False)
+    scored, score_of = np.unique(np.stack([a, text_of[pos]], axis=1), axis=0, return_inverse=True)
+    q_sh = lookup_packed(q_sets, scored[:, 0])[0]
+    jac = _jaccard_packed(q_sh.to_pylist(), m_sets.take(pa.array(scored[:, 1])).to_pylist())
+    jac = jac[score_of.reshape(-1)]
     rows = pairs.append_column("jaccard", pa.array(jac, pa.float64())).append_column(
-        "match_url", docs.column("url").take(pos)
-    ).filter(keep)
+        "match_url", docs.column("url").take(pa.array(pos))
+    ).filter(pa.array(jac >= tau))
     matched = np.isin(ids, rows.column("b").to_numpy(zero_copy_only=False))
     return rows, docs.select(["doc_id", "text"]).filter(pa.array(matched))
 
 
-_CAND_SCHEMA = pa.schema(
-    [("a", pa.int64()), ("b", pa.int64()), ("n_collisions", pa.int64())]
-)
-
-
-def _candidate_pairs(sig_files: list[str], q_refs: list, cfg: DedupConfig):
-    """Candidate wave: the stored ``sig_files`` and the ``doc_id,text``
-    query blocks ``q_refs`` -> ``(a=query, b=stored, n_collisions)``
-    pairs that share at least cfg.min_band_collisions bands (the
-    engine's gate, candidate_pair_refs), and the ref of the query
-    side's ``(doc_id, shingles)`` sets for the verify wave.
-
-    The query-side tasks are submitted first: they sign, so they take
-    longest, and the stored side reads band keys only. The exchange is
-    one bucket per CPU, so its reduces run as one wave."""
-    import pyarrow.compute as pc
-
-    from raydedup.stages.exchange import block_groups, reduce_wave
-    from raydedup.stages.pair_agg import reduce_pair_table
-
-    # at least 2: a task with num_returns=1 returns its list as one object
-    nb = max(2, cluster_cpus())
-    query = [
-        _query_postings_split.options(num_returns=nb + 1).remote(cfg, nb, *g)
-        for g in block_groups(q_refs)
-    ]
-    stored = [
-        _stored_postings_split.options(num_returns=nb).remote(f, cfg.n_bands, nb)
-        for f in sig_files
-    ]
-    q_sets = _concat.remote(*[w[nb] for w in query])
-    kernel = functools.partial(_cross_side_pairs, max_postings=cfg.max_band_postings)
-    waves = stored + [w[:nb] for w in query]
-    refs = reduce_wave(waves, kernel, nb, name="query_candidates")
-    partials = [t for t in ray.get(refs) if t.num_rows]
-    if not partials:
-        return _CAND_SCHEMA.empty_table(), q_sets
-    cand = reduce_pair_table(
-        pa.concat_tables(partials).rename_columns(["a", "b", "n_collisions"]),
-        sum_cols=["n_collisions"],
-    )
-    if cfg.min_band_collisions > 1:
-        cand = cand.filter(pc.greater_equal(cand["n_collisions"], cfg.min_band_collisions))
-    return cand, q_sets
+def _candidate_wave(sig_files: list[str], blocks: list[tuple], cfg: DedupConfig, pairs=()):
+    """Candidate wave over the stored ``sig_files`` and the query
+    ``blocks`` (``(ref, num_rows)`` of ``doc_id,text`` tables): one
+    ``query_sign`` task per CPU, each on one row slice (_row_slices);
+    one ``query_stored`` task per file, given the sign tasks' key
+    arrays; one ``query_candidates`` combine task, which also unions
+    the pair tables ``pairs`` (refs) into its output. Nothing is
+    fetched: returns the refs of the ``(a=query, b=stored,
+    n_collisions)`` candidates and of the query side's ``(doc_id,
+    shingles)`` sets."""
+    sign = _sign_slice.options(name="query_sign")
+    slices = _row_slices(blocks, cluster_cpus())
+    signed = [sign.remote(cfg, lo, hi, *refs) for lo, hi, refs in slices]
+    keys = [s[2] for s in signed]
+    stored = _stored_postings.options(name="query_stored")
+    postings = [stored.remote(f, cfg.n_bands, *keys) for f in sig_files] + [s[0] for s in signed]
+    sets = [s[1] for s in signed]
+    combine = _combine_candidates.options(name="query_candidates")
+    return combine.remote(cfg, len(postings), len(sets), *postings, *sets, *pairs)
 
 
 def _verify_wave(
-    doc_files: list[str], cand: pa.Table, q_sets, cfg: DedupConfig, tau: float
+    doc_files: list[str], cand, q_sets, cfg: DedupConfig, tau: float, drop_self: bool = False
 ) -> list:
-    """Verify wave: one ``_verify_stored_file`` task per stored
-    ``docs/`` file over the candidate pairs ``cand``; returns each
-    task's (rows, matched docs) ref pair."""
-    cand_ref = ray.put(cand)
-    return [_verify_stored_file.remote(f, cand_ref, q_sets, cfg, tau) for f in doc_files]
+    """Verify wave: one ``query_verify`` task (_verify_stored_file) per
+    stored ``docs/`` file over the refs ``cand`` and ``q_sets`` of
+    _candidate_wave; returns each task's (rows, matched docs) ref
+    pair."""
+    task = _verify_stored_file.options(name="query_verify")
+    return [task.remote(f, cand, q_sets, cfg, tau, drop_self) for f in doc_files]
 
 
 @ray.remote
@@ -333,22 +371,16 @@ def query_index(
     matched start/stop fields (``strategy/QueryResult.java:31-73``).
     Runs as the task DAG described in the module docstring.
     """
-    from raydedup.util import arrow_block_refs
+    from raydedup.util import arrow_blocks
 
     cfg = cfg or DedupConfig()
     tau = cfg.jaccard_tau if min_jaccard is None else min_jaccard
-    q_refs = arrow_block_refs(query_docs)
-    if not q_refs:
+    blocks = arrow_blocks(query_docs)
+    if not sum(rows for _, rows in blocks):
         return _empty_result(with_segments)
 
-    cand, q_sets = _candidate_pairs(
-        store_files(index_dir, "signatures"), q_refs, cfg
-    )
-    if not cand.num_rows:
-        return _empty_result(with_segments)
-    verified = _verify_wave(
-        store_files(index_dir, "docs"), cand, q_sets, cfg, tau
-    )
+    cand, q_sets = _candidate_wave(store_files(index_dir, "signatures"), blocks, cfg)
+    verified = _verify_wave(store_files(index_dir, "docs"), cand, q_sets, cfg, tau)
     rows = [t for t in ray.get([v[0] for v in verified]) if t.num_rows]
     if not rows:
         return _empty_result(with_segments)
@@ -375,6 +407,7 @@ def query_index(
         n_chunks = min(2 * cluster_cpus(), max(1, len(df) // 64))
         bounds = np.linspace(0, len(df), n_chunks + 1).astype(int)
         m_docs = [v[1] for v in verified]
+        q_refs = [ref for ref, _ in blocks]
         seg = pa.concat_tables(
             ray.get(
                 [

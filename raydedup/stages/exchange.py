@@ -30,9 +30,7 @@ store — the same movement a multi-node hash shuffle performs, with the
 partitioning assumption (kernel sees ALL rows of its buckets and
 nothing else) stated explicitly. Both waves take a ``name``: the dedup
 engine and the index name each by its stage, so Ray's task events and
-``scripts/stage_timeline.py`` tell the stages apart. The index query's
-candidate wave splits its own postings in its tasks and feeds
-``reduce_wave`` directly.
+``scripts/stage_timeline.py`` tell the stages apart.
 
 This is the SURVEY §2 case (c): a raw-Ray-core operator used only where
 the Dataset API cannot express the semantics efficiently.

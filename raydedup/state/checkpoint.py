@@ -362,6 +362,11 @@ def store_shards_parallel(
     return done
 
 
+_ENGINE_COUNTS = (
+    "candidate_pairs", "verified_pairs", "containment_pairs", "substring_pairs", "n_dup_docs"
+)
+
+
 def run_dedup_checkpointed(
     pages_files: list[str],
     ckpt_dir: str,
@@ -462,5 +467,9 @@ def run_dedup_checkpointed(
         mgr.mark_stage("scale_clusters", **{**counts, "n_docs": n_out})
         metrics["resumed_exchanges"] = res.metrics["resumed_exchanges"]
     metrics.update(mgr.manifest["stages"])
+    # the engine's counts under run_dedup_auto's keys, read from the
+    # manifest row so a resumed, already-done run returns them too
+    done = mgr.manifest["stages"]["scale_clusters"]
+    metrics.update({k: done[k] for k in _ENGINE_COUNTS if k in done})
     metrics["dedup_path"] = "scale"
     return {"clusters_path": clusters_dir, "metrics": metrics}

@@ -25,22 +25,31 @@ def _block_to_arrow(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
-def arrow_block_refs(ds: Dataset) -> list:
-    """Execute ``ds`` and return its blocks as refs to Arrow tables: the
-    contract of ``Dataset.to_arrow_refs()`` without its trailing
-    ``schema()`` call. On a plan that is not materialized, Ray 2.49's
-    to_arrow_refs() finds no cached schema after the run and re-executes
-    the plan under ``limit(1)`` to get one, then cancels that probe's
-    in-flight tasks. That is wasted work on every exchange input, and
-    the cancellations race Ray core's task bookkeeping: the driver
-    aborts ("Check failed: ... submitted_task_ref_count > 0", or "Tried
-    to complete task that was not pending"). Each output bundle carries
-    its schema, so only non-Arrow (pandas) blocks need converting."""
-    refs: list = []
+def arrow_blocks(ds: Dataset) -> list[tuple]:
+    """Execute ``ds`` and return its blocks as ``(ref, num_rows)``
+    pairs, each ref to an Arrow table: the contract of
+    ``Dataset.to_arrow_refs()`` without its trailing ``schema()`` call.
+    On a plan that is not materialized, Ray 2.49's to_arrow_refs() finds
+    no cached schema after the run and re-executes the plan under
+    ``limit(1)`` to get one, then cancels that probe's in-flight tasks.
+    That is wasted work on every exchange input, and the cancellations
+    race Ray core's task bookkeeping: the driver aborts ("Check failed:
+    ... submitted_task_ref_count > 0", or "Tried to complete task that
+    was not pending"). Each output bundle carries its schema and its
+    blocks' row counts, so only non-Arrow (pandas) blocks need
+    converting."""
+    out: list = []
     for bundle in ds.iter_internal_ref_bundles():
         arrow = isinstance(bundle.schema, pa.Schema)
-        refs.extend(r if arrow else _block_to_arrow.remote(r) for r, _ in bundle.blocks)
-    return refs
+        out.extend(
+            (r if arrow else _block_to_arrow.remote(r), m.num_rows) for r, m in bundle.blocks
+        )
+    return out
+
+
+def arrow_block_refs(ds: Dataset) -> list:
+    """The block refs of arrow_blocks(ds)."""
+    return [r for r, _ in arrow_blocks(ds)]
 
 
 def to_arrow_table(ds: Dataset, empty_schema: pa.Schema | None = None) -> pa.Table:

@@ -34,11 +34,12 @@ them after the run does not change the schedule being measured. Ray
 Data's map tasks show up under their operator names (the extraction is
 ``ReadParquet->MapBatches(extract_batch)``); actor method calls are left
 out. The exchange's split and reduce tasks (``stages/exchange.py``) show
-up under the stage name the engine or index gives each wave
-(``signatures``, ``exact``, ``candidates_emit``, ``verify_attach_a``,
-``assign``, ``query_candidates``, ...), not under their task function;
-a name with a ``.`` would be taken for an actor method, so stage names
-use ``_``.
+up under the stage name the engine gives each wave (``signatures``,
+``exact``, ``candidates_emit``, ``verify_attach_a``, ``assign``, ...),
+not under their task function, and so do the query's and the fold's
+waves (``query_sign``, ``query_stored``, ``query_candidates``,
+``query_verify``); a name with a ``.`` would be taken for an actor
+method, so stage names use ``_``.
 """
 
 from __future__ import annotations

@@ -533,3 +533,27 @@ def test_checkpoint_policy_is_cluster_identical(
     assert second.metrics["resumed_exchanges"] == stages
     pd.testing.assert_frame_equal(frame(second), want)
     assert {k: second.metrics[k] for k in keys} == {k: ref.metrics[k] for k in keys}
+
+
+def test_checkpointed_returns_engine_counts_at_top_level(
+    ray_session, small_corpus, tmp_path, cfg
+):
+    """run_dedup_checkpointed returns the engine counts under
+    run_dedup_auto's keys, equal to that entry point's on the same
+    corpus, and a re-invocation of the finished run (nothing recomputed)
+    returns them again from the manifest."""
+    from raydedup.pipelines.dedup_scale import run_dedup_auto
+    from raydedup.sources.pages import pages_to_docs, read_pages
+
+    spec, paths = small_corpus
+    keys = ["candidate_pairs", "verified_pairs", "containment_pairs", "n_dup_docs"]
+    auto = run_dedup_auto(pages_to_docs(read_pages(paths["pages"])), cfg, containment=True)
+    want = {k: auto.metrics[k] for k in keys}
+    assert want["verified_pairs"] > 0
+
+    d = str(tmp_path / "ck")
+    first = run_dedup_checkpointed(_pages_files(paths), d, cfg)
+    assert {k: first["metrics"][k] for k in keys} == want
+    again = run_dedup_checkpointed(_pages_files(paths), d, cfg)
+    assert again["metrics"]["resumed_shards"] == len(_pages_files(paths))
+    assert {k: again["metrics"][k] for k in keys} == want

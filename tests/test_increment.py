@@ -194,6 +194,24 @@ def test_increment_bootstraps_empty_index(ray_session, split_corpus, tmp_path_fa
     assert (reps.doc_id == reps.cluster_id).all()
 
 
+def test_increment_of_an_empty_pages_file(split_corpus, tmp_path):
+    """A new pages file with no rows stores a 0-row shard, and the fold
+    matches nothing: no sign task has rows to sign, so the candidate
+    and verify waves are not run, and no doc gets a row."""
+    paths, cfg, index_dir, clusters_dir, inc_dir, base_cl = split_corpus
+    idx, cl = str(tmp_path / "index"), str(tmp_path / "clusters")
+    shutil.copytree(index_dir, idx)
+    shutil.copytree(clusters_dir, cl)
+    empty_dir = tmp_path / "empty"
+    os.makedirs(empty_dir)
+    page = pq.read_table(sorted(glob.glob(os.path.join(inc_dir, "*.parquet")))[0])
+    pq.write_table(page.slice(0, 0), str(empty_dir / "empty.parquet"))
+    info = dedup_increment(idx, cl, str(empty_dir), cfg)
+    assert info["stored_shards"] == 1
+    assert info["new_docs"] == 0 and info["new_clusters"] == 0
+    assert pq.read_table(info["increment_file"]).num_rows == 0
+
+
 def test_cross_verify_scores_each_side_on_its_own_text(ray_session, tmp_path):
     """increment_edges matches new stored docs against the old docs/ and
     signatures/ files. Planted: near-dup (old 1 ~ new 101), exact dup

@@ -498,6 +498,90 @@ def test_index_match_keeps_the_engines_band_runs(data):
     assert got == ref
 
 
+@given(st.data(), st.sampled_from(["over_cap", "min_collisions_2", "no_stored_run"]))
+@settings(max_examples=60, deadline=None)
+def test_key_filtered_stored_side_matches_the_full_exchange(data, case):
+    """The index query ships only the stored postings whose band key the
+    query batch holds (query._stored_postings) and pairs them in one
+    combine task (query._combine_candidates). On random signatures that
+    gives the same (a, b, n_collisions) as the full exchange: every
+    stored and query posting split on band_key, _cross_side_pairs per
+    bucket, the partials summed and gated on min_band_collisions.
+    Cases: a run held by the query over max_band_postings distinct
+    signatures (dropped whole on both paths), min_band_collisions=2,
+    and a batch whose keys hit no stored run."""
+    import os
+    import tempfile
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from raydedup.pipelines.query import (
+        _combine_candidates,
+        _cross_side_pairs,
+        _side_postings,
+        _stored_postings,
+    )
+    from raydedup.stages.exchange import _split_table
+    from raydedup.stages.pair_agg import reduce_pair_table
+
+    n_bands, cap = 3, data.draw(st.integers(1, 3))
+    cfg = DedupConfig(
+        max_band_postings=cap, min_band_collisions=2 if case == "min_collisions_2" else 1
+    )
+    band = st.lists(st.integers(0, 5), min_size=n_bands, max_size=n_bands)
+    stored = data.draw(st.lists(band, min_size=1, max_size=14))
+    query = data.draw(st.lists(band, min_size=1, max_size=5))
+    if case == "over_cap":
+        # band 0 value 99: cap + 1 stored docs with distinct signatures
+        # and one query doc hold it
+        stored += [[99, 10 + i, 20 + i] for i in range(cap + 1)]
+        query[0] = [99, *query[0][1:]]
+    if case == "no_stored_run":
+        query = [[v + 1000 for v in q] for q in query]
+
+    def sigs(rows, id0):
+        return pa.table({
+            "doc_id": pa.array(range(id0, id0 + len(rows)), pa.int64()),
+            "bands": pa.array(rows, pa.list_(pa.int64())),
+        })
+
+    st_sigs, q_sigs = sigs(stored, 0), sigs(query, 100)
+    q_post = _side_postings(q_sigs, n_bands, 1)
+    q_keys = np.unique(q_post.column("band_key").to_numpy())
+
+    # full exchange: all postings, 3 buckets, summed, gated
+    both = pa.concat_tables([_side_postings(st_sigs, n_bands, 0), q_post])
+    parts = [_cross_side_pairs(b, cap) for b in _split_table(both, "band_key", 3)]
+    full = reduce_pair_table(
+        pa.concat_tables(parts).rename_columns(["a", "b", "n_collisions"]), ["n_collisions"]
+    ).to_pandas()
+    full = full[full.n_collisions >= cfg.min_band_collisions].reset_index(drop=True)
+
+    # key-filtered: the stored docs in two files, the query keys in two arrays
+    with tempfile.TemporaryDirectory() as d:
+        cut = data.draw(st.integers(0, st_sigs.num_rows))
+        files = []
+        for i, t in enumerate((st_sigs.slice(0, cut), st_sigs.slice(cut))):
+            files.append(os.path.join(d, f"{i}.parquet"))
+            pq.write_table(t, files[-1])
+        half = data.draw(st.integers(0, len(q_keys)))
+        kept = [_stored_postings._function(f, n_bands, q_keys[:half], q_keys[half:]) for f in files]
+    held = pa.concat_tables(kept)
+    assert set(held.column("band_key").to_pylist()) <= set(q_keys.tolist())
+    sets = pa.table({"doc_id": pa.array([], pa.int64())})
+    cand, _ = _combine_candidates._function(cfg, 3, 1, *kept, q_post, sets)
+    got = cand.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
+    pd_equal = got.equals(full.sort_values(["a", "b"]).reset_index(drop=True))
+    assert pd_equal, (got, full)
+    if case == "no_stored_run":
+        assert held.num_rows == 0 and cand.num_rows == 0
+    if case == "over_cap":
+        # the hot run reaches the combine whole: cap + 1 distinct signatures
+        hot = held.filter(pa.compute.equal(held["band_key"], 99))
+        assert len(set(hot.column("sig").to_pylist())) > cap
+
+
 @given(st.lists(st.integers(min_value=1, max_value=2**53 - 1), min_size=1, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_bitlen_minus1_is_exact_floor_log2(xs):

@@ -231,6 +231,34 @@ def test_index_query_finds_near_dup_of_page_stored_over_cap(ray_session, tmp_pat
     assert np.allclose(df.jaccard, 0.967, atol=0.005)
 
 
+def test_index_query_scores_each_stored_text_once_for_every_copy(ray_session, tmp_path):
+    """The verify wave shingles and scores one representative per
+    distinct stored text (text_sha256), and every byte-identical copy
+    still gets its own row, url and n_collisions: a page stored 30
+    times returns 30 rows, each with its own url, the exact word-5-gram
+    Jaccard of the edited page against the page, and the 16 bands less
+    the ones the edit changed."""
+    import ray.data as rd
+
+    from raydedup.pipelines.query import query_index
+    from raydedup.stages.extract import doc_ids_from_urls
+
+    index_dir, _, page, copy_ids = _hot_page_store(tmp_path, 30, DedupConfig())
+    q_id = doc_ids_from_urls(["https://fresh.example/edited"])
+    q = rd.from_arrow(pa.table({"doc_id": pa.array(q_id), "text": [_edited(page)]}))
+    df = query_index(index_dir, q, DedupConfig(), top_k=50)
+
+    def grams(t):
+        w = t.lower().split()
+        return {tuple(w[i : i + 5]) for i in range(len(w) - 4)}
+
+    a, b = grams(_edited(page)), grams(page)
+    assert sorted(df.match_doc_id) == sorted(copy_ids.tolist())
+    assert (doc_ids_from_urls(df.match_url.tolist()) == df.match_doc_id.to_numpy()).all()
+    assert (df.jaccard == len(a & b) / len(a | b)).all()
+    assert df.n_collisions.nunique() == 1 and 0 < df.n_collisions[0] <= 16
+
+
 def test_fold_attaches_near_dup_of_page_stored_over_cap(ray_session, tmp_path):
     """A dedup_increment fold matches through the same rule: a file
     holding only the edited copy of a page stored 30 times (cap 20)
